@@ -253,16 +253,20 @@ def cmd_finite_moment(args, started):
     }
     if args.eval_s is not None:
         s0 = _parse_rational(args.eval_s)
+        try:
+            value = rf.eval(s0)
+        except ZeroDivisionError:
+            raise CliError("pole at s = %s" % s0)
         result["eval_s"] = rat_to_str(s0)
-        result["value"] = rat_to_str(rf.eval(s0))
-        result["value_float"] = float(rf.eval(s0))
+        result["value"] = rat_to_str(value)
+        result["value_float"] = float(value)
     _summary("finite-moment N=%d %s -> %s"
              % (args.N, args.variant, result["rational"]["repr"]))
     return result, EXIT_OK
 
 
 def cmd_mc_estimate(args, started):
-    from .mc import ChainConfig, _integrand_values, estimate_joint_moment, sample_hp
+    from .mc import ChainConfig, _block_stats, joint_moment_values, sample_hp
 
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
@@ -290,8 +294,11 @@ def cmd_mc_estimate(args, started):
         _summary("mc-estimate FLAGGED: acceptance rate %.3f"
                  % batch.acceptance_rate)
         return result, EXIT_MC_DIAGNOSTICS, seeds
-    est, stderr = estimate_joint_moment(batch, spec)
-    vals = _integrand_values(batch.draws, spec, args.N)
+    vals = joint_moment_values(batch, spec)
+    try:
+        est, stderr = _block_stats(vals)
+    except ValueError as exc:  # too few draws for block-mean errors
+        raise CliError(str(exc))
     result = {
         "N": args.N,
         "s": args.s,

@@ -5,13 +5,19 @@ All values are immutable after construction and all operations are pure.
 The scalar type is fractions.Fraction throughout; no floating point here.
 """
 
+import math
 from fractions import Fraction
 
 
-def rat(x, y=None):
-    if y is None:
-        return Fraction(x)
-    return Fraction(x, y)
+def _scaled_ints(coeffs):
+    """Integers over one common denominator: (ints, den) with
+    coeffs[i] == ints[i] / den and den the lcm of the denominators.
+
+    The product kernels multiply on these ints and build one Fraction per
+    output coefficient, instead of normalising a Fraction per term product.
+    """
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def rat_to_str(q):
@@ -34,7 +40,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -94,13 +100,15 @@ class Poly:
             return Poly(tuple(a * c for a in self.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, da = _scaled_ints(self.coeffs)
+        b, db = _scaled_ints(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        den = da * db
+        return Poly([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -134,13 +142,6 @@ class Poly:
     def gcd(self, other):
         """Monic gcd, computed over the integers via a primitive
         pseudo-remainder sequence to keep coefficient growth tame."""
-        import math
-
-        def to_int(p):
-            lcm = 1
-            for c in p.coeffs:
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-            return [int(c * lcm) for c in p.coeffs]
 
         def primitive(v):
             g = 0
@@ -164,7 +165,7 @@ class Poly:
                     a.pop()
             return a
 
-        A, B = to_int(self), to_int(other)
+        A, B = _scaled_ints(self.coeffs)[0], _scaled_ints(other.coeffs)[0]
         if not A:
             return other.monic() if B else Poly()
         if not B:
@@ -324,24 +325,6 @@ class RationalFunction:
         return "(%s)/(%s)" % (self.num, self.den)
 
 
-def ratfun_arith(a, b, op):
-    """String-dispatched RationalFunction arithmetic ("add", "sub", "mul",
-    "div"), convenient for table-driven callers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
-def ratfun_eval(f, s0):
-    return f.eval(Fraction(s0))
-
-
 DEFAULT_SERIES_ORDER = 24
 
 
@@ -355,7 +338,7 @@ class PowerSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order=None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if len(cs) < order + 1:
@@ -406,14 +389,15 @@ class PowerSeries:
             c = Fraction(other)
             return PowerSeries([a * c for a in self.coeffs], self.order)
         k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
-        for i in range(k + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(k + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(out, k)
+        a, da = _scaled_ints(self.coeffs[:k + 1])
+        b, db = _scaled_ints(other.coeffs[:k + 1])
+        out = [0] * (k + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:k + 1 - i], i):
+                    out[j] += x * y
+        den = da * db
+        return PowerSeries([Fraction(c, den) for c in out], k)
 
     __rmul__ = __mul__
 
@@ -536,7 +520,6 @@ class ExpPoly:
         return ExpPoly(self.c, self.poly.derivative() - self.c * self.poly)
 
     def eval_float(self, t):
-        import math
         return math.exp(-float(self.c) * t) * self.poly.eval(float(t))
 
     def __repr__(self):

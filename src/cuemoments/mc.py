@@ -88,17 +88,6 @@ class SampleBatch:
         return var / (stderr * stderr)
 
 
-def _log_density(x, s, N):
-    v = -(s + N) * np.sum(np.log1p(x * x))
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            d = abs(x[i] - x[j])
-            if d < 1e-300:
-                return -math.inf
-            v += 2.0 * math.log(d)
-    return v
-
-
 def _run_chain(N, s, burn_in, samples, thin, scale, seed):
     rng = CounterRNG(seed)
     x = np.array([math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5))
@@ -209,16 +198,19 @@ def _integrand_values(batch_draws, spec, N):
     return vals
 
 
+def joint_moment_values(batch, spec):
+    """Integrand of the joint-moment ratio at each draw of the batch."""
+    N = batch.config.N
+    if spec.size not in (N, "limit", None):
+        raise ValueError("spec arity does not match batch arity")
+    return _integrand_values(batch.draws, spec, N)
+
+
 def estimate_joint_moment(batch, spec):
     """Block-mean estimate and standard error of the joint-moment ratio
     2^{-sum 2 h_j n_j} E[prod |Xi_{n_j}|^{2h_j}] (Z) or the modulus form with
     the extra binomial combination (V); exponents may be any positive reals."""
-    N = batch.config.N
-    if spec.size not in (N, "limit", None):
-        if spec.size != N:
-            raise ValueError("spec arity does not match batch arity")
-    vals = _integrand_values(batch.draws, spec, N)
-    return _block_stats(vals, 32)
+    return _block_stats(joint_moment_values(batch, spec))
 
 
 # ---------------------------------------------------------------------------

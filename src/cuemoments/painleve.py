@@ -1,4 +1,4 @@
-"""Special functions at controlled precision (modified Bessel I, Barnes G),
+"""Special functions at controlled precision (Barnes G),
 the explicit limiting characteristic function phi_s as an exact power series,
 tau functions at finite size (exact rational in t) and in the limit (series),
 residual evaluators for the finite-size Painleve V and sigma-Painleve III'
@@ -13,31 +13,6 @@ from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     series_logderiv)
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-def bessel_I(nu, z, digits=12):
-    """Modified Bessel function I_nu(z) by its power series, summed until the
-    truncation term is below the requested relative precision."""
-    if nu < 0:
-        raise ValueError("nu >= 0 required")
-    if digits > 15:
-        raise ValueError("precision unachievable in double precision: %d digits" % digits)
-    if z == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    tol = 10.0 ** (-digits - 2)
-    half = z / 2.0
-    term = half ** nu / math.factorial(nu)
-    terms = [term]
-    m = 0
-    while True:
-        m += 1
-        term = term * half * half / (m * (m + nu))
-        terms.append(term)
-        if abs(term) <= tol * abs(math.fsum(terms)):
-            break
-        if m > 10000:
-            raise ValueError("precision unachievable: series did not settle")
-    return math.fsum(terms)
 
 
 def barnes_G_int(n):

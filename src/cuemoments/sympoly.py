@@ -5,6 +5,9 @@ Used as integrands over eigenvalue space; arity is capped at 8 by design.
 """
 
 from fractions import Fraction
+from operator import mul
+
+from .exact import _scaled_ints
 
 MAX_ARITY = 8
 
@@ -27,8 +30,8 @@ class SymPoly:
             for expo, coeff in terms.items():
                 if len(expo) != arity:
                     raise ValueError("exponent tuple %r does not have arity %d" % (expo, arity))
-                c = Fraction(coeff)
-                if c != 0:
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                if c:
                     clean[tuple(expo)] = c
         self.terms = clean
 
@@ -85,16 +88,25 @@ class SymPoly:
             return SymPoly(self.arity, {e: v * c for e, v in self.terms.items()})
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
+        if not self.terms or not other.terms:
+            return SymPoly(self.arity)
+        # Kronecker substitution: the exponent tuple e becomes the int
+        # sum(e[i] * base**i), and base exceeds every exponent of the
+        # product, so keys add without carries.
+        base = _max_exponent(self) + _max_exponent(other) + 1
+        powers = [base ** i for i in range(self.arity)]
+        a, da = _scaled_ints(self.terms.values())
+        b, db = _scaled_ints(other.terms.values())
+        pairs = list(zip([sum(map(mul, e, powers)) for e in other.terms], b))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(key, Fraction(0)) + c1 * c2
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return SymPoly(self.arity, out)
+        get = out.get
+        for k1, c1 in zip([sum(map(mul, e, powers)) for e in self.terms], a):
+            for k2, c2 in pairs:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        den = da * db
+        return SymPoly(self.arity, {tuple([k // p % base for p in powers]): Fraction(v, den)
+                                    for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -124,24 +136,6 @@ class SymPoly:
             total += term
         return total
 
-    def permute(self, perm):
-        """Apply a coordinate permutation: x_i -> x_{perm[i]}."""
-        out = {}
-        for e, c in self.terms.items():
-            key = [0] * self.arity
-            for i, k in enumerate(e):
-                key[perm[i]] = k
-            out[tuple(key)] = out.get(tuple(key), Fraction(0)) + c
-        return SymPoly(self.arity, out)
-
-    def negate_vars(self):
-        """x -> -x on all coordinates."""
-        out = {}
-        for e, c in self.terms.items():
-            sign = -1 if sum(e) % 2 else 1
-            out[e] = sign * c
-        return SymPoly(self.arity, out)
-
     def total_degree(self):
         if not self.terms:
             return -1
@@ -154,3 +148,7 @@ class SymPoly:
         for e in sorted(self.terms):
             parts.append("%s*x^%s" % (self.terms[e], list(e)))
         return "SymPoly(" + " + ".join(parts) + ")"
+
+
+def _max_exponent(p):
+    return max(max(e, default=0) for e in p.terms)

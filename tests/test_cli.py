@@ -88,6 +88,13 @@ class TestFiniteMoment:
         capsys.readouterr()
         assert code == 2
 
+    def test_pole_exit_2(self, capsys):
+        code, doc, _ = run_cli(capsys, "finite-moment", "--N", "1",
+                               "--orders", "1", "--exponents", "2",
+                               "--variant", "Z", "--eval-s", "1/2")
+        assert code == 2
+        assert doc == {"error": "pole at s = 1/2", "exit_code": 2}
+
 
 class TestMcEstimate:
     def test_reproducible_digest(self, capsys, schema):
@@ -109,6 +116,39 @@ class TestMcEstimate:
                                "--burn-in", "100")
         assert code == 0
         assert doc["manifest"]["seeds"]["seed"] == 99
+
+    def test_integrand_evaluated_once(self, capsys, monkeypatch):
+        from cuemoments import mc
+        from cuemoments.cauchy import MomentSpec
+
+        calls = []
+        inner = mc._integrand_values
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return inner(*args)
+
+        monkeypatch.setattr(mc, "_integrand_values", counting)
+        code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "2", "--s", "3",
+                               "--orders", "1", "--exponents", "2", "--seed", "5",
+                               "--chains", "2", "--samples", "300",
+                               "--burn-in", "100")
+        assert code == 0
+        assert calls == [600]
+        cfg = mc.ChainConfig(N=2, s=3, chains=2, samples=300, burn_in=100, seed=5)
+        batch = mc.sample_hp(cfg)
+        spec = MomentSpec(orders=[1], exponents=[2.0], variant="Z", size=2)
+        est, stderr = mc.estimate_joint_moment(batch, spec)
+        assert (doc["result"]["estimate"], doc["result"]["stderr"]) == (est, stderr)
+        assert doc["result"]["ess"] == batch.ess(inner(batch.draws, spec, 2))
+
+    def test_too_few_samples_exit_2(self, capsys):
+        code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "1", "--s", "2",
+                               "--orders", "1", "--exponents", "2",
+                               "--chains", "1", "--samples", "10",
+                               "--burn-in", "10")
+        assert code == 2
+        assert "too few samples" in doc["error"]
 
     def test_flagged_chain_exit_3(self, capsys):
         # absurd proposal scale drives the acceptance rate to ~0

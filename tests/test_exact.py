@@ -21,6 +21,25 @@ small_fracs = st.fractions(max_denominator=6,
                            min_value=Fraction(-5), max_value=Fraction(5))
 polys = st.lists(small_fracs, max_size=5).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+# Mixed denominators, negatives and zeros; the +-1 and +-1/2 values make
+# partial sums cancel often.
+kernel_coeffs = st.lists(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                               Fraction(1, 2), Fraction(-1, 2)]),
+              st.fractions(max_denominator=30, min_value=Fraction(-50),
+                           max_value=Fraction(50))),
+    max_size=8)
+
+
+def schoolbook(a, b):
+    """Reference product of two coefficient lists, one Fraction per term."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def test_rat_roundtrip():
@@ -51,6 +70,21 @@ class TestPoly:
     def test_json_roundtrip(self):
         p = Poly((Fraction(1, 3), -2))
         assert Poly.from_json(p.to_json()) == p
+
+    @given(kernel_coeffs, kernel_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_schoolbook(self, a, b):
+        f, g = Poly(a), Poly(b)
+        assert (f * g).coeffs == Poly(schoolbook(f.coeffs, g.coeffs)).coeffs
+        assert all(type(c) is Fraction for c in (f * g).coeffs)
+
+    def test_product_edge_cases(self):
+        x = Poly.x()
+        assert (Poly() * x).is_zero() and (x * Poly()).is_zero()
+        assert Poly.const(Fraction(-2, 3)) * Poly.const(Fraction(3, 4)) == Poly.const(Fraction(-1, 2))
+        # (1 + x/2)(1 - x/2): the degree-1 terms cancel
+        assert Poly((1, Fraction(1, 2))) * Poly((1, Fraction(-1, 2))) == Poly((1, 0, Fraction(-1, 4)))
+        assert 3 * x == x * 3 == Poly((0, 3))
 
     @given(polys, polys)
     @settings(max_examples=60, deadline=None)
@@ -123,6 +157,25 @@ class TestPowerSeries:
         f = PowerSeries.x(order=12).exp()
         ld = series_logderiv(f)
         assert ld[0] == 0 and ld[1] == 1 and ld[2] == 0
+
+    @given(kernel_coeffs, kernel_coeffs, st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_schoolbook(self, a, b, ka, kb):
+        f, g = PowerSeries(a, ka), PowerSeries(b, kb)
+        k = min(ka, kb)
+        h = f * g
+        assert h.order == k
+        assert list(h.coeffs) == schoolbook(list(f.coeffs), list(g.coeffs))[:k + 1]
+        assert all(type(c) is Fraction for c in h.coeffs)
+
+    def test_product_edge_cases(self):
+        zero = PowerSeries([], order=4)
+        x = PowerSeries.x(order=6)
+        assert zero * x == PowerSeries([0] * 5, 4) and (zero * x).order == 4
+        one_minus_x = PowerSeries.const(1, order=3) - PowerSeries.x(order=3)
+        geometric = PowerSeries([1] * 8, order=7)
+        assert (one_minus_x * geometric).coeffs == (1, 0, 0, 0)
+        assert (x * Fraction(1, 2))[1] == Fraction(1, 2)
 
     def test_scale_arg(self):
         f = PowerSeries([0, 0, 1], order=6).scale_arg(Fraction(1, 2))

@@ -22,6 +22,37 @@ from cuemoments.symfunc import (
 )
 
 
+# Mixed denominators and negatives; the +-1 and +-1/2 values make partial
+# sums cancel often.
+kernel_coeffs = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),
+    st.fractions(max_denominator=30, min_value=Fraction(-50), max_value=Fraction(50)))
+
+
+@st.composite
+def sympoly_pairs(draw):
+    """Two SymPolys of one arity (1-4). The top exponent may be large, and
+    differs between the factors, so products reach the packing base."""
+    arity = draw(st.integers(1, 4))
+
+    def one():
+        top = draw(st.sampled_from([0, 1, 3, 40]))
+        expos = st.tuples(*[st.integers(0, top)] * arity)
+        return SymPoly(arity, draw(st.dictionaries(expos, kernel_coeffs, max_size=6)))
+
+    return one(), one()
+
+
+def schoolbook_product(p, q):
+    """Reference product, one Fraction and one tuple sum per term pair."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
 class TestSymPoly:
     def test_const_and_variable(self):
         p = SymPoly.variable(2, 0) + SymPoly.const(2, 3)
@@ -41,6 +72,30 @@ class TestSymPoly:
         x = SymPoly.variable(arity, i % arity)
         y = SymPoly.variable(arity, j % arity) + SymPoly.const(arity, 2)
         assert x * y == y * x
+
+    @given(sympoly_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_schoolbook(self, pair):
+        p, q = pair
+        prod = p * q
+        assert prod.arity == p.arity
+        assert prod.terms == schoolbook_product(p, q)
+        assert all(type(c) is Fraction and c != 0 for c in prod.terms.values())
+
+    def test_product_edge_cases(self):
+        x = SymPoly.variable(2, 0)
+        y = SymPoly.variable(2, 1)
+        assert (SymPoly(2) * x).is_zero() and (x * SymPoly(2)).is_zero()
+        assert SymPoly.const(2, Fraction(2, 3)) * SymPoly.const(2, Fraction(-3, 4)) \
+            == SymPoly.const(2, Fraction(-1, 2))
+        # (x + y)(x - y): the xy terms cancel and are not stored
+        assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+        # maximum degrees 7 and 2 give base 10; exponent sums reach 9
+        p = SymPoly(3, {(7, 0, 7): Fraction(1, 3), (0, 7, 0): -2})
+        q = SymPoly(3, {(2, 2, 2): Fraction(3, 5), (0, 0, 1): 1})
+        assert (p * q).terms == schoolbook_product(p, q)
+        assert (p * q).terms[(9, 2, 9)] == Fraction(1, 5)
+        assert 2 * x == x * 2 == SymPoly(2, {(1, 0): 2})
 
 
 class TestElementary:

@@ -274,15 +274,18 @@ def cmd_mc_estimate(args, started):
         raise CliError("'_' exponents are only meaningful for finite-moment")
     if len(orders) != len(exponents):
         raise CliError("orders and exponents must have equal length")
+    s = _parse_rational(args.s)
     try:
         spec = MomentSpec(orders=orders, exponents=[float(e) for e in exponents],
                           variant=args.variant, size=args.N)
-        config = ChainConfig(N=args.N, s=args.s, chains=args.chains,
+        config = ChainConfig(N=args.N, s=float(s), chains=args.chains,
                              burn_in=args.burn_in, samples=args.samples,
                              thin=args.thin, proposal_scale=args.proposal_scale,
                              seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
+    # result and manifest report an integral s as an int, any other as a float
+    args.s = int(s) if s.denominator == 1 else float(s)
     batch = sample_hp(config)
     seeds = {"seed": config.seed, "chains": config.chains}
     if batch.flagged:
@@ -312,7 +315,7 @@ def cmd_mc_estimate(args, started):
         "flagged": False,
         "draws": int(len(batch.draws)),
     }
-    _summary("mc-estimate N=%d s=%d -> %.6g +/- %.2g (ess %.0f)"
+    _summary("mc-estimate N=%d s=%s -> %.6g +/- %.2g (ess %.0f)"
              % (args.N, args.s, est, stderr, result["ess"]))
     return result, EXIT_OK, seeds
 
@@ -471,7 +474,8 @@ def build_parser():
                        help="Monte Carlo estimate of a joint moment ratio "
                             "(any positive real exponents)")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", required=True,
+                   help="weight parameter s > 0 (integer, rational or decimal)")
     p.add_argument("--orders", required=True)
     p.add_argument("--exponents", required=True)
     p.add_argument("--variant", choices=("V", "Z"), default="Z")

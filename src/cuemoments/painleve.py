@@ -122,10 +122,37 @@ def _mul_t(f):
     return PowerSeries([Fraction(0)] + list(f.coeffs), f.order + 1)
 
 
+def _residual_poly(tau, s, n2, sn):
+    """P^6 times the residual (t tau'')^2 + 4t(tau')^3
+    - (4s^2 + 4tau + n2 t^2)(tau')^2 - t(1 + sn - 2 n2 tau) tau'
+    + (1 + sn - n2 tau) tau of tau = A/P, as a Poly.
+
+    With tau' = B/P^2 (B = A'P - AP') and tau'' = C/P^3 (C = B'P - 2BP'),
+    every term has denominator dividing P^6, so the identity is checked on
+    polynomials with no gcd; P != 0, so the Poly is zero exactly when the
+    residual is.
+    """
+    A, P = tau.ratfun.num, tau.ratfun.den
+    t = Poly.x()
+    dP = P.derivative()
+    B = A.derivative() * P - A * dP
+    C = B.derivative() * P - 2 * B * dP
+    B2 = B * B
+    P3 = P * P * P
+    k = (1 + sn) * P
+    tC = t * C
+    res = tC * tC + 4 * t * B2 * B
+    res = res - (4 * s * s * P + 4 * A + n2 * t * t * P) * B2 * P
+    res = res - t * (k - 2 * n2 * A) * B * P3
+    return res + (k - n2 * A) * A * P3 * P
+
+
 def sigma_p3_residual(tau):
     """(t tau'')^2 + 4t(tau')^3 - (4s^2+4tau)(tau')^2 - t tau' + tau.
 
-    Vanishes identically for the limiting tau function.
+    Vanishes identically for the limiting tau function. A series tau gives
+    the residual as a PowerSeries; an exact tau = A/P gives P^6 times the
+    residual as a Poly.
     """
     s = tau.s
     if tau.kind == "series":
@@ -136,12 +163,7 @@ def sigma_p3_residual(tau):
         res = (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
                - (4 * s * s + 4 * f) * d1 * d1 - _mul_t(d1) + f)
         return res
-    f = tau.ratfun
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    t = RationalFunction(Poly((0, 1)))
-    return (t * d2) * (t * d2) + 4 * t * d1 * d1 * d1 \
-        - (RationalFunction.const(4 * s * s) + 4 * f) * d1 * d1 - t * d1 + f
+    return _residual_poly(tau, s, 0, 0)
 
 
 def tau_finiteN(N, s):
@@ -163,23 +185,14 @@ def painleve5_residual(tau, N=None, s=None):
     """(t tau'')^2 + 4t(tau')^3 - (4s^2+4tau+t^2/N^2)(tau')^2
     - t(1+2s/N-2tau/N^2) tau' + (1+2s/N-tau/N^2) tau, exact.
 
-    Identically zero for tau_finiteN(N, s).
+    Returns P^6 times the residual as a Poly, where P is the (monic)
+    denominator of tau; identically zero for tau_finiteN(N, s).
     """
     if N is None:
         N = tau.N
     if s is None:
         s = tau.s
-    f = tau.ratfun
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    t = RationalFunction(Poly((0, 1)))
-    n2 = Fraction(1, N * N)
-    sn = Fraction(2 * s, N)
-    res = (t * d2) * (t * d2) + 4 * t * d1 * d1 * d1
-    res = res - (RationalFunction.const(4 * s * s) + 4 * f + n2 * t * t) * d1 * d1
-    res = res - t * (RationalFunction.const(1 + sn) - 2 * n2 * f) * d1
-    res = res + (RationalFunction.const(1 + sn) - n2 * f) * f
-    return res
+    return _residual_poly(tau, s, Fraction(1, N * N), Fraction(2 * s, N))
 
 
 def phi_eval(s, t, K=80):

@@ -58,10 +58,11 @@ def _cosh_series(order):
     return PowerSeries(cs, order)
 
 
+@functools.lru_cache(maxsize=None)
 def a_coeff(n, l, N):
     """a_{n,l}(N) = (-1)^{(n+l)/2} * n! * [z^n] sinh(z)^l cosh(z)^{N-l}.
 
-    Zero when n - l is odd. Exact integer.
+    Zero when n - l is odd. Exact integer, memoised per (n, l, N).
     """
     if not (0 <= l <= n):
         raise ValueError("need 0 <= l <= n")

@@ -150,6 +150,30 @@ class TestMcEstimate:
         assert code == 2
         assert "too few samples" in doc["error"]
 
+    def test_rational_s(self, capsys, schema):
+        from fractions import Fraction
+
+        from cuemoments.cauchy import MomentSpec, finite_joint_moment
+
+        code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "1", "--s", "5/2",
+                               "--orders", "1", "--exponents", "2", "--seed", "7")
+        assert code == 0
+        validate(schema, doc)
+        assert doc["result"]["s"] == 2.5
+        assert doc["manifest"]["params"]["s"] == 2.5
+        exact = finite_joint_moment(MomentSpec(orders=(1,), exponents=(2,),
+                                               variant="Z", size=1))
+        target = float(exact.eval(Fraction(5, 2)))
+        res = doc["result"]
+        assert abs(res["estimate"] - target) <= 4 * res["stderr"]
+
+    @pytest.mark.parametrize("s", ["0", "-1", "-0.5", "abc", "1/0"])
+    def test_invalid_s_exit_2(self, capsys, s):
+        code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "1", "--s", s,
+                               "--orders", "1", "--exponents", "2")
+        assert code == 2
+        assert "error" in doc
+
     def test_flagged_chain_exit_3(self, capsys):
         # absurd proposal scale drives the acceptance rate to ~0
         code = main(["mc-estimate", "--N", "1", "--s", "2", "--orders", "1",

@@ -1,12 +1,16 @@
 """Tests for the Painlevé layer: Bessel-determinant series, tau functions,
 nonlinear ODE residuals, Barnes G, and the fractional-moment integral."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.painleve import (
+    TauFunction,
     barnes_G,
     barnes_G_int,
     fractional_moment_q1,
@@ -78,9 +82,73 @@ class TestTauFiniteN:
     def test_p5_residual_vanishes(self, N, s):
         assert painleve5_residual(tau_finiteN(N, s)).is_zero()
 
+    def test_p5_residual_vanishes_n6_s3(self):
+        assert painleve5_residual(tau_finiteN(6, 3)).is_zero()
+
     def test_residual_detects_wrong_parameters(self):
         # negative control: the (N, s) = (2, 1) tau fails the (3, 1) equation
         assert not painleve5_residual(tau_finiteN(2, 1), N=3, s=1).is_zero()
+
+
+def _reference_residual(f, s, n2, sn):
+    """The residual of the exact tau = f in RationalFunction arithmetic:
+    P-V for n2 = 1/N^2 and sn = 2s/N, sigma-P-III' for n2 = sn = 0."""
+    d1 = f.derivative()
+    d2 = d1.derivative()
+    t = RationalFunction(Poly((0, 1)))
+    res = (t * d2) * (t * d2) + 4 * t * d1 * d1 * d1
+    res = res - (RationalFunction.const(4 * s * s) + 4 * f + n2 * t * t) * d1 * d1
+    res = res - t * (RationalFunction.const(1 + sn) - 2 * n2 * f) * d1
+    return res + (RationalFunction.const(1 + sn) - n2 * f) * f
+
+
+def _times_den6(ref, den):
+    """den^6 * ref as a Poly; fails if the product is not a polynomial."""
+    den6 = Poly.const(1)
+    for _ in range(6):
+        den6 = den6 * den
+    out = RationalFunction(den6) * ref
+    assert out.den == Poly.const(1)
+    return out.num
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_finite(N, s):
+    return tau_finiteN(N, s)
+
+
+def _perturbed(N, s, delta):
+    """The (N, s) finite tau with delta added to its numerator."""
+    f = _tau_finite(N, s).ratfun
+    return TauFunction(kind="exact", s=s, N=N,
+                       ratfun=RationalFunction(f.num + delta, f.den))
+
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+perturbations = st.lists(small_fracs, max_size=4).map(Poly)
+
+
+class TestPolynomialResidual:
+    @given(st.integers(1, 3), st.integers(1, 2), perturbations)
+    @settings(max_examples=30, deadline=None)
+    def test_p5_is_den6_times_reference(self, N, s, delta):
+        tau = _perturbed(N, s, delta)
+        ref = _reference_residual(tau.ratfun, s, Fraction(1, N * N),
+                                  Fraction(2 * s, N))
+        assert painleve5_residual(tau) == _times_den6(ref, tau.ratfun.den)
+
+    @given(st.integers(1, 3), st.integers(1, 2), perturbations)
+    @settings(max_examples=30, deadline=None)
+    def test_sigma_p3_exact_is_den6_times_reference(self, N, s, delta):
+        tau = _perturbed(N, s, delta)
+        ref = _reference_residual(tau.ratfun, s, 0, 0)
+        assert sigma_p3_residual(tau) == _times_den6(ref, tau.ratfun.den)
+
+    def test_perturbed_numerator_detected(self):
+        # negative control: t^2/7 added to the numerator breaks the P-V identity
+        tau = _perturbed(2, 1, Poly((0, 0, Fraction(1, 7))))
+        assert not painleve5_residual(tau).is_zero()
+        assert not sigma_p3_residual(tau).is_zero()
 
 
 class TestBarnesG:

@@ -283,21 +283,12 @@ def cauchy_det_leading_coeff(n, m, s):
 
 def cauchy_det_bruteforce(n, m, s):
     """Direct determinant evaluation of det[1/(p_i+q_j+1)] (test oracle)."""
-    import itertools
+    from .hankel import det_perm
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     p = [s - 1 + n] + [s - i for i in range(2, s + 1)]
     q = [s - 1 + m] + [s - i for i in range(2, s + 1)]
-    total = Fraction(0)
-    for perm in itertools.permutations(range(s)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the permutation sign
-        inv = sum(1 for i in range(s) for j in range(i + 1, s) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        term = Fraction(sign)
-        for i in range(s):
-            term /= (p[i] + q[perm[i]] + 1)
-        total += term
-    return total
+    return det_perm([[Fraction(1, pi + qj + 1) for qj in q] for pi in p])
 
 
 def keating_snaith_constant(s):

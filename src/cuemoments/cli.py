@@ -348,6 +348,8 @@ def cmd_painleve(args, started):
 
     if args.s < 1:
         raise CliError("s must be a positive integer")
+    if args.series_order < 0:
+        raise CliError("--series-order must be >= 0")
     if args.mode == "p5-finite":
         if args.N is None or args.N < 1:
             raise CliError("p5-finite requires --N >= 1")
@@ -389,6 +391,9 @@ def cmd_hankel_verify(args, started):
                          initial_condition_residuals, theta_derivative_residual,
                          theta_three_term_residual, verify_vector_recursion)
 
+    for name, low in (("N", 1), ("s", 1), ("l", 3), ("k", 2)):
+        if getattr(args, name) < low:
+            raise CliError("--%s must be >= %d" % (name, low))
     t0 = _parse_rational(args.t)
     checks = []
 
@@ -432,8 +437,16 @@ def cmd_hankel_verify(args, started):
 # argument parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise CliError, so that they print
+    the JSON error document and exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuemoments",
         description="Joint moments of characteristic-polynomial derivatives: "
                     "exact rational values, Hankel/Painlevé verification, "
@@ -524,10 +537,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
         if args.command == "mc-estimate" and args.seed is None:
             args.seed = _default_seed()
         out = args.func(args, started)

@@ -62,12 +62,10 @@ def theta_scaled(m, N, s):
 class ThetaFamily:
     """Immutable table of theta_m for m = 0..m_max at fixed (N, s)."""
 
-    def __init__(self, N, s, m_max, scaled=False):
+    def __init__(self, N, s, m_max):
         self.N = N
         self.s = s
-        self.scaled = scaled
-        fn = theta_scaled if scaled else theta
-        self.table = [fn(m, N, s) for m in range(m_max + 1)]
+        self.table = [theta(m, N, s) for m in range(m_max + 1)]
 
     def __getitem__(self, m):
         return self.table[m]
@@ -93,7 +91,9 @@ def theta_three_term_residual(gamma, N, s):
 # ---------------------------------------------------------------------------
 
 def det_perm(mat):
-    """Determinant by signed permutation expansion (generic ring elements)."""
+    """Determinant by signed permutation expansion, over any commutative ring
+    (Poly, MultiSeries, PowerSeries, Fraction, float): only products, sums
+    and a sign flip, so no division is needed."""
     n = len(mat)
     total = None
     for perm in itertools.permutations(range(n)):
@@ -108,7 +108,8 @@ def det_perm(mat):
 
 
 def det_poly_bareiss(mat):
-    """Fraction-free Bareiss determinant over the Poly ring."""
+    """Fraction-free Bareiss determinant over the Poly ring (exact division
+    keeps it polynomial in the size, for the larger Poly matrices)."""
     n = len(mat)
     if n == 0:
         return Poly.const(1)
@@ -143,10 +144,26 @@ def partition_kq(k, q):
     return (k - q + 1,) + (1,) * (q - 1)
 
 
-def _padded(parts, N, h=0):
-    """Partition padded with zeros to length N, with the uniform shift h."""
+def _shifts(parts, N, h=0):
+    """Column shifts lambda_{N-j} + h (j = 0..N-1) of the partition padded
+    with zeros to length N."""
     pp = list(parts) + [0] * (N - len(parts))
-    return [x + h for x in pp]
+    return [pp[N - j - 1] + h for j in range(N)]
+
+
+def _shifted_matrix(entry, N, shifts):
+    """The N x N matrix [entry(i + j + shifts[j])]."""
+    return [[entry(i + j + shifts[j]) for j in range(N)] for i in range(N)]
+
+
+def _column_sum(A, B):
+    """Tr[adj(A) B] = sum over columns c of det(A with column c taken from B),
+    by multilinearity of the determinant in its columns (generic entries)."""
+    total = None
+    for c in range(len(A)):
+        term = det_perm([ra[:c] + [rb[c]] + ra[c + 1:] for ra, rb in zip(A, B)])
+        total = term if total is None else total + term
+    return total
 
 
 @dataclass
@@ -157,19 +174,16 @@ class HankelValue:
     value: ExpPoly
 
 
-def _theta_poly_matrix(N, s, parts, h=0):
-    pp = _padded(parts, N, h)
-    return [[theta(i + j + pp[N - j - 1], N, s).poly for j in range(N)]
-            for i in range(N)]
+def _theta_poly_matrix(N, s, parts):
+    return _shifted_matrix(lambda g: theta(g, N, s).poly, N, _shifts(parts, N))
 
 
-def hankel_det(N, s, parts, h=0):
-    """Psi_{N,lambda} (shifted by h across all parts when h > 0) at
-    t_2 = ... = t_k = 0, as an exact e^{-Nt} * polynomial."""
+def hankel_det(N, s, parts):
+    """Psi_{N,lambda} at t_2 = ... = t_k = 0, as an exact e^{-Nt} * polynomial."""
     parts = tuple(parts)
     if len(parts) > N:
         return HankelValue(N, s, parts, ExpPoly(N, Poly()))
-    mat = _theta_poly_matrix(N, s, parts, h)
+    mat = _theta_poly_matrix(N, s, parts)
     return HankelValue(N, s, parts, ExpPoly(N, det_poly_bareiss(mat)))
 
 
@@ -184,40 +198,11 @@ def hankel_derivative(H, order=1):
 def hankel_derivative_column_rule(N, s, parts):
     """d/dt of the determinant via the column rule d theta = theta - 2 theta_+1:
     sum over columns of the determinant with that column's indices shifted."""
-    pp = _padded(parts, N)
-    total = Poly()
-    for c in range(N):
-        mat = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                g = i + j + pp[N - j - 1]
-                if j == c:
-                    row.append(theta(g, N, s).poly - 2 * theta(g + 1, N, s).poly)
-                else:
-                    row.append(theta(g, N, s).poly)
-            mat.append(row)
-        total = total + det_poly_bareiss(mat)
+    A = _theta_poly_matrix(N, s, parts)
+    B = _shifted_matrix(lambda g: theta(g, N, s).poly - 2 * theta(g + 1, N, s).poly,
+                        N, _shifts(parts, N))
     # each replaced column already carries the derivative of its e^{-t} factor
-    return ExpPoly(N, total)
-
-
-def _cofactor_sum(A, B):
-    """Tr[adj(A) B] = sum_{i,j} cof_A(i,j) * B[i][j], generic entries."""
-    n = len(A)
-    if n == 1:
-        return B[0][0]
-    total = None
-    for i in range(n):
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = det_perm(minor)
-            if (i + j) % 2:
-                cof = cof * (-1)
-            term = cof * B[i][j]
-            total = term if total is None else total + term
-    return total
+    return ExpPoly(N, _column_sum(A, B))
 
 
 def trace_adjugate(N, s, parts, h, weighted=False, t0=None):
@@ -229,19 +214,12 @@ def trace_adjugate(N, s, parts, h, weighted=False, t0=None):
     if len(parts) > N:
         out = ExpPoly(N, Poly())
         return out.poly.eval(Fraction(t0)) if t0 is not None else out
-    A = _theta_poly_matrix(N, s, parts, 0)
-    pp = _padded(parts, N, h)
-    Bm = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            g = i + j + pp[N - j - 1]
-            entry = theta(g, N, s).poly
-            if weighted:
-                entry = g * entry
-            row.append(entry)
-        Bm.append(row)
-    out = ExpPoly(N, _cofactor_sum(A, Bm))
+
+    def entry(g):
+        p = theta(g, N, s).poly
+        return g * p if weighted else p
+    B = _shifted_matrix(entry, N, _shifts(parts, N, h))
+    out = ExpPoly(N, _column_sum(_theta_poly_matrix(N, s, parts), B))
     return out.poly.eval(Fraction(t0)) if t0 is not None else out
 
 
@@ -302,8 +280,7 @@ def mixed_derivative(N, s, ell):
         counts[key] = counts.get(key, 0) + 1
     total = Poly()
     for col_shift, mult in counts.items():
-        mat = [[theta(i + j + col_shift[j], N, s).poly for j in range(N)]
-               for i in range(N)]
+        mat = _shifted_matrix(lambda g: theta(g, N, s).poly, N, col_shift)
         total = total + mult * det_poly_bareiss(mat)
     return ExpPoly(N, total)
 
@@ -456,12 +433,6 @@ class MultiSeries:
             out[tuple(ee)] = c * e[idx]
         return MultiSeries(self.nv, self.cap, self.ord - 1, out)
 
-    def coeff0(self):
-        """The t_rest = 0 restriction (coefficient of the zero exponent)."""
-        if self.ord < 0:
-            raise ValueError("series no longer valid at order 0")
-        return self.terms.get((0,) * self.nv, None)
-
     def is_zero_through_ord(self):
         return all(c.poly.is_zero() for e, c in self.terms.items()
                    if sum(e) <= self.ord)
@@ -498,18 +469,10 @@ def psi_multiseries(N, s, gamma, k, cap):
 
 
 def _psi_matrix_ms(N, s, parts, k, cap, h=0, weighted=False):
-    pp = _padded(parts, N, h)
-    mat = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            g = i + j + pp[N - j - 1]
-            entry = psi_multiseries(N, s, g, k, cap)
-            if weighted:
-                entry = entry.scal(g)
-            row.append(entry)
-        mat.append(row)
-    return mat
+    def entry(g):
+        ms = psi_multiseries(N, s, g, k, cap)
+        return ms.scal(g) if weighted else ms
+    return _shifted_matrix(entry, N, _shifts(parts, N, h))
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,7 +492,7 @@ def Psi_trace_ms(N, s, parts, h, k, cap, weighted=False):
         return MultiSeries.zero(k - 1, cap)
     A = _psi_matrix_ms(N, s, parts, k, cap)
     B = _psi_matrix_ms(N, s, parts, k, cap, h=h, weighted=weighted)
-    return _cofactor_sum(A, B)
+    return _column_sum(A, B)
 
 
 def lemma_dq_residual(N, s, parts, q, k=2, cap=2):
@@ -565,17 +528,14 @@ def initial_condition_residuals(N, s, k=2, cap=2):
 # recursion matrices (explicit case formulas)
 # ---------------------------------------------------------------------------
 
-# Case-table resolution for the B matrix, fixed empirically against the
-# vector recursion: the upper-triangular sign exponent is i+j-1 (the variant
-# with exponent i+j leaves a nonzero recursion residual; see tests for the
-# negative control). The final-column clause is given precedence, but every
-# use of B inside the recursion multiplies a vector whose last entry is a
-# structural zero, so the recursion cannot distinguish the final-column
-# clauses; the separate-clause reading is kept as written.
-B_VARIANT = "final-column-precedence, triangular sign i+j-1"
-
-
 def matrix_B(l):
+    # Case-table resolution, fixed empirically against the vector recursion:
+    # the upper-triangular sign exponent is i+j-1 (the variant with exponent
+    # i+j leaves a nonzero recursion residual; see tests for the negative
+    # control). The final-column clause is given precedence, but every use of
+    # B inside the recursion multiplies a vector whose last entry is a
+    # structural zero, so the recursion cannot distinguish the final-column
+    # clauses; the separate-clause reading is kept as written.
     B = [[Fraction(0)] * l for _ in range(l)]
     for i in range(1, l + 1):
         for j in range(1, l + 1):

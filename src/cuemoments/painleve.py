@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     series_logderiv)
+from .hankel import det_perm, hankel_det
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -60,22 +61,6 @@ def _g_series(nu, order):
     return PowerSeries(cs, order)
 
 
-def _det_series(mat):
-    """Determinant of a small matrix of PowerSeries by permutation expansion."""
-    import itertools
-    n = len(mat)
-    total = None
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = mat[0][perm[0]]
-        for i in range(1, n):
-            term = term * mat[i][perm[i]]
-        if inv % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def phi_series(s, K=DEFAULT_SERIES_ORDER):
     """Characteristic function phi_s(t) of the limiting linear statistic, as an
     exact rational power series in t (t >= 0).
@@ -89,7 +74,7 @@ def phi_series(s, K=DEFAULT_SERIES_ORDER):
     if s < 1:
         raise ValueError("s >= 1 required")
     mat = [[_g_series(j + k + 1, K) for k in range(s)] for j in range(s)]
-    det = _det_series(mat)
+    det = det_perm(mat)
     pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                     barnes_G_int(s + 1) ** 2)
     exp_neg_t = PowerSeries([Fraction((-1) ** m, math.factorial(m))
@@ -172,7 +157,6 @@ def tau_finiteN(N, s):
     With P the polynomial part of the size-N Hankel determinant of the theta
     family, tau_N(t) = -t/2 + t P1'(t)/P1(t) where P1(t) = P(t/(2N)).
     """
-    from .hankel import hankel_det
     H = hankel_det(N, s, ())
     P = H.value.poly
     P1 = P.scale_arg(Fraction(1, 2 * N))
@@ -197,9 +181,10 @@ def painleve5_residual(tau, N=None, s=None):
 
 def phi_eval(s, t, K=80):
     """Float evaluation of phi_s at t >= 0 via the g-series determinant."""
+    if s < 1:
+        raise ValueError("s >= 1 required")
     if t < 0:
         raise ValueError("t >= 0 required")
-    n = s
 
     def g(nu):
         terms = []
@@ -215,15 +200,7 @@ def phi_eval(s, t, K=80):
                 break
         return math.fsum(terms)
 
-    mat = [[g(j + k + 1) for k in range(n)] for j in range(n)]
-    import itertools
-    det = 0.0
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = (-1.0) ** inv
-        for i in range(n):
-            term *= mat[i][perm[i]]
-        det += term
+    det = det_perm([[g(j + k + 1) for k in range(s)] for j in range(s)])
     pref = (-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1) / barnes_G_int(s + 1) ** 2
     return pref * math.exp(-t) * det
 

@@ -136,11 +136,6 @@ class SymPoly:
             total += term
         return total
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"

@@ -154,6 +154,11 @@ class TestCauchyDet:
     def test_smallest_case(self):
         assert cauchy_det_leading_coeff(0, 0, 1) == 1
 
+    def test_rejects_s_below_one(self):
+        for fn in (cauchy_det_leading_coeff, cauchy_det_bruteforce):
+            with pytest.raises(ValueError):
+                fn(1, 1, 0)
+
 
 class TestKeatingSnaith:
     def test_exact_integer_values(self):

@@ -251,6 +251,38 @@ class TestHankelVerify:
         assert any("vector-recursion" in name for name in doc["result"]["failed"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["hankel-verify", "--s", "0"],
+    ["hankel-verify", "--l", "2"],
+    ["hankel-verify", "--k", "1"],
+    ["hankel-verify", "--N", "0"],
+    ["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "-1"],
+])
+def test_out_of_range_input_exit_2(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
+    assert doc["exit_code"] == 2 and doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-estimate", "--N", "1", "--s", "-1/2", "--orders", "1", "--exponents", "2"],
+    ["painleve", "--mode", "p3-limit", "--s", "5/2"],
+])
+def test_usage_error_prints_json_exit_2(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
+    assert doc["exit_code"] == 2 and "--s" in doc["error"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["painleve", "--help"])
+    assert exc.value.code == 0
+    assert "--series-order" in capsys.readouterr().out
+
+
 def test_manifest_structure(capsys, schema):
     code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", "1",
                            "--exponents", "2", "--variant", "Z")

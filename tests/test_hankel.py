@@ -5,7 +5,7 @@ layer, the recursion matrices, and the expansion coefficients."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cuemoments.hankel as hk
@@ -87,7 +87,38 @@ class TestDeterminants:
             assert hankel_derivative(H) == hankel_derivative_column_rule(N, s, parts)
 
 
+def cofactor_sum_reference(A, B):
+    """Tr[adj(A) B] = sum_{i,j} cof_A(i,j) B[i][j] from the n^2 minors."""
+    n = len(A)
+    if n == 1:
+        return B[0][0]
+    total = Poly()
+    for i in range(n):
+        for j in range(n):
+            minor = [[A[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            total = total + (-1) ** (i + j) * det_perm(minor) * B[i][j]
+    return total
+
+
+_polys = st.lists(st.fractions(-5, 5, max_denominator=4), max_size=3).map(Poly)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    n = draw(st.integers(1, 3))
+    A, B = ([[draw(_polys) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    return A, B
+
+
 class TestTraceAdjugate:
+    @given(_matrix_pairs())
+    @example(([[Poly((1, 2))]], [[Poly((3, -1))]]))
+    @settings(max_examples=40, deadline=None)
+    def test_column_sum_matches_cofactor_sum(self, pair):
+        A, B = pair
+        assert hk._column_sum(A, B) == cofactor_sum_reference(A, B)
+
     def test_size_one_reduces_to_theta(self):
         for s in (1, 2):
             for h in range(4):

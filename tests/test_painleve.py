@@ -44,11 +44,16 @@ class TestPhiSeries:
         assert -2 * phi_series(1, 4)[2] == \
             limiting_moment((1,), (2,)).eval(Fraction(1))
 
-    def test_series_eval_matches_float_route(self):
-        p = phi_series(1, 30)
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_series_eval_matches_float_route(self, s):
+        p = phi_series(s, 30)
         t = 0.3
         series_val = sum(float(c) * t ** k for k, c in enumerate(p.coeffs))
-        assert phi_eval(1, t) == pytest.approx(series_val, rel=1e-9)
+        assert phi_eval(s, t) == pytest.approx(series_val, rel=1e-9)
+
+    def test_float_route_rejects_s_below_one(self):
+        with pytest.raises(ValueError):
+            phi_eval(0, 1.0)
 
 
 class TestTauLimit:

@@ -17,15 +17,14 @@ from .cauchy import (
     oracle_second_moment_Y,
     weight_moment,
 )
-from .exact import ExpPoly, Poly, PowerSeries, RationalFunction, series_logderiv
+from .exact import Poly, PowerSeries, RationalFunction, series_logderiv
 from .hankel import (
-    HankelValue,
     MultiSeries,
     ThetaFamily,
     appendix_matrices,
+    exp_derivative,
     expansion_coeff,
     hankel_det,
-    hankel_derivative,
     mixed_derivative,
     normalized_L,
     theta,

@@ -22,8 +22,9 @@ S = Poly.x()
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Joint-moment query: derivative orders (strictly decreasing), exponents
-    2h_j, variant "V" or "Z", and matrix size N (integer) or "limit"."""
+    """Joint-moment query: derivative orders (strictly decreasing, >= 0),
+    exponents 2h_j (> 0), variant "V" or "Z", and matrix size N (integer) or
+    "limit"."""
     orders: tuple
     exponents: tuple
     variant: str
@@ -37,6 +38,18 @@ class MomentSpec:
         if list(self.orders) != sorted(self.orders, reverse=True) or \
                 len(set(self.orders)) != len(self.orders):
             raise ValueError("orders must be strictly decreasing")
+        if any(n < 0 for n in self.orders):
+            raise ValueError("orders must be >= 0")
+        if any(e <= 0 for e in self.exponents):
+            raise ValueError("exponents must be > 0")
+
+
+def domain(exponents):
+    """The convergence bound (sum exponents - 1)/2 of a joint moment: it is
+    finite exactly for s > domain(exponents). Each coordinate carries degree
+    d = sum exponents in the integrand, and d + 2(N-1) (with Delta^2) must
+    stay below 2(s+N) - 1 against the weight (1+x^2)^{-(s+N)}."""
+    return (Fraction(sum(exponents)) - 1) / 2
 
 
 def _lin_factor(j, m):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .cauchy import (
     MomentSpec,
+    domain,
     finite_joint_moment,
     hp_expectation,
     keating_snaith_constant,
@@ -123,6 +124,29 @@ def _default_seed():
         raise CliError("CUEMOMENTS_SEED must be an integer, got %r" % env)
 
 
+def _check_domain(s, exponents):
+    """Exit 2 unless the moment with these exponents converges at s."""
+    bound = domain(exponents)
+    if s <= bound:
+        raise CliError("the moment diverges for s <= (sum of exponents - 1)/2 "
+                       "= %s; got s = %s" % (bound, s))
+
+
+def _evaluate(rf, text, exponents, result):
+    """Evaluate rf at the rational s given by text into result, with exit 2
+    at a pole or outside the convergence domain; returns (s, value)."""
+    s0 = _parse_rational(text)
+    try:
+        value = rf.eval(s0)
+    except ZeroDivisionError:
+        raise CliError("pole at s = %s" % s0)
+    _check_domain(s0, exponents)
+    result["eval_s"] = rat_to_str(s0)
+    result["value"] = rat_to_str(value)
+    result["value_float"] = float(value)
+    return s0, value
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
@@ -199,14 +223,7 @@ def cmd_leading_coeff(args, started):
         "rational": _ratfun_json(rf),
     }
     if args.eval_s is not None:
-        s0 = _parse_rational(args.eval_s)
-        try:
-            value = rf.eval(s0)
-        except ZeroDivisionError:
-            raise CliError("pole at s = %s" % s0)
-        result["eval_s"] = rat_to_str(s0)
-        result["value"] = rat_to_str(value)
-        result["value_float"] = float(value)
+        s0, value = _evaluate(rf, args.eval_s, exponents, result)
         if args.with_constant:
             # Multiply by G(s+1)^2/G(2s+1) and the 2^{-2 sum h_j n_j}
             # prefactor of the full leading-order coefficient.
@@ -229,6 +246,8 @@ def cmd_finite_moment(args, started):
     # '_' marks an exponent absorbed symbolically into the weight parameter s
     # (it sits on the 0-th derivative), so the pair is dropped from the
     # polynomial integrand.
+    if any(e is None and n != 0 for n, e in zip(orders, exponents)):
+        raise CliError("'_' marks the 0-th derivative slot; use it on order 0 only")
     pairs = [(n, e) for n, e in zip(orders, exponents) if e is not None]
     if any(n == 0 for n, e in pairs):
         raise CliError("exponents on order 0 must be '_' (absorbed into s)")
@@ -237,10 +256,10 @@ def cmd_finite_moment(args, started):
                        "use mc-estimate for others")
     if not pairs:
         raise CliError("at least one non-'_' exponent is required")
-    spec = MomentSpec(orders=[n for n, _ in pairs],
-                      exponents=[int(e) for _, e in pairs],
-                      variant=args.variant, size=args.N)
     try:
+        spec = MomentSpec(orders=[n for n, _ in pairs],
+                          exponents=[int(e) for _, e in pairs],
+                          variant=args.variant, size=args.N)
         rf = finite_joint_moment(spec)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -252,14 +271,7 @@ def cmd_finite_moment(args, started):
         "rational": _ratfun_json(rf),
     }
     if args.eval_s is not None:
-        s0 = _parse_rational(args.eval_s)
-        try:
-            value = rf.eval(s0)
-        except ZeroDivisionError:
-            raise CliError("pole at s = %s" % s0)
-        result["eval_s"] = rat_to_str(s0)
-        result["value"] = rat_to_str(value)
-        result["value_float"] = float(value)
+        _evaluate(rf, args.eval_s, spec.exponents, result)
     _summary("finite-moment N=%d %s -> %s"
              % (args.N, args.variant, result["rational"]["repr"]))
     return result, EXIT_OK
@@ -284,6 +296,7 @@ def cmd_mc_estimate(args, started):
                              seed=args.seed)
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
+    _check_domain(s, exponents)
     # result and manifest report an integral s as an int, any other as a float
     args.s = int(s) if s.denominator == 1 else float(s)
     batch = sample_hp(config)
@@ -323,6 +336,8 @@ def cmd_mc_estimate(args, started):
 def cmd_quadrature(args, started):
     from .mc import quadrature_expectation
 
+    if args.N < 1:
+        raise CliError("--N must be >= 1")
     P = _parse_poly(args.poly, args.N)
     try:
         value = quadrature_expectation(args.N, args.s, P,
@@ -401,15 +416,19 @@ def cmd_hankel_verify(args, started):
         checks.append({"name": name, "passed": bool(residual_zero),
                        "residual": residual_repr})
 
+    def exp_repr(c, p):
+        """The residual e^{-ct} p, for the decay c each check documents."""
+        return "e^(-%s t)*(%s)" % (c, p)
+
     for m in range(0, 6):
         r = theta_derivative_residual(m, args.N, args.s)
-        record("theta-derivative m=%d" % m, r.is_zero(), repr(r))
+        record("theta-derivative m=%d" % m, r.is_zero(), exp_repr(1, r))
     for gamma in range(0, 6):
         r = theta_three_term_residual(gamma, args.N, args.s)
         record("theta-three-term gamma=%d" % gamma, r == Poly(), repr(r))
     for l in range(1, args.l + 1):
         r = alternating_sum_residual(args.N, args.s, l)
-        record("alternating-sum l=%d" % l, r.is_zero(), repr(r))
+        record("alternating-sum l=%d" % l, r.is_zero(), exp_repr(args.N, r))
     for name, r in zip(("initial-condition-1", "initial-condition-2"),
                        initial_condition_residuals(args.N, args.s)):
         record(name, r.is_zero_through_ord(), "0" if r.is_zero_through_ord()
@@ -421,7 +440,7 @@ def cmd_hankel_verify(args, started):
            r == 0, rat_to_str(r))
     for name, r in zip(("char-fn-relation-1", "char-fn-relation-2"),
                        cor_relation_residuals(args.N, args.s)):
-        record(name, r.is_zero(), repr(r))
+        record(name, r.is_zero(), exp_repr(args.N, r))
 
     failed = [c["name"] for c in checks if not c["passed"]]
     result = {"N": args.N, "s": args.s, "l": args.l, "k": args.k,

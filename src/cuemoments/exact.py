@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: rationals, univariate polynomials, rational
-functions in one parameter, truncated power series, and e^{-ct}*poly functions.
+functions in one parameter, and truncated power series.
 
 All values are immutable after construction and all operations are pure.
 The scalar type is fractions.Fraction throughout; no floating point here.
@@ -467,60 +467,3 @@ def series_logderiv(f):
     d = f.derivative() / f  # order K-1
     out = [Fraction(0)] + list(d.coeffs)
     return PowerSeries(out, d.order + 1)
-
-
-class ExpPoly:
-    """Function t -> e^{-c t} * p(t) with rational decay c >= 0 and Poly p."""
-
-    __slots__ = ("c", "poly")
-
-    def __init__(self, c, poly):
-        self.c = Fraction(c)
-        if not isinstance(poly, Poly):
-            poly = Poly.const(poly)
-        self.poly = poly
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        if self.poly.is_zero() and other.poly.is_zero():
-            return True
-        return self.c == other.c and self.poly == other.poly
-
-    def __neg__(self):
-        return ExpPoly(self.c, -self.poly)
-
-    def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            raise TypeError("ExpPoly sum requires ExpPoly")
-        if self.poly.is_zero():
-            return other
-        if other.poly.is_zero():
-            return self
-        if self.c != other.c:
-            raise ValueError("ExpPoly sum requires equal decay rates")
-        return ExpPoly(self.c, self.poly + other.poly)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ExpPoly):
-            return ExpPoly(self.c + other.c, self.poly * other.poly)
-        if isinstance(other, Poly):
-            return ExpPoly(self.c, self.poly * other)
-        return ExpPoly(self.c, self.poly * Fraction(other))
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        return ExpPoly(self.c, self.poly.derivative() - self.c * self.poly)
-
-    def eval_float(self, t):
-        return math.exp(-float(self.c) * t) * self.poly.eval(float(t))
-
-    def __repr__(self):
-        return "e^(-%s t)*(%s)" % (self.c, self.poly)

@@ -7,17 +7,19 @@ conditions, the vector recursion, and the two characteristic-function
 relations).
 
 Everything here is exact: theta_m is e^{-t} times a polynomial with rational
-coefficients, so every determinant, derivative, trace, and residual lives in
-the polynomial ring.
+coefficients, so every determinant, derivative, trace, and residual is a known
+exponential e^{-ct} times a polynomial. Each function returns the Poly after
+that factor, and its docstring names c: 1 for theta, 1/N for theta(t/N), N for
+an N x N determinant. exp_derivative differentiates through the factor, and a
+MultiSeries carries one c for all its coefficients.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExpPoly, Poly, RationalFunction
+from .exact import Poly, RationalFunction
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +40,15 @@ def _laguerre_poly(n, alpha):
     return Poly(coeffs)
 
 
+def exp_derivative(p, c):
+    """d/dt (e^{-ct} p) = e^{-ct} (p' - c p): returns the Poly p' - c p."""
+    return p.derivative() - c * p
+
+
 @functools.lru_cache(maxsize=None)
 def theta(m, N, s):
-    """theta_m(t) = e^{-t} * (-1)^{N+s-1} (N+s-1)! L_{N+s-1}^{(1-2N-2s+m)}(2t),
-    exact ExpPoly. Requires integer s >= 1."""
+    """theta_m(t) = e^{-t} * (-1)^{N+s-1} (N+s-1)! L_{N+s-1}^{(1-2N-2s+m)}(2t):
+    the Poly after e^{-t}. Requires integer s >= 1."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("integer s >= 1 required for the exact theta family")
     if m < 0:
@@ -49,18 +56,18 @@ def theta(m, N, s):
     n = N + s - 1
     lag = _laguerre_poly(n, 1 - 2 * N - 2 * s + m).scale_arg(2)
     pref = (-1) ** n * math.factorial(n)
-    return ExpPoly(1, pref * lag)
+    return pref * lag
 
 
 @functools.lru_cache(maxsize=None)
 def theta_scaled(m, N, s):
-    """theta_m(t/N): ExpPoly with decay 1/N."""
-    base = theta(m, N, s)
-    return ExpPoly(Fraction(1, N), base.poly.scale_arg(Fraction(1, N)))
+    """theta_m(t/N): the Poly after e^{-t/N}."""
+    return theta(m, N, s).scale_arg(Fraction(1, N))
 
 
 class ThetaFamily:
-    """Immutable table of theta_m for m = 0..m_max at fixed (N, s)."""
+    """Immutable table of theta_m (the Polys after e^{-t}) for m = 0..m_max
+    at fixed (N, s)."""
 
     def __init__(self, N, s, m_max):
         self.N = N
@@ -72,16 +79,19 @@ class ThetaFamily:
 
 
 def theta_derivative_residual(m, N, s):
-    """d theta_m/dt - (theta_m - 2 theta_{m+1}); identically zero."""
-    return theta(m, N, s).derivative() - (theta(m, N, s) + (-2) * theta(m + 1, N, s))
+    """d theta_m/dt - (theta_m - 2 theta_{m+1}): the Poly after e^{-t};
+    identically zero."""
+    p = theta(m, N, s)
+    return exp_derivative(p, 1) - (p - 2 * theta(m + 1, N, s))
 
 
 def theta_three_term_residual(gamma, N, s):
     """2t*theta_{gamma+2} - (N+s-1-gamma) theta_gamma
-    - (2-2N-2s+gamma + 2t) theta_{gamma+1}; identically zero (Poly residual)."""
-    p0 = theta(gamma, N, s).poly
-    p1 = theta(gamma + 1, N, s).poly
-    p2 = theta(gamma + 2, N, s).poly
+    - (2-2N-2s+gamma + 2t) theta_{gamma+1}: the Poly after e^{-t};
+    identically zero."""
+    p0 = theta(gamma, N, s)
+    p1 = theta(gamma + 1, N, s)
+    p2 = theta(gamma + 2, N, s)
     two_t = Poly((0, 2))
     return two_t * p2 - (N + s - 1 - gamma) * p0 - (Poly.const(2 - 2 * N - 2 * s + gamma) + two_t) * p1
 
@@ -166,70 +176,52 @@ def _column_sum(A, B):
     return total
 
 
-@dataclass
-class HankelValue:
-    N: int
-    s: int
-    parts: tuple
-    value: ExpPoly
-
-
 def _theta_poly_matrix(N, s, parts):
-    return _shifted_matrix(lambda g: theta(g, N, s).poly, N, _shifts(parts, N))
+    return _shifted_matrix(lambda g: theta(g, N, s), N, _shifts(parts, N))
 
 
 def hankel_det(N, s, parts):
-    """Psi_{N,lambda} at t_2 = ... = t_k = 0, as an exact e^{-Nt} * polynomial."""
+    """Psi_{N,lambda} at t_2 = ... = t_k = 0: the Poly after e^{-Nt}."""
     parts = tuple(parts)
     if len(parts) > N:
-        return HankelValue(N, s, parts, ExpPoly(N, Poly()))
-    mat = _theta_poly_matrix(N, s, parts)
-    return HankelValue(N, s, parts, ExpPoly(N, det_poly_bareiss(mat)))
-
-
-def hankel_derivative(H, order=1):
-    """Exact derivative of a HankelValue's ExpPoly representation."""
-    v = H.value if isinstance(H, HankelValue) else H
-    for _ in range(order):
-        v = v.derivative()
-    return v
+        return Poly()
+    return det_poly_bareiss(_theta_poly_matrix(N, s, parts))
 
 
 def hankel_derivative_column_rule(N, s, parts):
     """d/dt of the determinant via the column rule d theta = theta - 2 theta_+1:
-    sum over columns of the determinant with that column's indices shifted."""
+    sum over columns of the determinant with that column's indices shifted.
+    The Poly after e^{-Nt}; each replaced column already carries the
+    derivative of its e^{-t} factor."""
     A = _theta_poly_matrix(N, s, parts)
-    B = _shifted_matrix(lambda g: theta(g, N, s).poly - 2 * theta(g + 1, N, s).poly,
+    B = _shifted_matrix(lambda g: theta(g, N, s) - 2 * theta(g + 1, N, s),
                         N, _shifts(parts, N))
-    # each replaced column already carries the derivative of its e^{-t} factor
-    return ExpPoly(N, _column_sum(A, B))
+    return _column_sum(A, B)
 
 
 def trace_adjugate(N, s, parts, h, weighted=False, t0=None):
     """Psi_{N,lambda,h} = Tr[adj(A_{N,lambda}) A_{N,S_h lambda}] at t_rest = 0
     (weighted: the shifted matrix entries multiplied by their index
-    i+j+(S_h lambda)_{N-j}), as an exact e^{-Nt} * polynomial; with t0 given,
-    the exact rational value of the polynomial part at t0."""
+    i+j+(S_h lambda)_{N-j}): the Poly after e^{-Nt}; with t0 given, its exact
+    rational value at t0."""
     parts = tuple(parts)
     if len(parts) > N:
-        out = ExpPoly(N, Poly())
-        return out.poly.eval(Fraction(t0)) if t0 is not None else out
-
-    def entry(g):
-        p = theta(g, N, s).poly
-        return g * p if weighted else p
-    B = _shifted_matrix(entry, N, _shifts(parts, N, h))
-    out = ExpPoly(N, _column_sum(_theta_poly_matrix(N, s, parts), B))
-    return out.poly.eval(Fraction(t0)) if t0 is not None else out
+        out = Poly()
+    else:
+        def entry(g):
+            return g * theta(g, N, s) if weighted else theta(g, N, s)
+        B = _shifted_matrix(entry, N, _shifts(parts, N, h))
+        out = _column_sum(_theta_poly_matrix(N, s, parts), B)
+    return out.eval(Fraction(t0)) if t0 is not None else out
 
 
 def alternating_sum_residual(N, s, l):
-    """Psi_{N,empty,l} - sum_{j=1}^l (-1)^{j-1} Psi_{N,lambda_{l,j}}; zero."""
-    lhs = trace_adjugate(N, s, (), l)
-    rhs = ExpPoly(N, Poly())
+    """Psi_{N,empty,l} - sum_{j=1}^l (-1)^{j-1} Psi_{N,lambda_{l,j}}: the Poly
+    after e^{-Nt}; zero."""
+    rhs = Poly()
     for j in range(1, l + 1):
-        rhs = rhs + (-1) ** (j - 1) * hankel_det(N, s, partition_kq(l, j)).value
-    return lhs - rhs
+        rhs = rhs + (-1) ** (j - 1) * hankel_det(N, s, partition_kq(l, j))
+    return trace_adjugate(N, s, (), l) - rhs
 
 
 def fit_weighted_alpha(N, s):
@@ -238,8 +230,8 @@ def fit_weighted_alpha(N, s):
     for the unexplained constant alpha at l = 1, returning it as a
     RationalFunction of t (constant when the identity has the assumed shape)."""
     lhs = trace_adjugate(N, s, (), 1, weighted=True)
-    base = hankel_det(N, s, partition_kq(1, 1)).value
-    ratio = RationalFunction(lhs.poly, base.poly)
+    base = hankel_det(N, s, partition_kq(1, 1))
+    ratio = RationalFunction(lhs, base)
     return ratio - RationalFunction.const(2 * N - 1)
 
 
@@ -249,8 +241,8 @@ def weighted_alternating_residual(N, s, l, alpha):
     rhs = RationalFunction(Poly())
     for j in range(1, l + 1):
         w = RationalFunction.const(2 * N - 2 * j + l) + alpha
-        rhs = rhs + (-1) ** (j - 1) * w * RationalFunction(hankel_det(N, s, partition_kq(l, j)).value.poly)
-    return RationalFunction(lhs.poly) - rhs
+        rhs = rhs + (-1) ** (j - 1) * w * RationalFunction(hankel_det(N, s, partition_kq(l, j)))
+    return RationalFunction(lhs) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +251,7 @@ def weighted_alternating_residual(N, s, l, alpha):
 
 def mixed_derivative(N, s, ell):
     """The mixed derivative prod_q (d/dt_q)^{ell_q} of the full Hankel
-    determinant, evaluated at t_2 = ... = 0, as an exact e^{-Nt}*poly in t_1.
+    determinant, evaluated at t_2 = ... = 0: the Poly in t_1 after e^{-Nt}.
 
     Each single derivative d/dt_q shifts one column's theta index by q; the
     product rule distributes the multiset of shifts over columns.
@@ -280,9 +272,9 @@ def mixed_derivative(N, s, ell):
         counts[key] = counts.get(key, 0) + 1
     total = Poly()
     for col_shift, mult in counts.items():
-        mat = _shifted_matrix(lambda g: theta(g, N, s).poly, N, col_shift)
+        mat = _shifted_matrix(lambda g: theta(g, N, s), N, col_shift)
         total = total + mult * det_poly_bareiss(mat)
-    return ExpPoly(N, total)
+    return total
 
 
 def normalized_L(N, s, ell, t0):
@@ -298,14 +290,13 @@ def normalized_L(N, s, ell, t0):
     S = sum(q * c for q, c in ell.items())
     u0 = t0 / N
     M = mixed_derivative(N, s, ell)
-    P = hankel_det(N, s, ()).value
-    ratio = M.poly.eval(u0) / P.poly.eval(u0)
+    ratio = M.eval(u0) / hankel_det(N, s, ()).eval(u0)
     value = complex(-2j) ** S * float(ratio)
     return {"ratio": ratio, "power": S, "value": value}
 
 
 def cor_relation_residuals(N, s):
-    """Exact residuals (ExpPoly, decay N) of the two characteristic-function
+    """Exact residuals (the Polys after e^{-Nt}) of the two characteristic-function
     relations tying moment insertions to derivatives of the Hankel
     determinant, written in the variable u = t1/N and cleared of denominators.
 
@@ -318,14 +309,14 @@ def cor_relation_residuals(N, s):
     t1 = N u carries -4s/(N t1^2) on the zeroth-order term; the variant with
     -4s/(N^2 t1^2) agrees only at N = 1 (see tests for the negative control).
     """
-    Psi = hankel_det(N, s, ()).value
+    Psi = hankel_det(N, s, ())
     M1 = mixed_derivative(N, s, {2: 1})
     M2 = mixed_derivative(N, s, {2: 2})
     u = Poly((0, 1))
-    d1 = Psi.derivative()
-    d2 = d1.derivative()
+    d1 = exp_derivative(Psi, N)
+    d2 = exp_derivative(d1, N)
     r1 = M1 * (2 * u) - d1 * Poly((s, -1)) - Psi * (N * u)
-    lhs2 = (M2 * 16 + M1.derivative() * 16 + M1 * (-8 * N)
+    lhs2 = (M2 * 16 + exp_derivative(M1, N) * 16 + M1 * (-8 * N)
             + d2 * 4 + d1 * (-4 * N) + Psi * (N * N))
     u3 = u * u * u
     rhs2 = (d2 * ((4 * s * s + 2) * u)
@@ -336,26 +327,28 @@ def cor_relation_residuals(N, s):
 
 
 # ---------------------------------------------------------------------------
-# truncated multivariate series in t_2..t_k with ExpPoly coefficients
+# truncated multivariate series in t_2..t_k with Poly-in-t_1 coefficients
 # ---------------------------------------------------------------------------
 
 class MultiSeries:
     """Formal power series in the auxiliary variables t_2..t_k, truncated at
-    total degree `cap`, with exact ExpPoly-in-t_1 coefficients. `ord` tracks
-    through which total degree the stored coefficients are actually valid.
+    total degree `cap`. Each coefficient is e^{-c t_1} times a Poly in t_1,
+    with one decay `c` for the whole series; `terms` holds the Polys. `ord`
+    tracks through which total degree the stored coefficients are valid.
     """
 
-    __slots__ = ("nv", "cap", "ord", "terms")
+    __slots__ = ("nv", "cap", "ord", "c", "terms")
 
-    def __init__(self, nv, cap, ord=None, terms=None):
+    def __init__(self, nv, cap, ord=None, terms=None, c=0):
         self.nv = nv
         self.cap = cap
         self.ord = cap if ord is None else ord
+        self.c = c
         self.terms = {}
         if terms:
-            for e, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(e)] = c
+            for e, v in terms.items():
+                if not v.is_zero():
+                    self.terms[tuple(e)] = v
 
     @staticmethod
     def zero(nv, cap):
@@ -365,19 +358,28 @@ class MultiSeries:
         if self.nv != other.nv or self.cap != other.cap:
             raise ValueError("incompatible MultiSeries shapes")
 
+    def _with(self, terms, ord=None):
+        """A series of this shape and decay with the given coefficients."""
+        return MultiSeries(self.nv, self.cap, self.ord if ord is None else ord,
+                           terms, self.c)
+
     def __add__(self, other):
         self._check(other)
+        # an empty series adds to anything; otherwise the decays must agree
+        if self.terms and other.terms and self.c != other.c:
+            raise ValueError("MultiSeries sum requires equal decay rates")
+        c = self.c if self.terms else other.c
         out = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, v in other.terms.items():
             if e in out:
-                v = out[e] + c
-                if v.is_zero():
+                w = out[e] + v
+                if w.is_zero():
                     del out[e]
                 else:
-                    out[e] = v
+                    out[e] = w
             else:
-                out[e] = c
-        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out)
+                out[e] = v
+        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out, c)
 
     def __sub__(self, other):
         return self + other.scal(-1)
@@ -396,15 +398,14 @@ class MultiSeries:
                     out[e] = out[e] + c1 * c2
                 else:
                     out[e] = c1 * c2
-        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out)
+        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out,
+                           self.c + other.c)
 
     def scal(self, c):
-        return MultiSeries(self.nv, self.cap, self.ord,
-                           {e: v * c for e, v in self.terms.items()})
+        return self._with({e: v * c for e, v in self.terms.items()})
 
     def mul_t1poly(self, p):
-        return MultiSeries(self.nv, self.cap, self.ord,
-                           {e: v * p for e, v in self.terms.items()})
+        return self._with({e: v * p for e, v in self.terms.items()})
 
     def mul_tq(self, q, weight=1):
         """Multiply by weight * t_q."""
@@ -416,11 +417,11 @@ class MultiSeries:
             if sum(ee) > self.cap:
                 continue
             out[tuple(ee)] = c * weight
-        return MultiSeries(self.nv, self.cap, min(self.cap, self.ord + 1), out)
+        return self._with(out, min(self.cap, self.ord + 1))
 
     def d_t1(self):
-        return MultiSeries(self.nv, self.cap, self.ord,
-                           {e: c.derivative() for e, c in self.terms.items()})
+        return self._with({e: exp_derivative(c, self.c)
+                           for e, c in self.terms.items()})
 
     def d_tq(self, q):
         idx = q - 2
@@ -431,11 +432,10 @@ class MultiSeries:
             ee = list(e)
             ee[idx] -= 1
             out[tuple(ee)] = c * e[idx]
-        return MultiSeries(self.nv, self.cap, self.ord - 1, out)
+        return self._with(out, self.ord - 1)
 
     def is_zero_through_ord(self):
-        return all(c.poly.is_zero() for e, c in self.terms.items()
-                   if sum(e) <= self.ord)
+        return all(sum(e) > self.ord for e in self.terms)
 
     def max_abs_at(self, t0):
         """Largest |coefficient polynomial| evaluated at rational t0, over the
@@ -445,14 +445,14 @@ class MultiSeries:
         for e, c in self.terms.items():
             if sum(e) > self.ord:
                 continue
-            v = abs(c.poly.eval(t0))
+            v = abs(c.eval(t0))
             if v > best:
                 best = v
         return best
 
 
 def psi_multiseries(N, s, gamma, k, cap):
-    """The rescaled building-block function as a MultiSeries:
+    """The rescaled building-block function as a MultiSeries with decay 1/N:
     coefficient of prod t_l^{m_l} is theta_{gamma+sum l*m_l}(t_1/N)
     / (N^{sum m_l} * prod m_l!)."""
     nv = k - 1
@@ -465,7 +465,7 @@ def psi_multiseries(N, s, gamma, k, cap):
         for m in expo:
             denom *= math.factorial(m)
         terms[expo] = theta_scaled(gamma + shift, N, s) * Fraction(1, denom)
-    return MultiSeries(nv, cap, cap, terms)
+    return MultiSeries(nv, cap, cap, terms, Fraction(1, N))
 
 
 def _psi_matrix_ms(N, s, parts, k, cap, h=0, weighted=False):
@@ -477,8 +477,8 @@ def _psi_matrix_ms(N, s, parts, k, cap, h=0, weighted=False):
 
 @functools.lru_cache(maxsize=None)
 def Psi_ms(N, s, parts, k, cap):
-    """Boldface (rescaled) shifted Hankel determinant as a MultiSeries;
-    zero for partitions with more than N parts."""
+    """Boldface (rescaled) shifted Hankel determinant as a MultiSeries with
+    decay 1; zero for partitions with more than N parts."""
     parts = tuple(parts)
     if len(parts) > N:
         return MultiSeries.zero(k - 1, cap)
@@ -513,7 +513,7 @@ def initial_condition_residuals(N, s, k=2, cap=2):
     """The two second-shift initial conditions at t_rest = 0:
     Psi_{lambda_{2,1}} = (N^2/8)Psi'' - (N^2/4)Psi' + (N^2/8)Psi + (N/2)dPsi/dt2
     Psi_{lambda_{2,2}} = same with -(N/2)dPsi/dt2.
-    Returns the pair of residual ExpPoly values (t_rest = 0 restrictions)."""
+    Returns the pair of residual MultiSeries."""
     P = Psi_ms(N, s, (), k, cap)
     base = (P.d_t1().d_t1().scal(Fraction(N * N, 8))
             + P.d_t1().scal(Fraction(-N * N, 4))

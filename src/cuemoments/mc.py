@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cauchy import MomentSpec, finite_joint_moment, limiting_moment
+from .cauchy import MomentSpec, domain, finite_joint_moment, limiting_moment
 from .symfunc import a_coeff
 
 _MASK = (1 << 64) - 1
@@ -65,6 +65,8 @@ class ChainConfig:
             raise ValueError("N >= 1 required")
         if self.chains < 1 or self.samples < 1:
             raise ValueError("chains >= 1 and samples >= 1 required")
+        if self.thin < 1 or self.burn_in < 0:
+            raise ValueError("thin >= 1 and burn_in >= 0 required")
         if self.proposal_scale <= 0:
             raise ValueError("proposal_scale > 0 required")
         if self.s <= 0:
@@ -248,9 +250,9 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
         raise ValueError("quadrature oracle supports N <= 3")
     if hasattr(integrand, "terms"):
         d = _sympoly_max_degree(integrand)
-        if not d + 2 * (N - 1) < 2 * (s + N) - 1:
+        if not s > domain((d,)):
             raise ValueError("non-integrable combination: per-coordinate degree "
-                             "%d + %d must be < %s" % (d, 2 * (N - 1), 2 * (s + N) - 1))
+                             "%d needs s > %s" % (d, domain((d,))))
 
     def compute(nodes):
         u, w = np.polynomial.legendre.leggauss(nodes)

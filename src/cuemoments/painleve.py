@@ -154,12 +154,11 @@ def sigma_p3_residual(tau):
 def tau_finiteN(N, s):
     """Finite-size tau function, exact rational in t.
 
-    With P the polynomial part of the size-N Hankel determinant of the theta
-    family, tau_N(t) = -t/2 + t P1'(t)/P1(t) where P1(t) = P(t/(2N)).
+    With P the polynomial part (after e^{-Nt}) of the size-N Hankel
+    determinant of the theta family, tau_N(t) = -t/2 + t P1'(t)/P1(t) where
+    P1(t) = P(t/(2N)).
     """
-    H = hankel_det(N, s, ())
-    P = H.value.poly
-    P1 = P.scale_arg(Fraction(1, 2 * N))
+    P1 = hankel_det(N, s, ()).scale_arg(Fraction(1, 2 * N))
     t_poly = Poly((0, 1))
     num = t_poly * P1.derivative() - Fraction(1, 2) * t_poly * P1
     return TauFunction(kind="exact", s=s, N=N, ratfun=RationalFunction(num, P1))
@@ -179,7 +178,7 @@ def painleve5_residual(tau, N=None, s=None):
     return _residual_poly(tau, s, Fraction(1, N * N), Fraction(2 * s, N))
 
 
-def phi_eval(s, t, K=80):
+def phi_eval(s, t):
     """Float evaluation of phi_s at t >= 0 via the g-series determinant."""
     if s < 1:
         raise ValueError("s >= 1 required")
@@ -188,19 +187,23 @@ def phi_eval(s, t, K=80):
 
     def g(nu):
         terms = []
+        total = 0.0
         term = 1.0 / math.factorial(nu)
         m = 0
         while True:
             terms.append(term)
+            total += term
             m += 1
             term = term * 2.0 * t / (m * (m + nu))
-            if m > 8 and abs(term) < 1e-18 * max(1.0, abs(math.fsum(terms))):
+            if m > 8 and abs(term) < 1e-18 * max(1.0, abs(total)):
                 break
             if m > 500:
                 break
         return math.fsum(terms)
 
-    det = det_perm([[g(j + k + 1) for k in range(s)] for j in range(s)])
+    # the entry at (j, k) is g(j + k + 1): 2s - 1 distinct sums
+    gs = [g(nu) for nu in range(1, 2 * s)]
+    det = det_perm([[gs[j + k] for k in range(s)] for j in range(s)])
     pref = (-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1) / barnes_G_int(s + 1) ** 2
     return pref * math.exp(-t) * det
 
@@ -227,42 +230,18 @@ def _adaptive_simpson(f, a, b, tol, depth=40):
     return rec(a, b, fa, fm, fb, whole, tol, depth)
 
 
-def _osc_cos_tail(p, T):
-    """int_T^inf cos(t) t^{-p-1} dt by four-fold integration by parts."""
-    g0 = T ** (-p - 1)
-    g1 = -(p + 1) * T ** (-p - 2)
-    g2 = (p + 1) * (p + 2) * T ** (-p - 3)
-    g3 = -(p + 1) * (p + 2) * (p + 3) * T ** (-p - 4)
-    return (-math.sin(T) * g0 - math.cos(T) * g1
-            + math.sin(T) * g2 + math.cos(T) * g3)
-
-
-def _cos_normalizer(p, y=1.0):
-    """int_0^inf (1 - cos(y t)) / t^{p+1} dt, numerically.
-
-    [0,1]: exact alternating series; [1,T]: adaptive Simpson; tail: analytic
-    power part plus the integration-by-parts estimate of the cosine part.
-    """
-    head = 0.0
-    for k in range(1, 40):
-        head += (-1.0) ** (k + 1) * y ** (2 * k) / (math.factorial(2 * k) * (2 * k - p))
-    T = 200.0
-
-    def f(t):
-        return (1.0 - math.cos(y * t)) / t ** (p + 1)
-
-    mid = _adaptive_simpson(f, 1.0, T, 1e-12)
-    tail = T ** (-p) / p - y ** p * _osc_cos_tail(p, y * T)
-    return head + mid + tail
+def cos_constant(p):
+    """C_p = 2 Gamma(1+p) sin(pi p/2) / pi, the constant of the identity
+    |y|^p = C_p int_0^inf (1 - cos(t y)) / t^{p+1} dt for 0 < p < 2."""
+    return 2.0 * math.gamma(1.0 + p) * math.sin(math.pi * p / 2.0) / math.pi
 
 
 def fractional_moment_q1(p, s, tol=1e-9):
     """E[|q_1(s)|^p] for 0 < p < 2 via
-    C_p * int_0^inf (1 - phi_s(t)) / t^{p+1} dt, with C_p fixed numerically by
-    the identity |y|^p = C_p int (1 - cos(t y)) / t^{p+1} dt at y = 1."""
+    C_p * int_0^inf (1 - phi_s(t)) / t^{p+1} dt, with C_p = cos_constant(p)."""
     if not (0.0 < p < 2.0):
         raise ValueError("p in (0,2) required")
-    C_p = 1.0 / _cos_normalizer(p)
+    C_p = cos_constant(p)
     # [0,1] via exact series coefficients of phi
     phi = phi_series(s, 40)
     head = 0.0

@@ -12,6 +12,7 @@ from cuemoments.cauchy import (
     MomentSpec,
     cauchy_det_bruteforce,
     cauchy_det_leading_coeff,
+    domain,
     finite_joint_moment,
     hp_expectation,
     keating_snaith_constant,
@@ -128,6 +129,55 @@ class TestFiniteJointMoment:
             MomentSpec(orders=(1, 2), exponents=(2, 2), variant="Z", size=2)
         with pytest.raises(ValueError):
             MomentSpec(orders=(1,), exponents=(2,), variant="W", size=2)
+        with pytest.raises(ValueError):
+            MomentSpec(orders=(3, -1), exponents=(2, 2), variant="Z", size=2)
+        for e in (0, -2):
+            with pytest.raises(ValueError):
+                MomentSpec(orders=(1,), exponents=(e,), variant="Z", size=2)
+
+
+# the integrand shapes (orders, exponents) of the benchmark's exact sweep
+SHAPES = (((1,), (2,)), ((2,), (2,)), ((3,), (2,)), ((1,), (4,)), ((2,), (4,)),
+          ((2, 1), (2, 2)), ((3, 1), (2, 2)), ((3, 2), (2, 2)))
+
+
+def _half_integer_poles(den):
+    """Divide the monic denominator by every factor s + j/2 it has; returns
+    what is left and the roots divided out."""
+    poles = []
+    for j in range(-40, 41):
+        r = Fraction(j, 2)
+        while den.degree() > 0 and den.eval(r) == 0:
+            den = den.exact_div(Poly((-r, 1)))
+            poles.append(r)
+    return den, poles
+
+
+class TestDomain:
+    def test_bound(self):
+        assert domain((2,)) == Fraction(1, 2)
+        assert domain((2, 2)) == Fraction(3, 2)
+        assert domain((Fraction(3, 2),)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["Z", "V"])
+    @pytest.mark.parametrize("orders,exponents", SHAPES)
+    def test_finite_poles_outside_domain(self, N, variant, orders, exponents):
+        rf = finite_joint_moment(MomentSpec(orders, exponents, variant, N))
+        rest, poles = _half_integer_poles(rf.den)
+        assert rest.degree() == 0
+        assert all(p <= domain(exponents) for p in poles)
+
+    @pytest.mark.parametrize("variant,orders,exponents", [
+        ("Z", (1,), (2,)), ("Z", (2,), (2,)), ("Z", (1,), (4,)),
+        ("V", (1,), (2,)), ("V", (2,), (2,)),
+    ])
+    def test_leading_largest_pole_is_bound(self, variant, orders, exponents):
+        rf = (limiting_moment(orders, exponents) if variant == "Z"
+              else oracle_second_moment_V(orders[0]))
+        rest, poles = _half_integer_poles(rf.den)
+        assert rest.degree() == 0
+        assert max(poles) == domain(exponents)
 
 
 class TestOracleV:

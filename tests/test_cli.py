@@ -242,6 +242,21 @@ class TestHankelVerify:
         assert doc["result"]["all_passed"] is True
         assert len(doc["result"]["checks"]) >= 15
 
+    # digests recorded before the Hankel layer returned bare Polys
+    @pytest.mark.parametrize("argv,digest", [
+        ([], "aa6a207e9c322f83a7f061e1cc5308d5eaec7b43ad54ce052717c85b04b92dca"),
+        (["--N", "3", "--s", "2", "--l", "4", "--k", "3", "--t", "5/2"],
+         "e51e2d4dedb810aecf7b2c9685be9a43a92fec819c816b173032c5e41ff0ccd8"),
+    ])
+    def test_output_digest_pinned(self, capsys, argv, digest):
+        code, doc, _ = run_cli(capsys, "hankel-verify", *argv)
+        assert code == 0
+        assert doc["manifest"]["output_digest"] == digest
+        N = doc["result"]["N"]
+        residuals = {c["name"]: c["residual"] for c in doc["result"]["checks"]}
+        assert residuals["theta-derivative m=0"] == "e^(-1 t)*(0)"
+        assert residuals["alternating-sum l=1"] == "e^(-%d t)*(0)" % N
+
     def test_perturbed_exit_4(self, capsys):
         code = main(["hankel-verify", "--perturb"])
         captured = capsys.readouterr()
@@ -263,6 +278,44 @@ def test_out_of_range_input_exit_2(capsys, argv):
     assert code == 2
     assert set(doc) == {"error", "exit_code"}
     assert doc["exit_code"] == 2 and doc["error"]
+
+
+_MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-moment", "--N", "2", "--orders", "1,2", "--exponents", "2,2", "--variant", "Z"],
+    ["finite-moment", "--N", "2", "--orders", "3,-1", "--exponents", "2,2", "--variant", "Z"],
+    ["finite-moment", "--N", "2", "--orders", "2,1", "--exponents", "2,_", "--variant", "Z"],
+    _MC + ["--orders", "-1", "--exponents", "2"],
+    _MC + ["--orders", "1", "--exponents", "2", "--thin", "0"],
+    _MC + ["--orders", "1", "--exponents", "2", "--burn-in", "-5"],
+    _MC + ["--orders", "1", "--exponents", "0"],
+    _MC + ["--orders", "1", "--exponents", "-2"],
+    ["quadrature", "--N", "0", "--s", "2", "--poly", "x1^2"],
+])
+def test_meaningless_moment_query_exit_2(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
+    assert doc["exit_code"] == 2 and doc["error"]
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z",
+      "--eval-s", "1/4"], "1/2"),
+    (["finite-moment", "--N", "1", "--orders", "1", "--exponents", "4",
+      "--variant", "Z", "--eval-s", "1"], "3/2"),
+    (["finite-moment", "--N", "2", "--orders", "2", "--exponents", "2",
+      "--variant", "V", "--eval-s", "1/3"], "1/2"),
+    (["mc-estimate", "--N", "1", "--s", "1/4", "--orders", "1",
+      "--exponents", "2"], "1/2"),
+])
+def test_divergent_moment_exit_2(capsys, argv, bound):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
+    assert "diverges" in doc["error"] and "= %s;" % bound in doc["error"]
 
 
 @pytest.mark.parametrize("argv", [

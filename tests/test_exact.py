@@ -1,5 +1,5 @@
 """Tests for the exact arithmetic foundation: Poly, RationalFunction,
-PowerSeries, ExpPoly."""
+and PowerSeries."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuemoments.exact import (
-    ExpPoly,
     Poly,
     PowerSeries,
     RationalFunction,
@@ -180,24 +179,3 @@ class TestPowerSeries:
     def test_scale_arg(self):
         f = PowerSeries([0, 0, 1], order=6).scale_arg(Fraction(1, 2))
         assert f[2] == Fraction(1, 4)
-
-
-class TestExpPoly:
-    def test_derivative(self):
-        # d/dt [e^{-2t}(1+t)] = e^{-2t}(-1-2t)
-        f = ExpPoly(2, Poly((1, 1)))
-        assert f.derivative() == ExpPoly(2, Poly((-1, -2)))
-
-    def test_ring_ops(self):
-        f = ExpPoly(1, Poly((1, 1)))
-        g = ExpPoly(2, Poly((0, 3)))
-        assert (f * g).c == 3
-        assert (f * g).poly == Poly((0, 3, 3))
-        with pytest.raises(ValueError):
-            f + g  # mismatched decay rates cannot be added
-
-    def test_eval_float(self):
-        import math
-        f = ExpPoly(1, Poly((2, 2)))
-        t = 0.7
-        assert f.eval_float(t) == pytest.approx(math.exp(-t) * (2 + 2 * t))

@@ -67,6 +67,10 @@ class TestSampler:
             ChainConfig(N=0, s=2)
         with pytest.raises(ValueError):
             ChainConfig(N=1, s=2, chains=0)
+        with pytest.raises(ValueError):
+            ChainConfig(N=1, s=2, thin=0)
+        with pytest.raises(ValueError):
+            ChainConfig(N=1, s=2, burn_in=-5)
 
     def test_second_moment_estimate(self):
         # E[x^2] at N = 1, s = 2 is 1/3; MC should land within 4 sigma

@@ -13,6 +13,7 @@ from cuemoments.painleve import (
     TauFunction,
     barnes_G,
     barnes_G_int,
+    cos_constant,
     fractional_moment_q1,
     painleve5_residual,
     phi_eval,
@@ -173,6 +174,11 @@ class TestBarnesG:
 
 
 class TestFractionalMoment:
+    def test_cos_constant_at_p1(self):
+        # |y| = (2/pi) int_0^inf (1 - cos(t y)) / t^2 dt
+        import math
+        assert cos_constant(1.0) == pytest.approx(2 / math.pi, rel=1e-15)
+
     def test_matches_second_moment_near_p2(self):
         # E|q_1|^p -> E[q_1^2] = 1/3 at s = 1 as p -> 2
         assert fractional_moment_q1(1.99, 1) == pytest.approx(1 / 3, abs=2e-3)

@@ -20,7 +20,6 @@ from .cauchy import (
 from .exact import Poly, PowerSeries, RationalFunction, series_logderiv
 from .hankel import (
     MultiSeries,
-    ThetaFamily,
     appendix_matrices,
     exp_derivative,
     expansion_coeff,
@@ -38,7 +37,6 @@ from .mc import (
     sample_hp,
 )
 from .painleve import (
-    TauFunction,
     barnes_G,
     fractional_moment_q1,
     painleve5_residual,
@@ -48,6 +46,6 @@ from .painleve import (
     tau_limit,
 )
 from .sympoly import SymPoly
-from .symfunc import ACoeffTable, a_coeff, v_variant_integrand, xi_poly
+from .symfunc import a_coeff, v_variant_integrand, xi_poly
 
 __version__ = "0.1.0"

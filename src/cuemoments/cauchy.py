@@ -16,6 +16,9 @@ from .sympoly import SymPoly
 from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
 
 MAX_EXACT_ARITY = 7
+# cap on the degree L = sum n_j e_j of a finite-size moment, so that an
+# exponent such as 1e400 is rejected instead of expanded without end
+MAX_EXACT_DEGREE = 64
 
 S = Poly.x()
 
@@ -165,6 +168,7 @@ def limiting_moment(orders, exponents):
     exponents = tuple(exponents)
     if any(e <= 0 or e % 2 for e in exponents):
         raise ValueError("exponents must be positive even integers")
+    MomentSpec(orders, exponents, "Z", "limit")  # orders >= 0, decreasing
     if not orders or orders[0] < 1:
         raise ValueError("leading order must be >= 1")
     L = sum(n * e for n, e in zip(orders, exponents))
@@ -196,10 +200,13 @@ def finite_joint_moment(spec):
     if any(e % 2 for e in spec.exponents):
         raise ValueError("odd exponent unsupported in exact engine; use Monte Carlo")
     L = sum(n * e for n, e in zip(spec.orders, spec.exponents))
+    if L > MAX_EXACT_DEGREE:
+        raise ValueError("L = %d exceeds the exact-engine degree cap %d"
+                         % (L, MAX_EXACT_DEGREE))
     if spec.variant == "Z":
         P = SymPoly.const(N, 1)
         for n, two_h in zip(spec.orders, spec.exponents):
-            P = P * xi_poly(n, N).poly ** two_h
+            P = P * xi_poly(n, N) ** two_h
     else:
         P = v_variant_integrand(spec.orders, spec.exponents, N)
     return RationalFunction.const(Fraction(1, 2 ** L)) * hp_expectation(P, N)
@@ -313,8 +320,8 @@ def keating_snaith_constant(s):
             raise ValueError("s > 0 required")
         from .painleve import barnes_G_int
         return Fraction(barnes_G_int(s + 1)) ** 2 / Fraction(barnes_G_int(2 * s + 1))
-    from .painleve import barnes_G
+    from .painleve import log_barnes_G
     sf = float(s)
     if sf <= 0:
         raise ValueError("s > 0 required")
-    return barnes_G(sf + 1.0) ** 2 / barnes_G(2.0 * sf + 1.0)
+    return math.exp(2.0 * log_barnes_G(sf + 1.0) - log_barnes_G(2.0 * sf + 1.0))

@@ -37,6 +37,9 @@ EXIT_INVALID = 2
 EXIT_MC_DIAGNOSTICS = 3
 EXIT_IDENTITY_FAILED = 4
 
+# G(s+1)^2/G(2s+1) is 1.7e-296 at s = 16 and below every float from s = 17
+MAX_CONSTANT_S = 16
+
 
 class CliError(Exception):
     """Invalid or unsupported input; maps to exit code 2."""
@@ -68,7 +71,7 @@ def _parse_exponent_list(text):
             continue
         try:
             out.append(Fraction(p))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError("bad exponent %r (use integers, rationals or '_')" % p)
     return out
 
@@ -130,6 +133,15 @@ def _check_domain(s, exponents):
     if s <= bound:
         raise CliError("the moment diverges for s <= (sum of exponents - 1)/2 "
                        "= %s; got s = %s" % (bound, s))
+
+
+def _reject_divergent(text, exponents):
+    """Parse --eval-s and exit 2 before the engine runs if the moment
+    diverges there; at the bound itself _evaluate checks for a pole first."""
+    s0 = _parse_rational(text)
+    if s0 < domain(exponents):
+        _check_domain(s0, exponents)
+    return s0
 
 
 def _evaluate(rf, text, exponents, result):
@@ -205,17 +217,24 @@ def cmd_leading_coeff(args, started):
     if any(e.denominator != 1 for e in exponents):
         raise CliError("exact engine needs integer exponents; use mc-estimate")
     exponents = [int(e) for e in exponents]
-    if args.variant == "Z":
-        try:
+    if args.with_constant and args.eval_s is None:
+        raise CliError("--with-constant requires --eval-s")
+    if args.eval_s is not None:
+        s0 = _reject_divergent(args.eval_s, exponents)
+        if args.with_constant and s0 > MAX_CONSTANT_S:
+            raise CliError("--with-constant needs s <= %d: G(s+1)^2/G(2s+1) "
+                           "leaves the float range beyond it" % MAX_CONSTANT_S)
+    try:
+        if args.variant == "Z":
             rf = limiting_moment(orders, exponents)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    else:
-        # V-variant leading coefficients are wired through the closed-form
-        # second-moment product: single order n with exponent 2 only.
-        if len(orders) != 1 or exponents != [2]:
-            raise CliError("variant V supports a single order with exponent 2")
-        rf = oracle_second_moment_V(orders[0])
+        else:
+            # V-variant leading coefficients are wired through the closed-form
+            # second-moment product: single order n with exponent 2 only.
+            if len(orders) != 1 or exponents != [2]:
+                raise CliError("variant V supports a single order with exponent 2")
+            rf = oracle_second_moment_V(orders[0])
+    except ValueError as exc:
+        raise CliError(str(exc))
     result = {
         "variant": args.variant,
         "orders": orders,
@@ -231,8 +250,6 @@ def cmd_leading_coeff(args, started):
             const = keating_snaith_constant(s0) * 2.0 ** (-float(S))
             result["constant"] = const
             result["value_with_constant"] = const * float(value)
-    elif args.with_constant:
-        raise CliError("--with-constant requires --eval-s")
     _summary("leading-coeff %s orders=%s exponents=%s -> %s"
              % (args.variant, orders, exponents, result["rational"]["repr"]))
     return result, EXIT_OK
@@ -256,6 +273,8 @@ def cmd_finite_moment(args, started):
                        "use mc-estimate for others")
     if not pairs:
         raise CliError("at least one non-'_' exponent is required")
+    if args.eval_s is not None:
+        _reject_divergent(args.eval_s, [e for _, e in pairs])
     try:
         spec = MomentSpec(orders=[n for n, _ in pairs],
                           exponents=[int(e) for _, e in pairs],
@@ -338,12 +357,17 @@ def cmd_quadrature(args, started):
 
     if args.N < 1:
         raise CliError("--N must be >= 1")
-    P = _parse_poly(args.poly, args.N)
     try:
+        P = _parse_poly(args.poly, args.N)
         value = quadrature_expectation(args.N, args.s, P,
                                        nodes_per_dim=args.nodes)
     except ValueError as exc:
         raise CliError(str(exc))
+    except OverflowError:
+        raise CliError("a coefficient of --poly is beyond the float range")
+    except ArithmeticError:
+        raise CliError("quadrature did not converge to the 1e-10 target with "
+                       "--nodes %d; increase --nodes" % args.nodes)
     result = {"N": args.N, "s": args.s, "poly": args.poly,
               "nodes_per_dim": args.nodes, "value": value}
     try:
@@ -369,21 +393,21 @@ def cmd_painleve(args, started):
         if args.N is None or args.N < 1:
             raise CliError("p5-finite requires --N >= 1")
         tau = tau_finiteN(args.N, args.s)
-        res = painleve5_residual(tau)
+        res = painleve5_residual(tau, args.N, args.s)
         zero = res.is_zero()
         result = {
             "mode": args.mode,
             "N": args.N,
             "s": args.s,
             "residual_zero": zero,
-            "tau": _ratfun_json(tau.ratfun),
+            "tau": _ratfun_json(tau),
         }
         _summary("painleve p5-finite N=%d s=%d residual_zero=%s"
                  % (args.N, args.s, zero))
         return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED)
     order = args.series_order
     tau = tau_limit(args.s, K=order + 4)
-    res = sigma_p3_residual(tau)
+    res = sigma_p3_residual(tau, args.s)
     coeffs = _series_json(res, through=order)
     zero = all(c == "0/1" for c in coeffs)
     result = {
@@ -392,8 +416,8 @@ def cmd_painleve(args, started):
         "series_order": order,
         "residual_coefficients": coeffs,
         "residual_zero_through_order": zero,
-        "tau_series": _series_json(tau.series, through=order),
-        "tau_leading_coefficient": rat_to_str(tau.series[2]),
+        "tau_series": _series_json(tau, through=order),
+        "tau_leading_coefficient": rat_to_str(tau[2]),
     }
     _summary("painleve p3-limit s=%d zero through order %d: %s"
              % (args.s, order, zero))

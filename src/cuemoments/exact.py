@@ -26,10 +26,6 @@ def rat_to_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def rat_from_str(s):
-    return Fraction(s)
-
-
 class Poly:
     """Dense univariate polynomial with Fraction coefficients, ascending order.
 

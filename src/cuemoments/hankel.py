@@ -65,19 +65,6 @@ def theta_scaled(m, N, s):
     return theta(m, N, s).scale_arg(Fraction(1, N))
 
 
-class ThetaFamily:
-    """Immutable table of theta_m (the Polys after e^{-t}) for m = 0..m_max
-    at fixed (N, s)."""
-
-    def __init__(self, N, s, m_max):
-        self.N = N
-        self.s = s
-        self.table = [theta(m, N, s) for m in range(m_max + 1)]
-
-    def __getitem__(self, m):
-        return self.table[m]
-
-
 def theta_derivative_residual(m, N, s):
     """d theta_m/dt - (theta_m - 2 theta_{m+1}): the Poly after e^{-t};
     identically zero."""
@@ -199,20 +186,18 @@ def hankel_derivative_column_rule(N, s, parts):
     return _column_sum(A, B)
 
 
-def trace_adjugate(N, s, parts, h, weighted=False, t0=None):
+def trace_adjugate(N, s, parts, h, weighted=False):
     """Psi_{N,lambda,h} = Tr[adj(A_{N,lambda}) A_{N,S_h lambda}] at t_rest = 0
     (weighted: the shifted matrix entries multiplied by their index
-    i+j+(S_h lambda)_{N-j}): the Poly after e^{-Nt}; with t0 given, its exact
-    rational value at t0."""
+    i+j+(S_h lambda)_{N-j}): the Poly after e^{-Nt}."""
     parts = tuple(parts)
     if len(parts) > N:
-        out = Poly()
-    else:
-        def entry(g):
-            return g * theta(g, N, s) if weighted else theta(g, N, s)
-        B = _shifted_matrix(entry, N, _shifts(parts, N, h))
-        out = _column_sum(_theta_poly_matrix(N, s, parts), B)
-    return out.eval(Fraction(t0)) if t0 is not None else out
+        return Poly()
+
+    def entry(g):
+        return g * theta(g, N, s) if weighted else theta(g, N, s)
+    B = _shifted_matrix(entry, N, _shifts(parts, N, h))
+    return _column_sum(_theta_poly_matrix(N, s, parts), B)
 
 
 def alternating_sum_residual(N, s, l):
@@ -350,10 +335,6 @@ class MultiSeries:
                 if not v.is_zero():
                     self.terms[tuple(e)] = v
 
-    @staticmethod
-    def zero(nv, cap):
-        return MultiSeries(nv, cap)
-
     def _check(self, other):
         if self.nv != other.nv or self.cap != other.cap:
             raise ValueError("incompatible MultiSeries shapes")
@@ -468,11 +449,9 @@ def psi_multiseries(N, s, gamma, k, cap):
     return MultiSeries(nv, cap, cap, terms, Fraction(1, N))
 
 
-def _psi_matrix_ms(N, s, parts, k, cap, h=0, weighted=False):
-    def entry(g):
-        ms = psi_multiseries(N, s, g, k, cap)
-        return ms.scal(g) if weighted else ms
-    return _shifted_matrix(entry, N, _shifts(parts, N, h))
+def _psi_matrix_ms(N, s, parts, k, cap, h=0):
+    return _shifted_matrix(lambda g: psi_multiseries(N, s, g, k, cap), N,
+                           _shifts(parts, N, h))
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,17 +460,17 @@ def Psi_ms(N, s, parts, k, cap):
     decay 1; zero for partitions with more than N parts."""
     parts = tuple(parts)
     if len(parts) > N:
-        return MultiSeries.zero(k - 1, cap)
+        return MultiSeries(k - 1, cap)
     return det_perm(_psi_matrix_ms(N, s, parts, k, cap))
 
 
-def Psi_trace_ms(N, s, parts, h, k, cap, weighted=False):
-    """Boldface Psi_{N,lambda,h} (and weighted variant) as a MultiSeries."""
+def Psi_trace_ms(N, s, parts, h, k, cap):
+    """Boldface Psi_{N,lambda,h} as a MultiSeries."""
     parts = tuple(parts)
     if len(parts) > N:
-        return MultiSeries.zero(k - 1, cap)
+        return MultiSeries(k - 1, cap)
     A = _psi_matrix_ms(N, s, parts, k, cap)
-    B = _psi_matrix_ms(N, s, parts, k, cap, h=h, weighted=weighted)
+    B = _psi_matrix_ms(N, s, parts, k, cap, h=h)
     return _column_sum(A, B)
 
 
@@ -617,12 +596,12 @@ def _matvec(M, vec):
     rows = len(M)
     cols = len(M[0])
     if len(vec) == cols - 1:
-        vec = list(vec) + [MultiSeries.zero(vec[0].nv, vec[0].cap)]
+        vec = list(vec) + [MultiSeries(vec[0].nv, vec[0].cap)]
     if len(vec) != cols:
         raise ValueError("matrix width %d vs vector length %d" % (cols, len(vec)))
     out = []
     for i in range(rows):
-        acc = MultiSeries.zero(vec[0].nv, vec[0].cap)
+        acc = MultiSeries(vec[0].nv, vec[0].cap)
         for j in range(cols):
             if M[i][j]:
                 acc = acc + vec[j].scal(M[i][j])
@@ -637,7 +616,7 @@ def _matvec(M, vec):
 def _vec_Psi(N, s, b, p, r, k, cap):
     """The vector (Psi_{lambda_{b,p}},...,Psi_{lambda_{b,b}}, 0^r)."""
     entries = [Psi_ms(N, s, partition_kq(b, q), k, cap) for q in range(p, b + 1)]
-    entries += [MultiSeries.zero(k - 1, cap)] * r
+    entries += [MultiSeries(k - 1, cap)] * r
     return entries
 
 
@@ -663,7 +642,7 @@ def _diffmul(ms, p, q):
     return first - ms.mul_tq(q, q)
 
 
-def verify_vector_recursion(l, k, N, s, t0=Fraction(1), cap=3, perturb=False):
+def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
     """Exact residual of the vector recursion for Psi^{(0)}[l;1], with the
     identity multiplied through by 2(t_1+t_2) to clear denominators.
 
@@ -672,16 +651,18 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), cap=3, perturb=False):
     t_1 = t0; a residual of 0 also certifies that every validated coefficient
     polynomial vanishes identically.
     perturb=True deliberately corrupts one Q_2 entry (negative control).
+    The series are truncated at total degree 3 in t_2..t_k.
     """
     if l < 3 or k < 2:
         raise ValueError("l >= 3 and k >= 2 required")
+    cap = 3
     mats = appendix_matrices(l, k, N, s)
     B = mats["B"]
     if perturb:
         Q2 = [row[:] for row in mats["Q2"]]
         Q2[0][0] = Q2[0][0] + 1
         mats = dict(mats, Q2=Q2)
-    zero = MultiSeries.zero(k - 1, cap)
+    zero = MultiSeries(k - 1, cap)
 
     def vsum(a, b):
         return [x + y for x, y in zip(a, b)]

@@ -6,7 +6,6 @@ equations, and fractional moments via the cosine-integral identity.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
@@ -26,21 +25,22 @@ def barnes_G_int(n):
     return g
 
 
-def barnes_G(z):
-    """Barnes G-function for z > 0: exact recurrence at integers, otherwise the
-    Weierstrass-type product for G(1+w) with an Euler-Maclaurin tail estimate."""
+def log_barnes_G(z):
+    """log G(z) for z > 0: exact recurrence at integers, otherwise the
+    Weierstrass-type product for G(1+w) with an Euler-Maclaurin tail estimate.
+    Finite also where G(z) itself overflows a float."""
     if z <= 0:
         raise ValueError("z > 0 required")
     if abs(z - round(z)) < 1e-13:
-        return float(barnes_G_int(int(round(z))))
+        return math.log(barnes_G_int(int(round(z))))
     # reduce to G(1+w) with w in (0,1) via G(z+1) = Gamma(z) G(z)
     w = z - 1.0
-    gamma_factor = 1.0
+    log_g = 0.0
     while w > 1.0:
         w -= 1.0
-        gamma_factor *= math.gamma(w + 1.0)
+        log_g += math.lgamma(w + 1.0)
     J = 200000
-    log_g = (w / 2.0) * math.log(2.0 * math.pi) - (w + w * w * (1.0 + EULER_GAMMA)) / 2.0
+    log_g += (w / 2.0) * math.log(2.0 * math.pi) - (w + w * w * (1.0 + EULER_GAMMA)) / 2.0
     acc = 0.0
     for j in range(1, J + 1):
         acc += j * math.log1p(w / j) - w + w * w / (2.0 * j)
@@ -50,7 +50,14 @@ def barnes_G(z):
         k = m - 1
         zeta_tail = J ** (1 - k) / (k - 1) + J ** (-k) / 2.0
         log_g += (-1) ** (m + 1) * w ** m / m * zeta_tail
-    return gamma_factor * math.exp(log_g)
+    return log_g
+
+
+def barnes_G(z):
+    """Barnes G-function for z > 0, exact at integers."""
+    if z > 0 and abs(z - round(z)) < 1e-13:
+        return float(barnes_G_int(int(round(z))))
+    return math.exp(log_barnes_G(z))
 
 
 def _g_series(nu, order):
@@ -84,23 +91,12 @@ def phi_series(s, K=DEFAULT_SERIES_ORDER):
     return phi
 
 
-@dataclass
-class TauFunction:
-    """t * d/dt log of a characteristic function: either an exact rational
-    function of t (finite size N) or a truncated power series (limit case)."""
-    kind: str              # "exact" or "series"
-    s: int
-    N: object              # integer or "limit"
-    ratfun: object = None  # RationalFunction of t when kind == "exact"
-    series: object = None  # PowerSeries when kind == "series"
-
-
 def tau_limit(s, K=DEFAULT_SERIES_ORDER):
-    """tau^{(s)}(t) = t d/dt log phi_s(t/2), as a series."""
+    """tau^{(s)}(t) = t d/dt log phi_s(t/2), as a PowerSeries."""
     phi = phi_series(s, K)
     tau = series_logderiv(phi.scale_arg(Fraction(1, 2)))
     assert tau[0] == 0 and tau[1] == 0
-    return TauFunction(kind="series", s=s, N="limit", series=tau)
+    return tau
 
 
 def _mul_t(f):
@@ -117,7 +113,7 @@ def _residual_poly(tau, s, n2, sn):
     polynomials with no gcd; P != 0, so the Poly is zero exactly when the
     residual is.
     """
-    A, P = tau.ratfun.num, tau.ratfun.den
+    A, P = tau.num, tau.den
     t = Poly.x()
     dP = P.derivative()
     B = A.derivative() * P - A * dP
@@ -132,27 +128,24 @@ def _residual_poly(tau, s, n2, sn):
     return res + (k - n2 * A) * A * P3 * P
 
 
-def sigma_p3_residual(tau):
+def sigma_p3_residual(tau, s):
     """(t tau'')^2 + 4t(tau')^3 - (4s^2+4tau)(tau')^2 - t tau' + tau.
 
-    Vanishes identically for the limiting tau function. A series tau gives
-    the residual as a PowerSeries; an exact tau = A/P gives P^6 times the
-    residual as a Poly.
+    Vanishes identically for the limiting tau function. A PowerSeries tau
+    gives the residual as a PowerSeries; a RationalFunction tau = A/P gives
+    P^6 times the residual as a Poly.
     """
-    s = tau.s
-    if tau.kind == "series":
-        f = tau.series
-        d1 = f.derivative()
+    if isinstance(tau, PowerSeries):
+        d1 = tau.derivative()
         d2 = d1.derivative()
         td2 = _mul_t(d2)
-        res = (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
-               - (4 * s * s + 4 * f) * d1 * d1 - _mul_t(d1) + f)
-        return res
+        return (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
+                - (4 * s * s + 4 * tau) * d1 * d1 - _mul_t(d1) + tau)
     return _residual_poly(tau, s, 0, 0)
 
 
 def tau_finiteN(N, s):
-    """Finite-size tau function, exact rational in t.
+    """Finite-size tau function, a RationalFunction of t.
 
     With P the polynomial part (after e^{-Nt}) of the size-N Hankel
     determinant of the theta family, tau_N(t) = -t/2 + t P1'(t)/P1(t) where
@@ -161,20 +154,16 @@ def tau_finiteN(N, s):
     P1 = hankel_det(N, s, ()).scale_arg(Fraction(1, 2 * N))
     t_poly = Poly((0, 1))
     num = t_poly * P1.derivative() - Fraction(1, 2) * t_poly * P1
-    return TauFunction(kind="exact", s=s, N=N, ratfun=RationalFunction(num, P1))
+    return RationalFunction(num, P1)
 
 
-def painleve5_residual(tau, N=None, s=None):
+def painleve5_residual(tau, N, s):
     """(t tau'')^2 + 4t(tau')^3 - (4s^2+4tau+t^2/N^2)(tau')^2
     - t(1+2s/N-2tau/N^2) tau' + (1+2s/N-tau/N^2) tau, exact.
 
     Returns P^6 times the residual as a Poly, where P is the (monic)
     denominator of tau; identically zero for tau_finiteN(N, s).
     """
-    if N is None:
-        N = tau.N
-    if s is None:
-        s = tau.s
     return _residual_poly(tau, s, Fraction(1, N * N), Fraction(2 * s, N))
 
 

@@ -64,10 +64,8 @@ def a_coeff(n, l, N):
 
     Zero when n - l is odd. Exact integer, memoised per (n, l, N).
     """
-    if not (0 <= l <= n):
-        raise ValueError("need 0 <= l <= n")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    if N < 1 or not (0 <= l <= min(n, N)):
+        raise ValueError("need N >= 1 and 0 <= l <= min(n, N)")
     if (n - l) % 2:
         return 0
     f = PowerSeries([1], n)
@@ -75,12 +73,8 @@ def a_coeff(n, l, N):
     ch = _cosh_series(n)
     for _ in range(l):
         f = f * sh
-    if N - l >= 0:
-        for _ in range(N - l):
-            f = f * ch
-    else:
-        for _ in range(l - N):
-            f = f / ch
+    for _ in range(N - l):
+        f = f * ch
     val = (-1) ** ((n + l) // 2) * math.factorial(n) * f[n]
     assert val.denominator == 1
     return int(val)
@@ -110,37 +104,16 @@ def a_coeff_bruteforce(n, l, N):
     return (-1) ** ((n + l) // 2) * total
 
 
-class ACoeffTable:
-    """Table of a_{n,l}(N) for 0 <= l <= n <= n_max."""
-
-    def __init__(self, N, n_max):
-        self.N = N
-        self.entries = [[a_coeff(n, l, N) for l in range(n + 1)]
-                        for n in range(n_max + 1)]
-
-    def __getitem__(self, nl):
-        n, l = nl
-        return self.entries[n][l]
-
-
-class XiPoly:
-    """Xi_n at arity N: sum_l a_{n,l} e_l(x_1..x_N) as a SymPoly."""
-
-    def __init__(self, n, N, poly):
-        self.n = n
-        self.N = N
-        self.poly = poly
-
-
 def xi_poly(n, N):
+    """Xi_n at arity N: sum_l a_{n,l} e_l(x_1..x_N) as a SymPoly."""
+    if n == 0:
+        return SymPoly.const(N, 1)
     total = SymPoly(N)
     for l in range(0, min(n, N) + 1):
         a = a_coeff(n, l, N)
         if a:
             total = total + a * elementary(l, N)
-    if n == 0:
-        total = SymPoly.const(N, 1)
-    return XiPoly(n, N, total)
+    return total
 
 
 def newton_convert(values, direction):
@@ -198,7 +171,7 @@ def v_variant_integrand(orders, exponents, N):
         im = SymPoly(N)
         for m in range(n + 1):
             coeff = math.comb(n, m) * N ** m
-            xi = xi_poly(n - m, N).poly
+            xi = xi_poly(n - m, N)
             if m % 2 == 0:
                 re = re + ((-1) ** (m // 2) * coeff) * xi
             else:

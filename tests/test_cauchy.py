@@ -222,3 +222,8 @@ class TestKeatingSnaith:
     def test_half_integer_positive(self):
         v = keating_snaith_constant(0.5)
         assert v == pytest.approx(1.1432370737066495, rel=1e-8)
+
+    def test_float_route_where_G_overflows(self):
+        # G(30) alone is beyond the float range; the ratio is not
+        v = keating_snaith_constant(14.5)
+        assert v == pytest.approx(1.1516889949708206e-234, rel=1e-9)

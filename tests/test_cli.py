@@ -1,10 +1,14 @@
 """Tests for the command-line interface: output structure, schema
 validation, exit codes, seeding, and manifest reproducibility."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuemoments.cli import main
 
@@ -233,6 +237,18 @@ class TestPainleve:
         capsys.readouterr()
         assert code == 2
 
+    # digests recorded while tau was still wrapped in a TauFunction
+    @pytest.mark.parametrize("argv,digest", [
+        (["--mode", "p5-finite", "--N", "2", "--s", "2"],
+         "7ecba0de75e5528c6c66d1eb25e70c3300d49157d9ac5828a5778530d202bc7a"),
+        (["--mode", "p3-limit", "--s", "2", "--series-order", "8"],
+         "0d704147b930a23a045787bbe34ba629322c84b70469809cef11598333754c0c"),
+    ])
+    def test_output_digest_pinned(self, capsys, argv, digest):
+        code, doc, _ = run_cli(capsys, "painleve", *argv)
+        assert code == 0
+        assert doc["manifest"]["output_digest"] == digest
+
 
 class TestHankelVerify:
     def test_defaults_all_pass(self, capsys, schema):
@@ -293,6 +309,20 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     _MC + ["--orders", "1", "--exponents", "0"],
     _MC + ["--orders", "1", "--exponents", "-2"],
     ["quadrature", "--N", "0", "--s", "2", "--poly", "x1^2"],
+    ["quadrature", "--N", "2", "--s", "2", "--poly", "x1^2", "--nodes", "4"],
+    ["leading-coeff", "--orders", "2,-1", "--exponents", "2,2", "--variant", "Z"],
+    ["leading-coeff", "--orders", "1,2", "--exponents", "2,2", "--variant", "Z"],
+    ["leading-coeff", "--orders", "1,1", "--exponents", "2,4", "--variant", "Z"],
+    # found by the fuzz below or by a sweep of its malformed tokens
+    ["leading-coeff", "--orders", "1", "--exponents", "1/0", "--variant", "Z"],
+    ["leading-coeff", "--orders", "-1", "--exponents", "2", "--variant", "V"],
+    ["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z",
+     "--eval-s", "1e400", "--with-constant"],
+    ["finite-moment", "--N", "1", "--orders", "1", "--exponents", "1e400", "--variant", "Z"],
+    _MC + ["--orders", "1", "--exponents", "2", "--proposal-scale", "1e400"],
+    ["quadrature", "--N", "1", "--s", "2", "--poly", "1e400*x1^2"],
+    ["quadrature", "--N", "2", "--s", "100000", "--poly", "x1^2"],
+    ["quadrature", "--N", "10", "--s", "2", "--poly", "x1^2"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
@@ -316,6 +346,23 @@ def test_divergent_moment_exit_2(capsys, argv, bound):
     assert code == 2
     assert set(doc) == {"error", "exit_code"}
     assert "diverges" in doc["error"] and "= %s;" % bound in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--with-constant"],
+    ["--eval-s", "1"],
+])
+def test_usage_error_rejected_before_engine(capsys, monkeypatch, argv):
+    from cuemoments import cli
+
+    def engine(*args):
+        pytest.fail("the engine ran on a query that is invalid up front")
+
+    monkeypatch.setattr(cli, "limiting_moment", engine)
+    code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", "2,1",
+                           "--exponents", "2,2", "--variant", "Z", *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,3 +392,63 @@ def test_manifest_structure(capsys, schema):
     assert man["version"]
     assert man["wall_time_s"] >= 0
     assert len(man["output_digest"]) == 64
+
+
+# Malformed tokens that every option of the fuzz below may receive.
+_MALFORMED = ["-1", "1,2", "1,1", "_", "3/2", "abc", "1/0", "1e400"]
+# Per subcommand, each option's well-formed values (None for a flag). A
+# well-formed query stays cheap: moment degree L <= 4, N <= 2, at most 100
+# samples in 2 chains, 16 quadrature nodes, and series order 8. An option is
+# left out one time in eight, except those in _ALWAYS (their defaults are
+# expensive), and takes a malformed token one time in eight.
+_FUZZ = {
+    "leading-coeff": {"--orders": ["1", "2", "2,0"], "--exponents": ["2", "4", "2,2"],
+                      "--variant": ["Z", "V"], "--eval-s": ["1", "5/2", "1/4", "3"],
+                      "--with-constant": None},
+    "finite-moment": {"--N": ["1", "2"], "--orders": ["1", "2", "1,0"],
+                      "--exponents": ["2", "2,_", "2,2"], "--variant": ["Z", "V"],
+                      "--eval-s": ["1", "5/2", "1/4", "3"]},
+    "mc-estimate": {"--N": ["1", "2"], "--s": ["2", "5/2", "1/4", "3"],
+                    "--orders": ["1", "2", "2,1"], "--exponents": ["2", "1", "0.5", "2,2"],
+                    "--variant": ["Z", "V"], "--seed": ["0", "7"],
+                    "--chains": ["1", "2"], "--samples": ["64", "100"],
+                    "--burn-in": ["10", "50"], "--thin": ["1", "2"],
+                    "--proposal-scale": ["1", "1e9"]},
+    "quadrature": {"--N": ["1", "2"], "--s": ["1", "2", "3"],
+                   "--poly": ["x1^2", "x1^2*x2^2", "1", "x2", "x1^4", "x1^2 + 1/2*x2"],
+                   "--nodes": ["4", "8", "16"]},
+    "painleve": {"--mode": ["p5-finite", "p3-limit"], "--N": ["1", "2"],
+                 "--s": ["1", "2"], "--series-order": ["0", "4", "8"]},
+    "hankel-verify": {"--l": ["3", "4"], "--k": ["2", "3"], "--N": ["1", "2"],
+                      "--s": ["1", "2"], "--t": ["1", "5/2"], "--perturb": None},
+}
+_ALWAYS = {"mc-estimate": ("--chains", "--samples"), "painleve": ("--series-order",)}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    argv = [command]
+    for option, values in _FUZZ[command].items():
+        roll = draw(st.integers(0, 7))
+        if roll == 0 and option not in _ALWAYS.get(command, ()):
+            continue
+        argv.append(option)
+        if values is not None:
+            argv.append(draw(st.sampled_from(_MALFORMED if roll == 1 else values)))
+    return argv
+
+
+def _not_json(token):
+    raise AssertionError("%s is not a JSON value" % token)
+
+
+@given(_argv())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_with_one_json_document(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    doc = json.loads(out.getvalue(), parse_constant=_not_json)
+    assert ("error" in doc) == (code == 2)

@@ -79,7 +79,7 @@ class TestSampler:
         vals = batch.draws[:, 0] ** 2
         est, stderr = batch.ess, None  # ess checked below separately
         from cuemoments.mc import _block_stats
-        est, stderr = _block_stats(vals, 32)
+        est, stderr = _block_stats(vals)
         assert abs(est - 1 / 3) < 4 * stderr
         assert batch.ess(vals) > 50
 
@@ -135,8 +135,7 @@ class TestQuadrature:
 class TestAsymptoticsTable:
     def test_exact_engine_columns(self):
         spec = MomentSpec(orders=(2,), exponents=(2,), variant="Z", size=None)
-        table = dict(asymptotics_table(spec, [1, 2], engine="exact",
-                                       s_value=Fraction(2)))
+        table = dict(asymptotics_table(spec, [1, 2], s_value=Fraction(2)))
         # finite rows hold the value divided by N^{sum 2 h n}; the limit row
         # carries the 2^{-sum 2 h n} normalization of the limiting moment
         assert table[1] == Fraction(1, 16)

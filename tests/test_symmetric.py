@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cuemoments.sympoly import SymPoly
 from cuemoments.symfunc import (
-    ACoeffTable,
     a_coeff,
     a_coeff_bruteforce,
     elementary,
@@ -141,9 +140,10 @@ class TestACoeff:
                 if (n - l) % 2:
                     assert a_coeff(n, l, 6) == 0
 
-    def test_table(self):
-        table = ACoeffTable(3, 4)
-        assert table[(4, 2)] == a_coeff(4, 2, 3)
+    def test_rejects_l_above_N(self):
+        # l > N lies outside sinh^l cosh^{N-l}: rejected, not divided by cosh
+        with pytest.raises(ValueError):
+            a_coeff(4, 4, 3)
 
     def test_first_derivative_row(self):
         # n = 1: a_{1,1} = -1 for every N
@@ -160,13 +160,13 @@ class TestACoeff:
 class TestXiPoly:
     def test_arity1_second_derivative(self):
         # At arity 1 only l in {0, 1} contribute: Xi_2 = a_{2,0}(1) = -1
-        assert xi_poly(2, 1).poly == SymPoly.const(1, -1)
+        assert xi_poly(2, 1) == SymPoly.const(1, -1)
 
     def test_order_zero_is_one(self):
-        assert xi_poly(0, 3).poly == SymPoly.const(3, 1)
+        assert xi_poly(0, 3) == SymPoly.const(3, 1)
 
     def test_order_one_is_minus_e1(self):
-        assert xi_poly(1, 3).poly == -elementary(1, 3)
+        assert xi_poly(1, 3) == -elementary(1, 3)
 
 
 class TestNewtonConvert:

@@ -22,7 +22,7 @@ from .hankel import (
     MultiSeries,
     appendix_matrices,
     exp_derivative,
-    expansion_coeff,
+    expansion_coeff_multinomial,
     hankel_det,
     mixed_derivative,
     normalized_L,

@@ -144,10 +144,10 @@ def _reject_divergent(text, exponents):
     return s0
 
 
-def _evaluate(rf, text, exponents, result):
-    """Evaluate rf at the rational s given by text into result, with exit 2
-    at a pole or outside the convergence domain; returns (s, value)."""
-    s0 = _parse_rational(text)
+def _evaluate(rf, s0, exponents, result):
+    """Evaluate rf at the rational s0 (from _reject_divergent) into result,
+    with exit 2 at a pole or outside the convergence domain; returns the
+    value."""
     try:
         value = rf.eval(s0)
     except ZeroDivisionError:
@@ -156,7 +156,7 @@ def _evaluate(rf, text, exponents, result):
     result["eval_s"] = rat_to_str(s0)
     result["value"] = rat_to_str(value)
     result["value_float"] = float(value)
-    return s0, value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _summary(text):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_leading_coeff(args, started):
+def cmd_leading_coeff(args):
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
     if any(e is None for e in exponents):
@@ -242,7 +242,7 @@ def cmd_leading_coeff(args, started):
         "rational": _ratfun_json(rf),
     }
     if args.eval_s is not None:
-        s0, value = _evaluate(rf, args.eval_s, exponents, result)
+        value = _evaluate(rf, s0, exponents, result)
         if args.with_constant:
             # Multiply by G(s+1)^2/G(2s+1) and the 2^{-2 sum h_j n_j}
             # prefactor of the full leading-order coefficient.
@@ -255,7 +255,9 @@ def cmd_leading_coeff(args, started):
     return result, EXIT_OK
 
 
-def cmd_finite_moment(args, started):
+def cmd_finite_moment(args):
+    if args.N < 1:
+        raise CliError("--N must be >= 1")
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
     if len(orders) != len(exponents):
@@ -274,7 +276,7 @@ def cmd_finite_moment(args, started):
     if not pairs:
         raise CliError("at least one non-'_' exponent is required")
     if args.eval_s is not None:
-        _reject_divergent(args.eval_s, [e for _, e in pairs])
+        s0 = _reject_divergent(args.eval_s, [e for _, e in pairs])
     try:
         spec = MomentSpec(orders=[n for n, _ in pairs],
                           exponents=[int(e) for _, e in pairs],
@@ -290,13 +292,13 @@ def cmd_finite_moment(args, started):
         "rational": _ratfun_json(rf),
     }
     if args.eval_s is not None:
-        _evaluate(rf, args.eval_s, spec.exponents, result)
+        _evaluate(rf, s0, spec.exponents, result)
     _summary("finite-moment N=%d %s -> %s"
              % (args.N, args.variant, result["rational"]["repr"]))
     return result, EXIT_OK
 
 
-def cmd_mc_estimate(args, started):
+def cmd_mc_estimate(args):
     from .mc import ChainConfig, _block_stats, joint_moment_values, sample_hp
 
     orders = _parse_int_list(args.orders)
@@ -313,12 +315,13 @@ def cmd_mc_estimate(args, started):
                              burn_in=args.burn_in, samples=args.samples,
                              thin=args.thin, proposal_scale=args.proposal_scale,
                              seed=args.seed)
+        _check_domain(s, exponents)
+        # e.g. numpy's "Maximum allowed dimension exceeded" for a huge --samples
+        batch = sample_hp(config)
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
-    _check_domain(s, exponents)
     # result and manifest report an integral s as an int, any other as a float
     args.s = int(s) if s.denominator == 1 else float(s)
-    batch = sample_hp(config)
     seeds = {"seed": config.seed, "chains": config.chains}
     if batch.flagged:
         result = {
@@ -352,7 +355,7 @@ def cmd_mc_estimate(args, started):
     return result, EXIT_OK, seeds
 
 
-def cmd_quadrature(args, started):
+def cmd_quadrature(args):
     from .mc import quadrature_expectation
 
     if args.N < 1:
@@ -381,7 +384,7 @@ def cmd_quadrature(args, started):
     return result, EXIT_OK
 
 
-def cmd_painleve(args, started):
+def cmd_painleve(args):
     from .painleve import (painleve5_residual, sigma_p3_residual, tau_finiteN,
                            tau_limit)
 
@@ -424,7 +427,7 @@ def cmd_painleve(args, started):
     return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED)
 
 
-def cmd_hankel_verify(args, started):
+def cmd_hankel_verify(args):
     from .exact import Poly
     from .hankel import (alternating_sum_residual, cor_relation_residuals,
                          initial_condition_residuals, theta_derivative_residual,
@@ -585,7 +588,7 @@ def main(argv=None):
         started = time.monotonic()
         if args.command == "mc-estimate" and args.seed is None:
             args.seed = _default_seed()
-        out = args.func(args, started)
+        out = args.func(args)
     except CliError as exc:
         json.dump({"error": str(exc), "exit_code": exc.code}, sys.stdout)
         sys.stdout.write("\n")

@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import Poly, RationalFunction
+from .exact import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +141,11 @@ def partition_kq(k, q):
     return (k - q + 1,) + (1,) * (q - 1)
 
 
-def _shifts(parts, N, h=0):
-    """Column shifts lambda_{N-j} + h (j = 0..N-1) of the partition padded
-    with zeros to length N."""
+def _matrix(entry, N, parts, h=0):
+    """The N x N matrix [entry(i + j + lambda_{N-j} + h)], the partition
+    padded with zeros to length N."""
     pp = list(parts) + [0] * (N - len(parts))
-    return [pp[N - j - 1] + h for j in range(N)]
-
-
-def _shifted_matrix(entry, N, shifts):
-    """The N x N matrix [entry(i + j + shifts[j])]."""
-    return [[entry(i + j + shifts[j]) for j in range(N)] for i in range(N)]
+    return [[entry(i + j + pp[N - j - 1] + h) for j in range(N)] for i in range(N)]
 
 
 def _column_sum(A, B):
@@ -164,7 +159,7 @@ def _column_sum(A, B):
 
 
 def _theta_poly_matrix(N, s, parts):
-    return _shifted_matrix(lambda g: theta(g, N, s), N, _shifts(parts, N))
+    return _matrix(lambda g: theta(g, N, s), N, parts)
 
 
 def hankel_det(N, s, parts):
@@ -181,22 +176,17 @@ def hankel_derivative_column_rule(N, s, parts):
     The Poly after e^{-Nt}; each replaced column already carries the
     derivative of its e^{-t} factor."""
     A = _theta_poly_matrix(N, s, parts)
-    B = _shifted_matrix(lambda g: theta(g, N, s) - 2 * theta(g + 1, N, s),
-                        N, _shifts(parts, N))
+    B = _matrix(lambda g: theta(g, N, s) - 2 * theta(g + 1, N, s), N, parts)
     return _column_sum(A, B)
 
 
-def trace_adjugate(N, s, parts, h, weighted=False):
-    """Psi_{N,lambda,h} = Tr[adj(A_{N,lambda}) A_{N,S_h lambda}] at t_rest = 0
-    (weighted: the shifted matrix entries multiplied by their index
-    i+j+(S_h lambda)_{N-j}): the Poly after e^{-Nt}."""
+def trace_adjugate(N, s, parts, h):
+    """Psi_{N,lambda,h} = Tr[adj(A_{N,lambda}) A_{N,S_h lambda}] at t_rest = 0:
+    the Poly after e^{-Nt}."""
     parts = tuple(parts)
     if len(parts) > N:
         return Poly()
-
-    def entry(g):
-        return g * theta(g, N, s) if weighted else theta(g, N, s)
-    B = _shifted_matrix(entry, N, _shifts(parts, N, h))
+    B = _matrix(lambda g: theta(g, N, s), N, parts, h)
     return _column_sum(_theta_poly_matrix(N, s, parts), B)
 
 
@@ -209,25 +199,15 @@ def alternating_sum_residual(N, s, l):
     return trace_adjugate(N, s, (), l) - rhs
 
 
-def fit_weighted_alpha(N, s):
-    """Solve the weighted alternating identity
-    Psi^{(w)}_{N,empty,l} = sum_j (-1)^{j-1}(2N-2j+l+alpha) Psi_{N,lambda_{l,j}}
-    for the unexplained constant alpha at l = 1, returning it as a
-    RationalFunction of t (constant when the identity has the assumed shape)."""
-    lhs = trace_adjugate(N, s, (), 1, weighted=True)
-    base = hankel_det(N, s, partition_kq(1, 1))
-    ratio = RationalFunction(lhs, base)
-    return ratio - RationalFunction.const(2 * N - 1)
-
-
-def weighted_alternating_residual(N, s, l, alpha):
-    """Residual of the weighted alternating identity at given alpha (Poly)."""
-    lhs = trace_adjugate(N, s, (), l, weighted=True)
-    rhs = RationalFunction(Poly())
+def weighted_alternating_residual(N, s, l):
+    """Tr[adj(A_{N,empty}) B] - sum_{j=1}^l (-1)^{j-1} (2N-2j+l) Psi_{N,lambda_{l,j}},
+    where B is the l-shifted matrix with entries g theta_g (each entry
+    weighted by its index g): the Poly after e^{-Nt}; zero."""
+    B = _matrix(lambda g: g * theta(g, N, s), N, (), l)
+    rhs = Poly()
     for j in range(1, l + 1):
-        w = RationalFunction.const(2 * N - 2 * j + l) + alpha
-        rhs = rhs + (-1) ** (j - 1) * w * RationalFunction(hankel_det(N, s, partition_kq(l, j)))
-    return RationalFunction(lhs) - rhs
+        rhs = rhs + (-1) ** (j - 1) * (2 * N - 2 * j + l) * hankel_det(N, s, partition_kq(l, j))
+    return _column_sum(_theta_poly_matrix(N, s, ()), B) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +218,19 @@ def mixed_derivative(N, s, ell):
     """The mixed derivative prod_q (d/dt_q)^{ell_q} of the full Hankel
     determinant, evaluated at t_2 = ... = 0: the Poly in t_1 after e^{-Nt}.
 
-    Each single derivative d/dt_q shifts one column's theta index by q; the
-    product rule distributes the multiset of shifts over columns.
+    Read from the boldface series Psi_ms, whose prod t_q^{ell_q} coefficient
+    is the derivative / (prod ell_q! N^{sum ell_q}) in the variable t_1/N.
     """
-    shifts = []
-    for q, c in sorted(ell.items()):
-        if q < 2:
-            raise ValueError("derivative variables start at t_2")
-        shifts.extend([q] * c)
-    if len(shifts) > 12:
-        raise ValueError("combinatorial bound exceeded: sum ell_q <= 12")
-    counts = {}
-    for assign in itertools.product(range(N), repeat=len(shifts)):
-        col_shift = [0] * N
-        for q, c in zip(shifts, assign):
-            col_shift[c] += q
-        key = tuple(col_shift)
-        counts[key] = counts.get(key, 0) + 1
-    total = Poly()
-    for col_shift, mult in counts.items():
-        mat = _shifted_matrix(lambda g: theta(g, N, s), N, col_shift)
-        total = total + mult * det_poly_bareiss(mat)
-    return total
+    if any(q < 2 for q in ell):
+        raise ValueError("derivative variables start at t_2")
+    k = max(ell, default=1)
+    cap = sum(ell.values())
+    coeff = Psi_ms(N, s, (), k, cap).terms.get(
+        tuple(ell.get(q, 0) for q in range(2, k + 1)), Poly())
+    scale = N ** cap
+    for c in ell.values():
+        scale *= math.factorial(c)
+    return (scale * coeff).scale_arg(N)
 
 
 def normalized_L(N, s, ell, t0):
@@ -385,9 +356,6 @@ class MultiSeries:
     def scal(self, c):
         return self._with({e: v * c for e, v in self.terms.items()})
 
-    def mul_t1poly(self, p):
-        return self._with({e: v * p for e, v in self.terms.items()})
-
     def mul_tq(self, q, weight=1):
         """Multiply by weight * t_q."""
         idx = q - 2
@@ -450,8 +418,7 @@ def psi_multiseries(N, s, gamma, k, cap):
 
 
 def _psi_matrix_ms(N, s, parts, k, cap, h=0):
-    return _shifted_matrix(lambda g: psi_multiseries(N, s, g, k, cap), N,
-                           _shifts(parts, N, h))
+    return _matrix(lambda g: psi_multiseries(N, s, g, k, cap), N, parts, h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -630,13 +597,13 @@ def _op_d1(vec, coef_d, coef_id, N):
 
 def _mul_2t12(ms):
     """Multiply by 2(t_1 + t_2)."""
-    return ms.mul_t1poly(Poly((0, 2))) + ms.mul_tq(2, 2)
+    return ms.scal(Poly((0, 2))) + ms.mul_tq(2, 2)
 
 
 def _diffmul(ms, p, q):
     """Multiply by diff_{p,q} = p t_p - q t_q (index 1 means t_1)."""
     if p == 1:
-        first = ms.mul_t1poly(Poly((0, 1)))
+        first = ms.scal(Poly((0, 1)))
     else:
         first = ms.mul_tq(p, p)
     return first - ms.mul_tq(q, q)
@@ -692,7 +659,7 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
     # T4: (2 t_1 Q_1 + N Q_0) Psi^{(0)}[l-1;1]
     v = _vec_Psi(N, s, l - 1, 1, 0, k, cap)
     w1 = _matvec(mats["Q1"], v)
-    rhs = vsum(rhs, [e.mul_t1poly(Poly((0, 2))) for e in w1])
+    rhs = vsum(rhs, [e.scal(Poly((0, 2))) for e in w1])
     w0 = _matvec(mats["Q0"], v)
     rhs = vsum(rhs, [e.scal(N) for e in w0])
 
@@ -741,9 +708,11 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
 # ---------------------------------------------------------------------------
 
 def expansion_coeff(h, hprime, i, j):
-    """The collected coefficient a^{(i,j)}_{h_2, h_3',...,h_{k-1}', h_k} of the
-    iterated replacement expansion; h = (h_2,...,h_k), hprime = (h_3',...,
-    h_{k-1}') with k inferred from len(h).
+    """The paper's printed display for the collected coefficient
+    a^{(i,j)}_{h_2, h_3',...,h_{k-1}', h_k} of the iterated replacement
+    expansion, kept as a negative control: it agrees with the brute-force
+    expansion for k <= 3 but not beyond (use expansion_coeff_multinomial).
+    h = (h_2,...,h_k), hprime = (h_3',...,h_{k-1}') with k inferred from len(h).
 
     (i-1-j)! (-1)^{sum h' + h_k} / [(h_2+h_3')! (h_{k-1}-h_{k-1}'+h_k)!
       prod_{n=3}^{k-2} (h_n - h_n' + h_{n+1}')!]

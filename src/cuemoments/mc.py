@@ -165,42 +165,31 @@ def _block_stats(values):
     return est, stderr
 
 
-def _elementary_values(x):
-    """e_0..e_N of the coordinates, from the monic polynomial with roots x."""
-    c = np.poly(x)  # descending coefficients of prod (t - x_i)
-    signs = (-1.0) ** np.arange(len(c))
-    return signs * c  # e_k = (-1)^k c_k
-
-
-def _xi_values(x, n_max, N, table):
-    e = _elementary_values(x)
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = sum(table[(n, l)] * e[l] for l in range(min(n, N) + 1))
-    out[0] = 1.0
-    return out
-
-
 def _integrand_values(batch_draws, spec, N):
+    """Integrand of the joint-moment ratio at every draw, over the whole
+    (draws, N) array: e_0..e_N by e_k <- e_k + x_i e_{k-1}, one coordinate at
+    a time, then Xi_n = sum_l a(n, l, N) e_l."""
+    x = np.asarray(batch_draws, dtype=float)
+    e = np.zeros((N + 1, len(x)))
+    e[0] = 1.0
+    for i in range(N):
+        # the right side is built before the in-place add, so it reads the
+        # e_{k-1} of the previous coordinate
+        e[1:i + 2] += x[:, i] * e[:i + 1]
     n_max = max(spec.orders) if spec.orders else 0
-    table = {(n, l): a_coeff(n, l, N)
-             for n in range(n_max + 1) for l in range(min(n, N) + 1)}
-    pref = 2.0 ** (-float(sum(n * e for n, e in zip(spec.orders, spec.exponents))))
-    vals = np.empty(len(batch_draws))
-    for idx, x in enumerate(batch_draws):
-        xi = _xi_values(x, n_max, N, table)
-        v = 1.0
-        for n, two_h in zip(spec.orders, spec.exponents):
-            if spec.variant == "Z":
-                base = abs(xi[n])
-            else:
-                z = 0j
-                for m in range(n + 1):
-                    z += math.comb(n, m) * (-1j * N) ** m * xi[n - m]
-                base = abs(z)
-            v *= base ** float(two_h)
-        vals[idx] = pref * v
-    return vals
+    pref = 2.0 ** (-float(sum(n * h for n, h in zip(spec.orders, spec.exponents))))
+    xi = [np.ones(len(x))]
+    for n in range(1, n_max + 1):
+        xi.append(sum(float(a_coeff(n, l, N)) * e[l] for l in range(min(n, N) + 1)))
+    v = np.ones(len(x))
+    for n, two_h in zip(spec.orders, spec.exponents):
+        if spec.variant == "Z":
+            base = np.abs(xi[n])
+        else:
+            base = np.abs(sum(math.comb(n, m) * (-1j * N) ** m * xi[n - m]
+                              for m in range(n + 1)))
+        v *= base ** float(two_h)
+    return pref * v
 
 
 def joint_moment_values(batch, spec):

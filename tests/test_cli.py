@@ -323,6 +323,9 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     ["quadrature", "--N", "1", "--s", "2", "--poly", "1e400*x1^2"],
     ["quadrature", "--N", "2", "--s", "100000", "--poly", "x1^2"],
     ["quadrature", "--N", "10", "--s", "2", "--poly", "x1^2"],
+    ["finite-moment", "--N", "0", "--orders", "1", "--exponents", "2", "--variant", "Z"],
+    ["finite-moment", "--N", "-1", "--orders", "1", "--exponents", "2", "--variant", "Z"],
+    _MC + ["--orders", "1", "--exponents", "2", "--samples", "9999999999999999999999"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)

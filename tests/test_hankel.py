@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cuemoments.hankel as hk
-from cuemoments.exact import Poly, RationalFunction
+from cuemoments.exact import Poly
 from cuemoments.hankel import (
     MultiSeries,
     Psi_ms,
@@ -22,7 +22,6 @@ from cuemoments.hankel import (
     expansion_bruteforce,
     expansion_coeff,
     expansion_coeff_multinomial,
-    fit_weighted_alpha,
     hankel_derivative_column_rule,
     hankel_det,
     initial_condition_residuals,
@@ -139,23 +138,38 @@ class TestTraceAdjugate:
     @pytest.mark.parametrize("N,s", [(1, 1), (2, 2), (3, 2)])
     def test_weighted_identity_alpha_zero(self, N, s):
         # the weighted identity holds with coefficient exactly (2N - 2j + l)
-        assert fit_weighted_alpha(N, s) == RationalFunction(Poly())
         for l in range(1, 4):
-            assert weighted_alternating_residual(
-                N, s, l, RationalFunction(Poly())).is_zero()
+            assert weighted_alternating_residual(N, s, l).is_zero()
 
     def test_weighted_identity_fails_off_alpha(self):
-        # negative control: alpha = 1 breaks the identity
-        bad = weighted_alternating_residual(2, 2, 2, RationalFunction.const(1))
-        assert not bad.is_zero()
+        # negative control: the coefficient (2N - 2j + l + alpha) with
+        # alpha = 1 breaks the identity that alpha = 0 satisfies
+        N, s, l = 2, 2, 2
+        B = hk._matrix(lambda g: g * theta(g, N, s), N, (), l)
+        weighted = hk._column_sum(hk._theta_poly_matrix(N, s, ()), B)
+
+        def residual(alpha):
+            r = weighted
+            for j in range(1, l + 1):
+                r = r - ((-1) ** (j - 1) * (2 * N - 2 * j + l + alpha)
+                         * hankel_det(N, s, partition_kq(l, j)))
+            return r
+
+        assert residual(0) == weighted_alternating_residual(N, s, l)
+        assert not residual(1).is_zero()
 
 
 class TestMixedDerivativeAndRatio:
     def test_no_shift_is_plain_determinant(self):
         assert mixed_derivative(2, 2, {}) == hankel_det(2, 2, ())
 
-    def test_single_t2_shift_size1(self):
-        assert mixed_derivative(1, 1, {2: 1}) == theta(2, 1, 1)
+    @pytest.mark.parametrize("ell", [{2: 1}, {2: 2}, {3: 1}, {2: 1, 3: 2},
+                                     {4: 1}, {2: 3}])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_single_t2_shift_size1(self, s, ell):
+        # at N = 1 every derivative d/dt_q shifts the one theta index by q
+        S = sum(q * c for q, c in ell.items())
+        assert mixed_derivative(1, s, ell) == theta(S, 1, s)
 
     def test_normalized_ratio_closed_form(self):
         # N = s = 1, one second-order insertion: value is -4t/(1+t)

@@ -12,12 +12,14 @@ from cuemoments.cauchy import MomentSpec, hp_expectation
 from cuemoments.mc import (
     ChainConfig,
     CounterRNG,
+    _integrand_values,
     asymptotics_table,
     derive_chain_seed,
     estimate_joint_moment,
     quadrature_expectation,
     sample_hp,
 )
+from cuemoments.symfunc import v_variant_integrand, xi_poly
 from cuemoments.sympoly import SymPoly
 
 
@@ -98,6 +100,36 @@ class TestEstimator:
         est, stderr = estimate_joint_moment(sample_hp(cfg), spec)
         # target E[|x|]/2 = 2/(3 pi)
         assert abs(est - 2 / (3 * math.pi)) < 6 * stderr
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("orders,exponents", [
+        ((1,), (2.0,)), ((2,), (1.5,)), ((3, 1), (2.0, 4.0)), ((5,), (2.0,)),
+    ])
+    def test_batch_integrand_matches_symbolic_xi(self, N, orders, exponents):
+        # Z: 2^{-sum n e} prod |Xi_n(x)|^e, with Xi_n from its exact SymPoly
+        X = np.random.default_rng(N).uniform(-3.0, 3.0, size=(50, N))
+        spec = MomentSpec(orders=orders, exponents=exponents, variant="Z", size=N)
+        got = _integrand_values(X, spec, N)
+        pref = 2.0 ** -sum(n * e for n, e in zip(orders, exponents))
+        for x, g in zip(X, got):
+            want = pref
+            for n, e in zip(orders, exponents):
+                want *= abs(xi_poly(n, N).eval(tuple(x))) ** e
+            assert g == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3, 1)])
+    def test_batch_integrand_matches_v_variant(self, N, orders):
+        # V with exponent 2: 2^{-2 sum n} times the exact real SymPoly integrand
+        exponents = (2,) * len(orders)
+        X = np.random.default_rng(10 + N).uniform(-3.0, 3.0, size=(50, N))
+        spec = MomentSpec(orders=orders, exponents=[2.0] * len(orders),
+                          variant="V", size=N)
+        got = _integrand_values(X, spec, N)
+        P = v_variant_integrand(orders, exponents, N)
+        pref = 2.0 ** (-2 * sum(orders))
+        for x, g in zip(X, got):
+            assert g == pytest.approx(pref * P.eval(tuple(x)), rel=1e-12)
 
     def test_arity_mismatch_rejected(self):
         cfg = ChainConfig(N=2, s=2, chains=1, burn_in=50, samples=100, seed=0)

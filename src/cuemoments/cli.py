@@ -39,6 +39,9 @@ EXIT_IDENTITY_FAILED = 4
 
 # G(s+1)^2/G(2s+1) is 1.7e-296 at s = 16 and below every float from s = 17
 MAX_CONSTANT_S = 16
+# painleve --mode p5-finite takes 3.2 s at N = 12, s = 1 (5.4 s at s = 3,
+# 10 s at s = 6) and 24 s at N = 16, s = 1
+MAX_P5_N = 12
 
 
 class CliError(Exception):
@@ -360,6 +363,8 @@ def cmd_quadrature(args):
 
     if args.N < 1:
         raise CliError("--N must be >= 1")
+    if args.nodes < 1:
+        raise CliError("--nodes must be >= 1")
     try:
         P = _parse_poly(args.poly, args.N)
         value = quadrature_expectation(args.N, args.s, P,
@@ -395,6 +400,8 @@ def cmd_painleve(args):
     if args.mode == "p5-finite":
         if args.N is None or args.N < 1:
             raise CliError("p5-finite requires --N >= 1")
+        if args.N > MAX_P5_N:
+            raise CliError("p5-finite supports --N <= %d" % MAX_P5_N)
         tau = tau_finiteN(args.N, args.s)
         res = painleve5_residual(tau, args.N, args.s)
         zero = res.is_zero()

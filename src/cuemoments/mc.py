@@ -19,8 +19,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix64(z):
-    """SplitMix64 output function (Steele-Lea-Flood constants)."""
-    z &= _MASK
+    """SplitMix64 output function (Steele-Lea-Flood constants), of a Python
+    int or elementwise of a uint64 array (whose products wrap modulo 2^64)."""
+    z = z & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -90,36 +91,64 @@ class SampleBatch:
         return var / (stderr * stderr)
 
 
+# Sweeps whose uniforms are drawn in one block: a sweep takes at most 2N.
+_BLOCK = 256
+
+
+def _uniforms(seed, start, count):
+    """CounterRNG(seed).uniform() at counters start+1 .. start+count, as a
+    list of floats drawn in one array pass."""
+    z = _mix64(np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
+               + (seed & _MASK))
+    return (((z >> 11) + 0.5) / 9007199254740992.0).tolist()
+
+
 def _run_chain(N, s, burn_in, samples, thin, scale, seed):
-    rng = CounterRNG(seed)
-    x = np.array([math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5))
-                  for i in range(N)])
+    x = [math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5)) for i in range(N)]
+    # log1p(x_i^2) and log|x_i - x_j| of the current state, updated on
+    # acceptance; |a - b| == |b - a| exactly, so the table is symmetric
+    lp = [math.log1p(xi * xi) for xi in x]
+    logd = [[math.log(abs(xi - xj)) if i != j else 0.0 for j, xj in enumerate(x)]
+            for i, xi in enumerate(x)]
+    others = [[j for j in range(N) if j != i] for i in range(N)]
+    c = float(-(s + N))    # what Fraction * float converts a rational s to
     log_scale = math.log(scale)
     draws = np.empty((samples, N))
     accepted = 0
     proposed = 0
+    u, k, used = [], 0, 0    # block of uniforms, next index, counters consumed
+    log, log1p, tan, pi = math.log, math.log1p, math.tan, math.pi
     total_sweeps = burn_in + samples * thin
     for sweep in range(total_sweeps):
+        if len(u) - k < 2 * N:
+            used += k
+            u, k = _uniforms(seed, used, 2 * N * _BLOCK), 0
+        step_scale = math.exp(log_scale)
         sweep_acc = 0
         for i in range(N):
-            step = math.exp(log_scale) * math.tan(math.pi * (rng.uniform() - 0.5))
-            xi_old = x[i]
-            xi_new = xi_old + step
+            xi_new = x[i] + step_scale * tan(pi * (u[k] - 0.5))
+            k += 1
+            lp_new = log1p(xi_new * xi_new)
             # log density ratio for the single-coordinate update
-            delta = -(s + N) * (math.log1p(xi_new * xi_new)
-                                - math.log1p(xi_old * xi_old))
-            ok = True
-            for j in range(N):
-                if j == i:
-                    continue
+            delta = c * (lp_new - lp[i])
+            row = logd[i]
+            new_row = [0.0] * N
+            for j in others[i]:
                 d_new = abs(xi_new - x[j])
                 if d_new < 1e-300:
-                    ok = False
                     break
-                delta += 2.0 * (math.log(d_new) - math.log(abs(xi_old - x[j])))
-            if ok and math.log(rng.uniform()) < delta:
-                x[i] = xi_new
-                sweep_acc += 1
+                new_row[j] = log_j = log(d_new)
+                delta += 2.0 * (log_j - row[j])
+            else:
+                accept = log(u[k]) < delta
+                k += 1
+                if accept:
+                    x[i] = xi_new
+                    lp[i] = lp_new
+                    logd[i] = new_row
+                    for j in others[i]:
+                        logd[j][i] = new_row[j]
+                    sweep_acc += 1
         if sweep < burn_in:
             # Robbins-Monro drift of the proposal scale toward 0.44 acceptance
             rate = sweep_acc / N
@@ -127,9 +156,9 @@ def _run_chain(N, s, burn_in, samples, thin, scale, seed):
         else:
             accepted += sweep_acc
             proposed += N
-            k = sweep - burn_in
-            if (k + 1) % thin == 0:
-                draws[(k + 1) // thin - 1] = x
+            m = sweep - burn_in
+            if (m + 1) % thin == 0:
+                draws[(m + 1) // thin - 1] = x
     return draws, accepted / proposed
 
 
@@ -215,19 +244,28 @@ def _sympoly_max_degree(P):
     return max((max(e) for e in P.terms), default=0)
 
 
-def _eval_integrand(P, X):
-    """Vectorized evaluation: SymPoly on an (npts, N) array, or a callable
-    receiving the array and returning values per point."""
+def _eval_integrand(P, xs):
+    """Integrand on the tensor grid whose i-th coordinate is xs[i], a 1-D
+    node array reshaped onto axis i: a SymPoly term is a broadcast product
+    of 1-D powers; a callable receives the (points, N) array of the grid."""
     if hasattr(P, "terms"):
-        out = np.zeros(X.shape[0])
+        out = 0.0
         for expo, coeff in P.terms.items():
-            term = np.full(X.shape[0], float(coeff))
-            for i, e in enumerate(expo):
+            term = float(coeff)
+            for xi, e in zip(xs, expo):
                 if e:
-                    term = term * X[:, i] ** e
+                    term = term * xi ** e
             out = out + term
         return out
-    return P(X)
+    X = np.stack(np.broadcast_arrays(*xs), axis=-1)
+    return P(X.reshape(-1, len(xs))).reshape(X.shape[:-1])
+
+
+# Bounds on the largest grid a call builds (with check=True, the refined one
+# of 3/2 the nodes): leggauss(1536) takes 0.4 s, and a grid of 2^22 points
+# 0.2-0.3 s and up to 230 MB (2 cores, numpy 2.4).
+MAX_QUAD_NODES = 1536
+MAX_QUAD_POINTS = 1 << 22
 
 
 def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
@@ -240,6 +278,11 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
     """
     if N > 3:
         raise ValueError("quadrature oracle supports N <= 3")
+    largest = nodes_per_dim + nodes_per_dim // 2 if check else nodes_per_dim
+    if largest > MAX_QUAD_NODES or largest ** N > MAX_QUAD_POINTS:
+        raise ValueError("%d nodes per dimension need a %d^%d-point grid, beyond "
+                         "the bounds of %d nodes per dimension and %d points"
+                         % (nodes_per_dim, largest, N, MAX_QUAD_NODES, MAX_QUAD_POINTS))
     if hasattr(integrand, "terms"):
         d = _sympoly_max_degree(integrand)
         if not s > domain((d,)):
@@ -250,19 +293,21 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
         u, w = np.polynomial.legendre.leggauss(nodes)
         u = u * (math.pi / 2)
         w = w * (math.pi / 2)
-        grids = np.meshgrid(*([u] * N), indexing="ij")
-        U = np.stack([g.ravel() for g in grids], axis=1)
-        WG = np.meshgrid(*([w] * N), indexing="ij")
-        W = np.prod(np.stack([g.ravel() for g in WG], axis=1), axis=1)
-        X = np.tan(U)
+        axes = [(1,) * i + (nodes,) + (1,) * (N - 1 - i) for i in range(N)]
+        x = np.tan(u)
+        xs = [x.reshape(shape) for shape in axes]
         # (1 + tan^2 u)^{1-(s+N)} = cos(u)^{2(s+N-1)} per coordinate
-        wt = np.prod(np.cos(U) ** (2.0 * (s + N - 1)), axis=1)
-        for i in range(N):
-            for j in range(i + 1, N):
-                wt = wt * (X[:, i] - X[:, j]) ** 2
-        den = float(np.sum(W * wt))
-        fv = _eval_integrand(integrand, X)
-        num = np.sum(W * wt * fv)
+        f = w * np.cos(u) ** (2.0 * (s + N - 1))
+        # weight times Delta^2, one coordinate at a time, so that only the
+        # last factor spans the whole grid
+        wt = 1.0
+        for k, shape in enumerate(axes):
+            g = f.reshape(shape)
+            for i in range(k):
+                g = g * (xs[i] - xs[k]) ** 2
+            wt = wt * g
+        den = float(np.sum(wt))
+        num = np.sum(wt * _eval_integrand(integrand, xs))
         return num / den
 
     v1 = compute(nodes_per_dim)

@@ -112,6 +112,17 @@ class TestMcEstimate:
         assert doc1["manifest"]["output_digest"] == doc2["manifest"]["output_digest"]
         assert doc1["manifest"]["seeds"] == {"seed": 4, "chains": 2}
 
+    # recorded with the scalar sampler loop, before uniforms came in blocks;
+    # the burn-in spans more than one block
+    def test_output_digest_pinned(self, capsys):
+        code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "3", "--s", "3",
+                               "--orders", "1", "--exponents", "1.5", "--seed", "11",
+                               "--chains", "2", "--samples", "400", "--burn-in", "300",
+                               "--thin", "2")
+        assert code == 0
+        assert doc["manifest"]["output_digest"] == \
+            "4ec44330d297a5a1ce6329b6557049e8936a0a60a91a232e4cfd3d96c3921f77"
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CUEMOMENTS_SEED", "99")
         code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "1", "--s", "2",
@@ -202,6 +213,18 @@ class TestQuadrature:
         code = main(["quadrature", "--N", "1", "--s", "1", "--poly", "x1^4"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("nodes,message", [
+        ("0", "--nodes must be >= 1"),
+        ("-1", "--nodes must be >= 1"),
+        ("1025", "1025 nodes per dimension need a 1537^1-point grid, beyond the "
+                 "bounds of 1536 nodes per dimension and 4194304 points"),
+    ])
+    def test_nodes_out_of_range_exit_2(self, capsys, nodes, message):
+        code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2",
+                               "--poly", "x1^2", "--nodes", nodes)
+        assert code == 2
+        assert doc == {"error": message, "exit_code": 2}
 
     def test_csv_format(self, capsys):
         code = main(["--format", "csv", "quadrature", "--N", "1", "--s", "2",
@@ -326,6 +349,10 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     ["finite-moment", "--N", "0", "--orders", "1", "--exponents", "2", "--variant", "Z"],
     ["finite-moment", "--N", "-1", "--orders", "1", "--exponents", "2", "--variant", "Z"],
     _MC + ["--orders", "1", "--exponents", "2", "--samples", "9999999999999999999999"],
+    # a grid just above the point bound (TestQuadrature checks the node bound)
+    ["quadrature", "--N", "3", "--s", "2", "--poly", "x1^2", "--nodes", "108"],
+    ["painleve", "--mode", "p5-finite", "--N", "13", "--s", "1"],
+    ["painleve", "--mode", "p5-finite", "--N", "9999999999999999999999", "--s", "1"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)

@@ -10,9 +10,14 @@ import pytest
 
 from cuemoments.cauchy import MomentSpec, hp_expectation
 from cuemoments.mc import (
+    _BLOCK,
+    MAX_QUAD_NODES,
+    MAX_QUAD_POINTS,
     ChainConfig,
     CounterRNG,
     _integrand_values,
+    _run_chain,
+    _uniforms,
     asymptotics_table,
     derive_chain_seed,
     estimate_joint_moment,
@@ -43,6 +48,14 @@ class TestCounterRNG:
         seeds = {derive_chain_seed(5, c) for c in range(16)}
         assert len(seeds) == 16
         assert derive_chain_seed(5, 0) == derive_chain_seed(5, 0)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**63 + 12345, 2**64 - 1,
+                                      derive_chain_seed(7, 3)])
+    @pytest.mark.parametrize("start", [0, 1, 37, 2**40])
+    def test_bulk_uniforms_match_scalar_stream(self, seed, start):
+        rng = CounterRNG(seed)
+        rng.counter = start
+        assert _uniforms(seed, start, 300) == [rng.uniform() for _ in range(300)]
 
 
 class TestSampler:
@@ -84,6 +97,100 @@ class TestSampler:
         est, stderr = _block_stats(vals)
         assert abs(est - 1 / 3) < 4 * stderr
         assert batch.ess(vals) > 50
+
+
+def _reference_run_chain(N, s, burn_in, samples, thin, scale, seed):
+    """The scalar sampler loop the bulk one replaced: one CounterRNG.uniform()
+    per draw, every logarithm recomputed per proposal."""
+    rng = CounterRNG(seed)
+    x = np.array([math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5))
+                  for i in range(N)])
+    log_scale = math.log(scale)
+    draws = np.empty((samples, N))
+    accepted = 0
+    proposed = 0
+    total_sweeps = burn_in + samples * thin
+    for sweep in range(total_sweeps):
+        sweep_acc = 0
+        for i in range(N):
+            step = math.exp(log_scale) * math.tan(math.pi * (rng.uniform() - 0.5))
+            xi_old = x[i]
+            xi_new = xi_old + step
+            delta = -(s + N) * (math.log1p(xi_new * xi_new)
+                                - math.log1p(xi_old * xi_old))
+            ok = True
+            for j in range(N):
+                if j == i:
+                    continue
+                d_new = abs(xi_new - x[j])
+                if d_new < 1e-300:
+                    ok = False
+                    break
+                delta += 2.0 * (math.log(d_new) - math.log(abs(xi_old - x[j])))
+            if ok and math.log(rng.uniform()) < delta:
+                x[i] = xi_new
+                sweep_acc += 1
+        if sweep < burn_in:
+            rate = sweep_acc / N
+            log_scale += (rate - 0.44) / math.sqrt(sweep + 1.0)
+        else:
+            accepted += sweep_acc
+            proposed += N
+            k = sweep - burn_in
+            if (k + 1) % thin == 0:
+                draws[(k + 1) // thin - 1] = x
+    return draws, accepted / proposed
+
+
+class TestBulkSampler:
+    """The block-RNG sampler reproduces the scalar loop bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("burn_in", [0, _BLOCK + 44])
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
+    def test_matches_scalar_loop(self, N, thin, burn_in, scale):
+        cfg = ChainConfig(N=N, s=2.5, chains=2, burn_in=burn_in, samples=60,
+                          thin=thin, proposal_scale=scale, seed=2**63 + N)
+        batch = sample_hp(cfg)
+        ref = [_reference_run_chain(N, cfg.s, burn_in, 60, thin, scale,
+                                    derive_chain_seed(cfg.seed, c)) for c in range(2)]
+        assert np.array_equal(batch.draws, np.concatenate([d for d, _ in ref]))
+        assert batch.acceptance_rate == (ref[0][1] + ref[1][1]) / 2
+
+    @pytest.mark.parametrize("s", [Fraction(7, 3), 3])
+    def test_rational_and_integer_s_match_scalar_loop(self, s):
+        new = _run_chain(3, s, _BLOCK + 1, 80, 2, 1.0, 2**64 - 5)
+        ref = _reference_run_chain(3, s, _BLOCK + 1, 80, 2, 1.0, 2**64 - 5)
+        assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+
+    def test_collision_guard_keeps_the_stream(self, monkeypatch):
+        # After the N calls that place the initial state -t, 0, t, every step
+        # is t, so the first two proposals of each sweep land on a neighbour
+        # and skip their acceptance uniform; the stream must stay aligned.
+        tan = math.tan
+        t = tan(math.pi / 4)
+        calls = []
+
+        def fake_tan(v):
+            calls.append(v)
+            return tan(v) if len(calls) <= 3 else t
+
+        uniform = CounterRNG.uniform
+        used = []
+
+        def counted_uniform(rng):
+            used.append(1)
+            return uniform(rng)
+
+        monkeypatch.setattr(math, "tan", fake_tan)
+        new = _run_chain(3, 2, 0, 2 * _BLOCK, 1, 1.0, 5)
+        calls.clear()
+        monkeypatch.setattr(CounterRNG, "uniform", counted_uniform)
+        ref = _reference_run_chain(3, 2, 0, 2 * _BLOCK, 1, 1.0, 5)
+        assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+        # the guard fired: fewer than two uniforms per proposal were drawn
+        assert len(used) < 2 * 3 * 2 * _BLOCK
 
 
 class TestEstimator:
@@ -138,6 +245,33 @@ class TestEstimator:
             estimate_joint_moment(sample_hp(cfg), spec)
 
 
+def _reference_quadrature(N, s, integrand, nodes):
+    """The meshgrid tensor sum the broadcast one replaced: (n^N, N) arrays of
+    nodes and weights, integrand evaluated point by point."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u = u * (math.pi / 2)
+    w = w * (math.pi / 2)
+    U = np.stack([g.ravel() for g in np.meshgrid(*([u] * N), indexing="ij")], axis=1)
+    WG = np.meshgrid(*([w] * N), indexing="ij")
+    W = np.prod(np.stack([g.ravel() for g in WG], axis=1), axis=1)
+    X = np.tan(U)
+    wt = np.prod(np.cos(U) ** (2.0 * (s + N - 1)), axis=1)
+    for i in range(N):
+        for j in range(i + 1, N):
+            wt = wt * (X[:, i] - X[:, j]) ** 2
+    if hasattr(integrand, "terms"):
+        fv = np.zeros(X.shape[0])
+        for expo, coeff in integrand.terms.items():
+            term = np.full(X.shape[0], float(coeff))
+            for i, e in enumerate(expo):
+                if e:
+                    term = term * X[:, i] ** e
+            fv = fv + term
+    else:
+        fv = integrand(X)
+    return np.sum(W * wt * fv) / float(np.sum(W * wt))
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("N,s,expo", [(1, 2, (2,)), (2, 2, (2, 0)),
                                           (2, 3, (2, 2)), (3, 3, (2, 1, 1))])
@@ -162,6 +296,49 @@ class TestQuadrature:
         val = quadrature_expectation(1, 2, lambda X: np.abs(X[:, 0]),
                                      nodes_per_dim=400, check=False)
         assert val == pytest.approx(4 / (3 * math.pi), rel=1e-4)
+
+    @pytest.mark.parametrize("N,s,terms", [
+        (1, 3, {(2,): 1, (4,): Fraction(-7, 3), (1,): 5, (0,): 2}),
+        (2, 3, {(2, 1): 3, (1, 3): Fraction(-5, 2), (0, 2): 1, (0, 0): 4}),
+        (2, Fraction(7, 2), {(2, 2): 1, (3, 1): Fraction(1, 7)}),
+        (3, 3, {(2, 1, 0): Fraction(9, 4), (0, 1, 3): -1, (1, 0, 1): 6}),
+        (3, 4, {(2, 2, 2): 1, (0, 0, 0): Fraction(1, 3)}),
+    ])
+    @pytest.mark.parametrize("nodes", [7, 32, 64])
+    def test_broadcast_sum_matches_meshgrid_sum(self, N, s, terms, nodes):
+        P = SymPoly(N, terms)
+        ref = _reference_quadrature(N, s, P, nodes)
+        val = quadrature_expectation(N, s, P, nodes_per_dim=nodes, check=False)
+        assert val == pytest.approx(ref, rel=1e-13)
+
+    def test_broadcast_callable_matches_meshgrid_sum(self):
+        def f(X):
+            return np.abs(X[:, 0] - 0.5 * X[:, 1]) ** 1.5 + X[:, 1] ** 2
+
+        ref = _reference_quadrature(2, 4, f, 48)
+        assert quadrature_expectation(2, 4, f, nodes_per_dim=48, check=False) == \
+            pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("N,nodes,check", [
+        (1, 1025, True), (1, 1537, False), (2, 100000, True), (3, 108, True),
+        (3, 162, False),
+    ])
+    def test_grid_bounds_before_any_node(self, monkeypatch, N, nodes, check):
+        def no_nodes(n):
+            raise AssertionError("leggauss(%d) called" % n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+        with pytest.raises(ValueError, match="bounds of %d nodes per dimension and %d points"
+                                             % (MAX_QUAD_NODES, MAX_QUAD_POINTS)):
+            quadrature_expectation(N, 3, SymPoly(N, {(2,) + (0,) * (N - 1): 1}),
+                                   nodes_per_dim=nodes, check=check)
+
+    @pytest.mark.parametrize("N,nodes", [(1, 1024), (3, 107)])
+    def test_grid_bounds_admit_largest_valid_grid(self, N, nodes):
+        P = SymPoly(N, {(2,) + (0,) * (N - 1): 1})
+        exact = hp_expectation(P, N).eval(Fraction(3))
+        assert quadrature_expectation(N, 3, P, nodes_per_dim=nodes) == \
+            pytest.approx(float(exact), rel=1e-10)
 
 
 class TestAsymptoticsTable:

@@ -12,6 +12,7 @@ diagnostics failure (flagged chain); 4 a verified identity failed.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -40,8 +41,17 @@ EXIT_IDENTITY_FAILED = 4
 # G(s+1)^2/G(2s+1) is 1.7e-296 at s = 16 and below every float from s = 17
 MAX_CONSTANT_S = 16
 # painleve --mode p5-finite takes 3.2 s at N = 12, s = 1 (5.4 s at s = 3,
-# 10 s at s = 6) and 24 s at N = 16, s = 1
+# 9.3 s at s = 6, 15 s at s = 8, 22 s at s = 10) and 24 s at N = 16, s = 1
 MAX_P5_N = 12
+MAX_P5_S = 6
+# painleve --mode p3-limit at the default --series-order 12 takes 0.4 s at
+# s = 7, 1.6 s at s = 10 (2.4 s at order 20), 3.3 s at s = 11 and 7.0 s at
+# s = 12: the s x s determinant has 2^s minors
+MAX_P3_S = 10
+# hankel-verify at every bound at once (N = 4, s = 10, l = 10, k = 5) takes
+# 6.6 s; one step past a bound takes 10.6 s at k = 6, 13 s at s = l = 14 and
+# 25 s at N = 5 (12.5 s at N = 6 even with s = 3, l = 4, k = 3)
+MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 
 
 class CliError(Exception):
@@ -397,6 +407,9 @@ def cmd_painleve(args):
         raise CliError("s must be a positive integer")
     if args.series_order < 0:
         raise CliError("--series-order must be >= 0")
+    max_s = MAX_P5_S if args.mode == "p5-finite" else MAX_P3_S
+    if args.s > max_s:
+        raise CliError("%s supports --s <= %d" % (args.mode, max_s))
     if args.mode == "p5-finite":
         if args.N is None or args.N < 1:
             raise CliError("p5-finite requires --N >= 1")
@@ -443,6 +456,8 @@ def cmd_hankel_verify(args):
     for name, low in (("N", 1), ("s", 1), ("l", 3), ("k", 2)):
         if getattr(args, name) < low:
             raise CliError("--%s must be >= %d" % (name, low))
+        if getattr(args, name) > MAX_HANKEL[name]:
+            raise CliError("--%s must be <= %d" % (name, MAX_HANKEL[name]))
     t0 = _parse_rational(args.t)
     checks = []
 
@@ -589,9 +604,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call to main and kept for the process:
+    parse_args leaves it unchanged, and a build takes about 1.3 ms (2 cores,
+    Python 3.11), half the median query of a sweep. It is not built at
+    import, so that importing stays cheap and set_defaults(func=...) binds
+    the cmd_* functions as they are when main first runs."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         started = time.monotonic()
         if args.command == "mc-estimate" and args.seed is None:
             args.seed = _default_seed()

@@ -17,9 +17,10 @@ MultiSeries carries one c for all its coefficients.
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .exact import Poly
+from .exact import Poly, _scaled_ints
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +142,17 @@ def partition_kq(k, q):
     return (k - q + 1,) + (1,) * (q - 1)
 
 
-def _matrix(entry, N, parts, h=0):
-    """The N x N matrix [entry(i + j + lambda_{N-j} + h)], the partition
-    padded with zeros to length N."""
+def _columns(N, parts, h=0):
+    """The column shifts c_j = j + lambda_{N-j} + h of a lambda-shifted
+    matrix, the partition padded with zeros to length N."""
     pp = list(parts) + [0] * (N - len(parts))
-    return [[entry(i + j + pp[N - j - 1] + h) for j in range(N)] for i in range(N)]
+    return [j + pp[N - j - 1] + h for j in range(N)]
+
+
+def _matrix(entry, N, parts, h=0):
+    """The N x N matrix [entry(i + c_j)] of the column shifts _columns."""
+    cols = _columns(N, parts, h)
+    return [[entry(i + c) for c in cols] for i in range(N)]
 
 
 def _column_sum(A, B):
@@ -288,103 +295,149 @@ def cor_relation_residuals(N, s):
 
 class MultiSeries:
     """Formal power series in the auxiliary variables t_2..t_k, truncated at
-    total degree `cap`. Each coefficient is e^{-c t_1} times a Poly in t_1,
-    with one decay `c` for the whole series; `terms` holds the Polys. `ord`
-    tracks through which total degree the stored coefficients are valid.
+    total degree `cap`. Each coefficient is e^{-c t_1} times a polynomial in
+    t_1, with one decay `c` for the whole series. `ord` tracks through which
+    total degree the stored coefficients are valid.
+
+    The polynomials are integer numerator lists (ascending, no trailing zero)
+    over one common denominator `den`: a product multiplies the denominators
+    and a sum brings two of them to their lcm, so no coefficient is normalised
+    until it leaves the class as a Poly through `terms`.
     """
 
-    __slots__ = ("nv", "cap", "ord", "c", "terms")
+    __slots__ = ("nv", "cap", "ord", "c", "num", "den")
 
     def __init__(self, nv, cap, ord=None, terms=None, c=0):
+        polys = [(tuple(e), p.coeffs) for e, p in (terms or {}).items()
+                 if not p.is_zero()]
+        ints, self.den = _scaled_ints([x for _, cs in polys for x in cs])
+        self.num = {}
+        i = 0
+        for e, cs in polys:
+            self.num[e] = ints[i:i + len(cs)]
+            i += len(cs)
         self.nv = nv
         self.cap = cap
         self.ord = cap if ord is None else ord
         self.c = c
-        self.terms = {}
-        if terms:
-            for e, v in terms.items():
-                if not v.is_zero():
-                    self.terms[tuple(e)] = v
+
+    def _with(self, num, den=None, ord=None, c=None):
+        """A series of this shape with the given numerators; the denominator,
+        ord and decay default to this series'."""
+        out = object.__new__(MultiSeries)
+        out.nv, out.cap = self.nv, self.cap
+        out.ord = self.ord if ord is None else ord
+        out.c = self.c if c is None else c
+        out.num = num
+        out.den = self.den if den is None else den
+        return out
+
+    @property
+    def terms(self):
+        """The coefficients as Polys, keyed by exponent tuple of t_2..t_k."""
+        return {e: Poly([Fraction(x, self.den) for x in v])
+                for e, v in self.num.items()}
 
     def _check(self, other):
         if self.nv != other.nv or self.cap != other.cap:
             raise ValueError("incompatible MultiSeries shapes")
 
-    def _with(self, terms, ord=None):
-        """A series of this shape and decay with the given coefficients."""
-        return MultiSeries(self.nv, self.cap, self.ord if ord is None else ord,
-                           terms, self.c)
-
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, for sign = 1 or -1."""
         self._check(other)
         # an empty series adds to anything; otherwise the decays must agree
-        if self.terms and other.terms and self.c != other.c:
+        if self.num and other.num and self.c != other.c:
             raise ValueError("MultiSeries sum requires equal decay rates")
-        c = self.c if self.terms else other.c
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            if e in out:
-                w = out[e] + v
-                if w.is_zero():
-                    del out[e]
-                else:
-                    out[e] = w
-            else:
-                out[e] = v
-        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out, c)
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = {e: [x * fa for x in v] for e, v in self.num.items()}
+        for e, v in other.num.items():
+            u = out.setdefault(e, [])
+            u.extend([0] * (len(v) - len(u)))
+            for i, y in enumerate(v):
+                u[i] += y * fb
+        return self._with(_nonzero(out), self.den * fa, min(self.ord, other.ord),
+                          self.c if self.num else other.c)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scal(-1)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiSeries):
             return self.scal(other)
         self._check(other)
+        right = [(e, sum(e), v) for e, v in other.num.items()]
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > self.cap:
+        for e1, u in self.num.items():
+            room = self.cap - sum(e1)
+            for e2, d2, v in right:
+                if d2 > room:
                     continue
-                if e in out:
-                    out[e] = out[e] + c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return MultiSeries(self.nv, self.cap, min(self.ord, other.ord), out,
-                           self.c + other.c)
+                e = tuple(map(operator.add, e1, e2))
+                n = len(u) + len(v) - 1
+                acc = out.get(e)
+                if acc is None:
+                    acc = out[e] = [0] * n
+                elif len(acc) < n:
+                    acc.extend([0] * (n - len(acc)))
+                for i, x in enumerate(u):
+                    if x:
+                        for j, y in enumerate(v, i):
+                            acc[j] += x * y
+        return self._with(_nonzero(out), self.den * other.den,
+                          min(self.ord, other.ord), self.c + other.c)
 
     def scal(self, c):
-        return self._with({e: v * c for e, v in self.terms.items()})
+        """Multiply by an int, a Fraction or a Poly in t_1."""
+        if isinstance(c, Poly):
+            # the product with the series whose one coefficient, at
+            # t_2 = ... = t_k = 0, is c with decay 0
+            return self * MultiSeries(self.nv, self.cap, terms={(0,) * self.nv: c})
+        if not c:
+            return self._with({})
+        c = Fraction(c)
+        a = c.numerator
+        return self._with({e: [x * a for x in v] for e, v in self.num.items()},
+                          self.den * c.denominator)
 
     def mul_tq(self, q, weight=1):
         """Multiply by weight * t_q."""
         idx = q - 2
         out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[idx] += 1
-            if sum(ee) > self.cap:
-                continue
-            out[tuple(ee)] = c * weight
-        return self._with(out, min(self.cap, self.ord + 1))
+        for e, v in self.num.items():
+            if sum(e) < self.cap:
+                ee = list(e)
+                ee[idx] += 1
+                out[tuple(ee)] = [x * weight for x in v]
+        return self._with(_nonzero(out), ord=min(self.cap, self.ord + 1))
 
     def d_t1(self):
-        return self._with({e: exp_derivative(c, self.c)
-                           for e, c in self.terms.items()})
+        """d/dt_1 through the decay: each coefficient p becomes p' - c p."""
+        cn, cd = self.c.numerator, self.c.denominator
+        out = {}
+        for e, v in self.num.items():
+            w = [-cn * x for x in v]
+            for i in range(1, len(v)):
+                w[i - 1] += cd * i * v[i]
+            out[e] = w
+        return self._with(_nonzero(out), self.den * cd)
 
     def d_tq(self, q):
         idx = q - 2
         out = {}
-        for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            ee = list(e)
-            ee[idx] -= 1
-            out[tuple(ee)] = c * e[idx]
-        return self._with(out, self.ord - 1)
+        for e, v in self.num.items():
+            m = e[idx]
+            if m:
+                ee = list(e)
+                ee[idx] -= 1
+                out[tuple(ee)] = [x * m for x in v]
+        return self._with(out, ord=self.ord - 1)
 
     def is_zero_through_ord(self):
-        return all(sum(e) > self.ord for e in self.terms)
+        return all(sum(e) > self.ord for e in self.num)
 
     def max_abs_at(self, t0):
         """Largest |coefficient polynomial| evaluated at rational t0, over the
@@ -400,6 +453,43 @@ class MultiSeries:
         return best
 
 
+def _nonzero(num):
+    """The numerator dict without its zero coefficients, each list stripped
+    of its trailing zeros in place."""
+    for v in num.values():
+        while v and not v[-1]:
+            v.pop()
+    return {e: v for e, v in num.items() if v}
+
+
+def _shifted_det(entry, cols, memo):
+    """det[entry(i + c_j)] over rows i = 0..n-1 and the columns c_j of the
+    tuple `cols`, over any commutative ring (only products, sums and
+    differences). Expanded along the last row; every minor is memoised in
+    `memo` on its column tuple, so determinants that share columns share
+    their minors: 2^n minors in place of n! permutation terms."""
+    det = memo.get(cols)
+    if det is not None:
+        return det
+    n = len(cols)
+    if n == 1:
+        det = entry(cols[0])
+    else:
+        # the cofactor sign (-1)^{n-1+j} is + at the last column j = n-1
+        for j in range(n - 1, -1, -1):
+            term = entry(n - 1 + cols[j]) * _shifted_det(
+                entry, cols[:j] + cols[j + 1:], memo)
+            if j == n - 1:
+                det = term
+            elif (n - 1 - j) % 2:
+                det = det - term
+            else:
+                det = det + term
+    memo[cols] = det
+    return det
+
+
+@functools.lru_cache(maxsize=None)
 def psi_multiseries(N, s, gamma, k, cap):
     """The rescaled building-block function as a MultiSeries with decay 1/N:
     coefficient of prod t_l^{m_l} is theta_{gamma+sum l*m_l}(t_1/N)
@@ -417,28 +507,42 @@ def psi_multiseries(N, s, gamma, k, cap):
     return MultiSeries(nv, cap, cap, terms, Fraction(1, N))
 
 
-def _psi_matrix_ms(N, s, parts, k, cap, h=0):
-    return _matrix(lambda g: psi_multiseries(N, s, g, k, cap), N, parts, h)
-
-
 @functools.lru_cache(maxsize=None)
+def _psi_minors(N, s, k, cap):
+    """The minor memo of _shifted_det, shared by every partition and shift
+    of one (N, s, k, cap)."""
+    return {}
+
+
+def _psi_det(N, s, k, cap, cols):
+    """det[psi_multiseries(i + c_j)] for the column tuple `cols`."""
+    return _shifted_det(lambda g: psi_multiseries(N, s, g, k, cap), cols,
+                        _psi_minors(N, s, k, cap))
+
+
 def Psi_ms(N, s, parts, k, cap):
     """Boldface (rescaled) shifted Hankel determinant as a MultiSeries with
-    decay 1; zero for partitions with more than N parts."""
+    decay 1, kept in the minor memo; zero for partitions with more than N
+    parts."""
     parts = tuple(parts)
     if len(parts) > N:
         return MultiSeries(k - 1, cap)
-    return det_perm(_psi_matrix_ms(N, s, parts, k, cap))
+    return _psi_det(N, s, k, cap, tuple(_columns(N, parts)))
 
 
 def Psi_trace_ms(N, s, parts, h, k, cap):
-    """Boldface Psi_{N,lambda,h} as a MultiSeries."""
+    """Boldface Psi_{N,lambda,h} as a MultiSeries: the sum over j of the
+    determinant with column j shifted by h; the minors without that column
+    are those of Psi_ms."""
     parts = tuple(parts)
+    total = MultiSeries(k - 1, cap)
     if len(parts) > N:
-        return MultiSeries(k - 1, cap)
-    A = _psi_matrix_ms(N, s, parts, k, cap)
-    B = _psi_matrix_ms(N, s, parts, k, cap, h=h)
-    return _column_sum(A, B)
+        return total
+    cols = _columns(N, parts)
+    for j in range(N):
+        shifted = tuple(cols[:j] + [cols[j] + h] + cols[j + 1:])
+        total = total + _psi_det(N, s, k, cap, shifted)
+    return total
 
 
 def lemma_dq_residual(N, s, parts, q, k=2, cap=2):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     series_logderiv)
-from .hankel import det_perm, hankel_det
+from .hankel import _shifted_det, det_perm, hankel_det
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -76,12 +76,13 @@ def phi_series(s, K=DEFAULT_SERIES_ORDER):
     Bessel entry I_{j+k+1}(2 sqrt(2t)) equals (2t)^{(j+k+1)/2} g_{j+k+1}(t), and
     every permutation term of the s x s determinant carries the same total power
     (2t)^{s^2/2}, so the half-integer powers cancel structurally against the
-    normalization and only integer powers remain.
+    normalization and only integer powers remain. The determinant is the
+    memoised-minor expansion of hankel._shifted_det.
     """
     if s < 1:
         raise ValueError("s >= 1 required")
-    mat = [[_g_series(j + k + 1, K) for k in range(s)] for j in range(s)]
-    det = det_perm(mat)
+    gs = [_g_series(nu, K) for nu in range(1, 2 * s)]
+    det = _shifted_det(gs.__getitem__, tuple(range(s)), {})
     pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                     barnes_G_int(s + 1) ** 2)
     exp_neg_t = PowerSeries([Fraction((-1) ** m, math.factorial(m))

@@ -260,12 +260,15 @@ class TestPainleve:
         capsys.readouterr()
         assert code == 2
 
-    # digests recorded while tau was still wrapped in a TauFunction
+    # digests recorded while tau was still wrapped in a TauFunction, and
+    # (s = 5) while phi_series expanded all s! permutations
     @pytest.mark.parametrize("argv,digest", [
         (["--mode", "p5-finite", "--N", "2", "--s", "2"],
          "7ecba0de75e5528c6c66d1eb25e70c3300d49157d9ac5828a5778530d202bc7a"),
         (["--mode", "p3-limit", "--s", "2", "--series-order", "8"],
          "0d704147b930a23a045787bbe34ba629322c84b70469809cef11598333754c0c"),
+        (["--mode", "p3-limit", "--s", "5"],
+         "fcddb212dc34e1931ad809968ea970ce60779f02527c8b5d01f3c7eb23e2a48a"),
     ])
     def test_output_digest_pinned(self, capsys, argv, digest):
         code, doc, _ = run_cli(capsys, "painleve", *argv)
@@ -281,15 +284,20 @@ class TestHankelVerify:
         assert doc["result"]["all_passed"] is True
         assert len(doc["result"]["checks"]) >= 15
 
-    # digests recorded before the Hankel layer returned bare Polys
+    # digests recorded before the Hankel layer returned bare Polys, and (N = 3,
+    # s = 3) while the series determinants expanded all N! permutations
     @pytest.mark.parametrize("argv,digest", [
         ([], "aa6a207e9c322f83a7f061e1cc5308d5eaec7b43ad54ce052717c85b04b92dca"),
         (["--N", "3", "--s", "2", "--l", "4", "--k", "3", "--t", "5/2"],
          "e51e2d4dedb810aecf7b2c9685be9a43a92fec819c816b173032c5e41ff0ccd8"),
+        (["--N", "3", "--s", "3", "--l", "4", "--k", "3"],
+         "b0740f5820fa8a34ff1c46cf3ac5af56bd1502185a02a6ac68bb1bc0ce970561"),
+        (["--N", "3", "--s", "3", "--l", "4", "--k", "3", "--perturb"],
+         "87698dfebfa74e86b753c0b596e034c2d0ff8c01536173f77a2bbaf2addf0474"),
     ])
     def test_output_digest_pinned(self, capsys, argv, digest):
         code, doc, _ = run_cli(capsys, "hankel-verify", *argv)
-        assert code == 0
+        assert code == (4 if "--perturb" in argv else 0)
         assert doc["manifest"]["output_digest"] == digest
         N = doc["result"]["N"]
         residuals = {c["name"]: c["residual"] for c in doc["result"]["checks"]}
@@ -353,12 +361,71 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     ["quadrature", "--N", "3", "--s", "2", "--poly", "x1^2", "--nodes", "108"],
     ["painleve", "--mode", "p5-finite", "--N", "13", "--s", "1"],
     ["painleve", "--mode", "p5-finite", "--N", "9999999999999999999999", "--s", "1"],
+    # just above each hankel-verify size bound
+    ["hankel-verify", "--N", "5"],
+    ["hankel-verify", "--s", "11"],
+    ["hankel-verify", "--l", "11"],
+    ["hankel-verify", "--k", "6"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert set(doc) == {"error", "exit_code"}
     assert doc["exit_code"] == 2 and doc["error"]
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["hankel-verify", "--N", "5"], "--N must be <= 4"),
+    (["hankel-verify", "--s", "11"], "--s must be <= 10"),
+    (["hankel-verify", "--l", "11"], "--l must be <= 10"),
+    (["hankel-verify", "--k", "6"], "--k must be <= 5"),
+    (["painleve", "--mode", "p5-finite", "--N", "1", "--s", "7"], "--s <= 6"),
+    (["painleve", "--mode", "p3-limit", "--s", "11"], "--s <= 10"),
+])
+def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
+    import cuemoments.hankel as hk
+    import cuemoments.painleve as painleve
+
+    def no_work(*args):
+        pytest.fail("an entry was built for an input above its size bound")
+
+    monkeypatch.setattr(hk, "theta", no_work)
+    monkeypatch.setattr(painleve, "_g_series", no_work)
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert bound in doc["error"]
+
+
+def test_cached_parser_documents_equal_fresh_parser(capsys, monkeypatch):
+    # one process: an error, two different subcommands, then mc-estimate
+    # without --seed after one with --seed
+    from cuemoments import cli
+
+    monkeypatch.delenv("CUEMOMENTS_SEED", raising=False)
+    queries = [
+        ["hankel-verify", "--l", "2"],
+        ["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z",
+         "--eval-s", "1"],
+        ["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "4"],
+        _MC + ["--orders", "1", "--exponents", "2", "--seed", "7"],
+        _MC + ["--orders", "1", "--exponents", "2"],
+    ]
+
+    def run(argv):
+        code, doc, _ = run_cli(capsys, *argv)
+        doc.get("manifest", {}).pop("wall_time_s", None)
+        return code, doc
+
+    cli._parser.cache_clear()
+    cached = [run(argv) for argv in queries]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in queries:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _ in cached] == [2, 0, 0, 0, 0]
+    assert cached[4][1]["manifest"]["params"]["seed"] == 0
 
 
 @pytest.mark.parametrize("argv,bound", [

@@ -2,6 +2,9 @@
 determinants, adjugate traces, mixed derivatives, the multivariate series
 layer, the recursion matrices, and the expansion coefficients."""
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from cuemoments.exact import Poly
 from cuemoments.hankel import (
     MultiSeries,
     Psi_ms,
+    Psi_trace_ms,
     alternating_sum_residual,
     appendix_matrices,
     cor_relation_residuals,
@@ -211,6 +215,177 @@ class TestCharFnRelations:
                 + d1 * (Poly((-12 * s * s, 0, 4 * s * N)))
                 + Psi * (N * N * u3 + Poly((0, -2 * N * N - 4 * s))))
         assert not (lhs2 * u3 - rhs2).is_zero()
+
+
+class RefMultiSeries:
+    """Reference: the series with one Poly (Fraction coefficients) per
+    exponent tuple, as MultiSeries stored it before its integer numerators."""
+
+    def __init__(self, nv, cap, ord=None, terms=None, c=0):
+        self.nv = nv
+        self.cap = cap
+        self.ord = cap if ord is None else ord
+        self.c = c
+        self.terms = {}
+        if terms:
+            for e, v in terms.items():
+                if not v.is_zero():
+                    self.terms[tuple(e)] = v
+
+    def _with(self, terms, ord=None):
+        return RefMultiSeries(self.nv, self.cap, self.ord if ord is None else ord,
+                              terms, self.c)
+
+    def __add__(self, other):
+        if self.terms and other.terms and self.c != other.c:
+            raise ValueError("MultiSeries sum requires equal decay rates")
+        c = self.c if self.terms else other.c
+        out = dict(self.terms)
+        for e, v in other.terms.items():
+            out[e] = out[e] + v if e in out else v
+        return RefMultiSeries(self.nv, self.cap, min(self.ord, other.ord), out, c)
+
+    def __sub__(self, other):
+        return self + other.scal(-1)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scal(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if sum(e) <= self.cap:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return RefMultiSeries(self.nv, self.cap, min(self.ord, other.ord), out,
+                              self.c + other.c)
+
+    def scal(self, c):
+        return self._with({e: v * c for e, v in self.terms.items()})
+
+    def mul_tq(self, q, weight=1):
+        out = {}
+        for e, c in self.terms.items():
+            ee = list(e)
+            ee[q - 2] += 1
+            if sum(ee) <= self.cap:
+                out[tuple(ee)] = c * weight
+        return self._with(out, min(self.cap, self.ord + 1))
+
+    def d_t1(self):
+        return self._with({e: exp_derivative(c, self.c) for e, c in self.terms.items()})
+
+    def d_tq(self, q):
+        out = {}
+        for e, c in self.terms.items():
+            if e[q - 2]:
+                ee = list(e)
+                ee[q - 2] -= 1
+                out[tuple(ee)] = c * e[q - 2]
+        return self._with(out, self.ord - 1)
+
+    def is_zero_through_ord(self):
+        return all(sum(e) > self.ord for e in self.terms)
+
+    def max_abs_at(self, t0):
+        return max((abs(c.eval(Fraction(t0))) for e, c in self.terms.items()
+                    if sum(e) <= self.ord), default=Fraction(0))
+
+
+def ref_psi_multiseries(N, s, gamma, k, cap):
+    """Reference building block, entry by entry as psi_multiseries defines it."""
+    terms = {}
+    for expo in itertools.product(range(cap + 1), repeat=k - 1):
+        if sum(expo) <= cap:
+            denom = N ** sum(expo)
+            for m in expo:
+                denom *= math.factorial(m)
+            shift = sum((l + 2) * m for l, m in enumerate(expo))
+            terms[expo] = hk.theta_scaled(gamma + shift, N, s) * Fraction(1, denom)
+    return RefMultiSeries(k - 1, cap, cap, terms, Fraction(1, N))
+
+
+def same_series(new, ref):
+    return (new.terms == ref.terms and new.ord == ref.ord
+            and (not ref.terms or new.c == ref.c))
+
+
+@st.composite
+def _series_pairs(draw, nv, cap):
+    """A MultiSeries and its reference from the same random coefficients."""
+    terms = {}
+    for e in itertools.product(range(cap + 1), repeat=nv):
+        if sum(e) <= cap and draw(st.booleans()):
+            terms[e] = Poly(draw(st.lists(st.fractions(-9, 9, max_denominator=12),
+                                          max_size=4)))
+    ord = draw(st.integers(0, cap))
+    c = draw(st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 3)]))
+    return MultiSeries(nv, cap, ord, terms, c), RefMultiSeries(nv, cap, ord, terms, c)
+
+
+@st.composite
+def _series_cases(draw):
+    nv, cap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = draw(_series_pairs(nv, cap)), draw(_series_pairs(nv, cap))
+    scalar = draw(st.sampled_from([0, -1, 3, Fraction(-5, 6), Fraction(7, 4),
+                                   Poly((Fraction(1, 3), -2)), Poly()]))
+    q = draw(st.integers(2, nv + 1))
+    return a, b, scalar, q, draw(st.sampled_from([-2, 1, 3]))
+
+
+def partitions(n, most=None):
+    """Every partition of n as a nonincreasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+class TestIntegerMultiSeries:
+    """The integer-numerator MultiSeries against the Poly-per-coefficient
+    reference, operation by operation and through the minor-memo kernel."""
+
+    @given(_series_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_operation_matches_reference(self, case):
+        (a, ra), (b, rb), scalar, q, weight = case
+        assert same_series(a, ra)
+        if ra.terms and rb.terms and ra.c != rb.c:
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                a - b
+        else:
+            assert same_series(a + b, ra + rb)
+            assert same_series(a - b, ra - rb)
+        assert same_series(a * b, ra * rb)
+        assert same_series(a.scal(scalar), ra.scal(scalar))
+        assert same_series(a.mul_tq(q, weight), ra.mul_tq(q, weight))
+        assert same_series(a.d_t1(), ra.d_t1())
+        assert same_series(a.d_tq(q), ra.d_tq(q))
+        assert a.is_zero_through_ord() == ra.is_zero_through_ord()
+        assert a.max_abs_at(Fraction(3, 2)) == ra.max_abs_at(Fraction(3, 2))
+
+    @pytest.mark.parametrize("k,cap", [(k, cap) for k in (2, 3, 4) for cap in (1, 2, 3)])
+    def test_kernel_matches_permutation_expansion(self, k, cap):
+        # every partition of at most 6 boxes, N <= 3, against det_perm and the
+        # column sum over the reference series
+        s = 1
+        for N in (1, 2, 3):
+            entry = functools.lru_cache(None)(
+                lambda g: ref_psi_multiseries(N, s, g, k, cap))
+            for n in range(7):
+                for parts in partitions(n):
+                    if len(parts) > N:
+                        assert not Psi_ms(N, s, parts, k, cap).terms
+                        continue
+                    A = hk._matrix(entry, N, parts)
+                    assert same_series(Psi_ms(N, s, parts, k, cap), det_perm(A))
+                    # a shift by k >= 2 moves a column past its neighbour
+                    ref = hk._column_sum(A, hk._matrix(entry, N, parts, k))
+                    assert same_series(Psi_trace_ms(N, s, parts, k, k, cap), ref)
 
 
 class TestMultiSeries:

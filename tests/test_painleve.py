@@ -2,6 +2,7 @@
 nonlinear ODE residuals, Barnes G, and the fractional-moment integral."""
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuemoments.exact import Poly, PowerSeries, RationalFunction
+from cuemoments.hankel import det_perm
 from cuemoments.painleve import (
+    _g_series,
     barnes_G,
     barnes_G_int,
     cos_constant,
@@ -50,6 +53,19 @@ class TestPhiSeries:
         t = 0.3
         series_val = sum(float(c) * t ** k for k, c in enumerate(p.coeffs))
         assert phi_eval(s, t) == pytest.approx(series_val, rel=1e-9)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_minor_kernel_matches_permutation_expansion(self, s):
+        K = 10
+        det = det_perm([[_g_series(j + k + 1, K) for k in range(s)]
+                        for j in range(s)])
+        pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
+                        barnes_G_int(s + 1) ** 2)
+        exp_neg_t = PowerSeries([Fraction((-1) ** m, math.factorial(m))
+                                 for m in range(K + 1)], K)
+        ref = pref * det * exp_neg_t
+        phi = phi_series(s, K)
+        assert (phi.order, phi.coeffs) == (ref.order, ref.coeffs)
 
     def test_float_route_rejects_s_below_one(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, RationalFunction
+from .exact import Poly, RationalFunction, _scaled_ints
 from .sympoly import SymPoly
 from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
 
@@ -87,21 +87,77 @@ def _double_factorial(k):
     return out
 
 
-def _unnorm_factored(Q, m):
-    """<Q> with each monomial factored into one-dimensional weight moments.
+def _pack(e, shifts):
+    """The exponent tuple e as one int, e[i] in the bit field at shifts[i]."""
+    return sum([x << s for x, s in zip(e, shifts)])
+
+
+@functools.lru_cache(maxsize=None)
+def _delta2_by_parity(m, bits):
+    """The terms of Delta^2 in m variables, packed into fields of the given
+    width, grouped by parity pattern: {packed & odd: [(packed, int coeff)]},
+    where odd has the low bit of every field set. Delta^2 has integer
+    coefficients."""
+    shifts = range(0, bits * m, bits)
+    odd = _pack((1,) * m, shifts)
+    groups = {}
+    for e, c in vandermonde_squared(m).terms.items():
+        k = _pack(e, shifts)
+        groups.setdefault(k & odd, []).append((k, c.numerator))
+    return groups
+
+
+def _even_moments(P, m):
+    """The sum of the coefficients of P * Delta^2 over its all-even
+    monomials, keyed by the non-increasing tuple of halved exponents; zero
+    sums are dropped.
+
+    The product is never formed. Delta^2 and the weight are symmetric, so a
+    term of P enters only through its sorted exponent, for any P. Each such
+    orbit pairs only with the Delta^2 terms of its own parity pattern: every
+    other pair leaves an odd coordinate, whose weight moment is 0.
+    """
+    ints, den = _scaled_ints(P.terms.values())
+    orbits = {}
+    for e, a in zip(P.terms, ints):
+        key = tuple(sorted(e, reverse=True))
+        orbits[key] = orbits.get(key, 0) + a
+    orbits = {e: a for e, a in orbits.items() if a}
+    if not orbits:
+        return {}
+    # Kronecker substitution as in SymPoly.__mul__, on bit fields: Delta^2
+    # has degree 2(m - 1) in each variable, so every exponent of a pair fits
+    # a field, and packed keys add without carries. Rounding the width up to
+    # whole bits lets most integrands of one arity share a cache entry.
+    bits = max(max(e[0] for e in orbits) + 2 * (m - 1), 1).bit_length()
+    shifts = range(0, bits * m, bits)
+    odd = _pack((1,) * m, shifts)
+    groups = _delta2_by_parity(m, bits)
+    out = {}
+    get = out.get
+    for e, a in orbits.items():
+        k1 = _pack(e, shifts)
+        for k2, b in groups.get(k1 & odd, ()):
+            k = k1 + k2
+            out[k] = get(k, 0) + a * b
+    half = (1 << (bits - 1)) - 1
+    moments = {}
+    for k, v in out.items():
+        if v:
+            key = tuple(sorted([(k >> (s + 1)) & half for s in shifts], reverse=True))
+            moments[key] = moments.get(key, 0) + v
+    return {key: Fraction(v, den) for key, v in moments.items() if v}
+
+
+def _unnorm_factored(agg, m):
+    """<Q> from the even moments agg of Q (as `_even_moments` returns them),
+    with each monomial factored into one-dimensional weight moments.
 
     Returns (numerator Poly in s, tuple of exponents E_j for the linear
     factors d_j = 2s+2m-1-2j, j = 1..len(E)), representing
     <Q> = numerator / prod_j d_j^{E_j} up to the common normalization that
     cancels in all ratios taken by callers.
     """
-    agg = {}
-    for expo, coeff in Q.terms.items():
-        if any(x % 2 for x in expo):
-            continue
-        key = tuple(sorted((x // 2 for x in expo), reverse=True))
-        agg[key] = agg.get(key, Fraction(0)) + coeff
-    agg = {k: v for k, v in agg.items() if v != 0}
     if not agg:
         return Poly(), ()
     pmax = max(k[0] for k in agg)
@@ -126,15 +182,20 @@ def _unnorm_factored(Q, m):
     return num, tuple(E)
 
 
+@functools.lru_cache(maxsize=None)
+def _delta2_norm(m):
+    """The factored normalization <Delta^2> in m variables."""
+    return _unnorm_factored(_even_moments(SymPoly.const(m, 1), m), m)
+
+
 def hp_expectation(P, m):
     """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as an exact RationalFunction."""
     if m > MAX_EXACT_ARITY:
         raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
     if P.arity != m:
         raise ValueError("polynomial arity does not match m")
-    delta2 = vandermonde_squared(m)
-    n1, f1 = _unnorm_factored(P * delta2, m)
-    n2, f2 = _unnorm_factored(delta2, m)
+    n1, f1 = _unnorm_factored(_even_moments(P, m), m)
+    n2, f2 = _delta2_norm(m)
     if n2.is_zero():
         raise ZeroDivisionError("degenerate normalization")
     num, den = n1, n2

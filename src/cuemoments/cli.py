@@ -8,7 +8,10 @@ manifest (command, parameters, seeds, version, wall time, output digest)
 so any run can be reproduced bit-for-bit.
 
 Exit codes: 0 success; 2 invalid or unsupported input; 3 Monte Carlo
-diagnostics failure (flagged chain); 4 a verified identity failed.
+diagnostics failure (flagged chain); 4 a verified identity failed; 141
+(128 + SIGPIPE, as a shell reports a writer ended by a broken pipe) the
+reader closed stdout before the document was written, and the run stops
+quietly.
 """
 
 import argparse
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_MC_DIAGNOSTICS = 3
 EXIT_IDENTITY_FAILED = 4
+EXIT_STDOUT_CLOSED = 141
 
 # G(s+1)^2/G(2s+1) is 1.7e-296 at s = 16 and below every float from s = 17
 MAX_CONSTANT_S = 16
@@ -48,6 +52,10 @@ MAX_P5_S = 6
 # s = 7, 1.6 s at s = 10 (2.4 s at order 20), 3.3 s at s = 11 and 7.0 s at
 # s = 12: the s x s determinant has 2^s minors
 MAX_P3_S = 10
+# painleve --mode p3-limit at s = 10 takes 0.9 s at --series-order 16, 2.5 s
+# at 32, 5.5 s at 40 and 6.2 s at 48; at s = 1, 1.25 s at order 200 and
+# 8.2 s at 300
+MAX_P3_ORDER = 40
 # hankel-verify at every bound at once (N = 4, s = 10, l = 10, k = 5) takes
 # 6.6 s; one step past a bound takes 10.6 s at k = 6, 13 s at s = l = 14 and
 # 25 s at N = 5 (12.5 s at N = 6 even with s = 3, l = 4, k = 3)
@@ -205,11 +213,23 @@ def _emit(command, params, result, seeds, started, fmt):
         for key, value in sorted(result.items()):
             rows.append((key, _canonical_dumps(value)
                          if isinstance(value, (dict, list)) else str(value)))
-        sys.stdout.write("\n".join("%s,%s" % r for r in rows) + "\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return doc
+        return _write_stdout("\n".join("%s,%s" % r for r in rows) + "\n")
+    return _write_stdout(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_stdout(text):
+    """Write text to stdout and flush it; False when the reader has closed
+    the pipe. stdout then points at os.devnull, so that the flush at
+    interpreter exit cannot raise again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def _summary(text):
@@ -405,8 +425,8 @@ def cmd_painleve(args):
 
     if args.s < 1:
         raise CliError("s must be a positive integer")
-    if args.series_order < 0:
-        raise CliError("--series-order must be >= 0")
+    if not 0 <= args.series_order <= MAX_P3_ORDER:
+        raise CliError("--series-order must be >= 0 and <= %d" % MAX_P3_ORDER)
     max_s = MAX_P5_S if args.mode == "p5-finite" else MAX_P3_S
     if args.s > max_s:
         raise CliError("%s supports --s <= %d" % (args.mode, max_s))
@@ -622,8 +642,8 @@ def main(argv=None):
             args.seed = _default_seed()
         out = args.func(args)
     except CliError as exc:
-        json.dump({"error": str(exc), "exit_code": exc.code}, sys.stdout)
-        sys.stdout.write("\n")
+        if not _write_stdout(json.dumps({"error": str(exc), "exit_code": exc.code}) + "\n"):
+            return EXIT_STDOUT_CLOSED
         _summary("error: %s" % exc)
         return exc.code
     if len(out) == 3:
@@ -633,7 +653,8 @@ def main(argv=None):
         seeds = None
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "format") and v is not None}
-    _emit(args.command, params, result, seeds, started, args.format)
+    if not _emit(args.command, params, result, seeds, started, args.format):
+        return EXIT_STDOUT_CLOSED
     return code
 
 

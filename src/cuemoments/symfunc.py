@@ -35,13 +35,15 @@ def elementary(k, m):
 
 @functools.lru_cache(maxsize=None)
 def vandermonde_squared(m):
-    """Expansion of prod_{i<j} (x_i - x_j)^2 with collected coefficients."""
-    out = SymPoly.const(m, 1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = SymPoly.variable(m, i) - SymPoly.variable(m, j)
-            out = out * d * d
-    return out
+    """Expansion of prod_{i<j} (x_i - x_j)^2 with collected coefficients,
+    as Delta * Delta with Delta = det[x_i^j] = sum over the permutations
+    sigma of 0..m-1 of sgn(sigma) * prod_i x_i^{sigma(i)}."""
+    delta = {}
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        delta[perm] = -1 if inversions % 2 else 1
+    delta = SymPoly(m, delta)
+    return delta * delta
 
 
 def _sinh_series(order):

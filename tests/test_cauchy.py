@@ -5,11 +5,12 @@ moments, and the independent closed-form oracles."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuemoments.cauchy import (
     MomentSpec,
+    _even_moments,
     cauchy_det_bruteforce,
     cauchy_det_leading_coeff,
     domain,
@@ -24,6 +25,7 @@ from cuemoments.cauchy import (
 )
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.sympoly import SymPoly
+from cuemoments.symfunc import vandermonde_squared
 
 S = Poly((0, 1))
 
@@ -79,6 +81,62 @@ class TestHpExpectation:
     def test_arity_cap(self):
         with pytest.raises(ValueError):
             hp_expectation(SymPoly.const(8, 1), 8)
+
+
+def _dense_even_moments(Q):
+    """Reference: the even-monomial sums of an expanded Q, keyed by the
+    non-increasing tuple of halved exponents (the dense route that expanded
+    P * Delta^2 monomial by monomial)."""
+    agg = {}
+    for expo, coeff in Q.terms.items():
+        if any(x % 2 for x in expo):
+            continue
+        key = tuple(sorted((x // 2 for x in expo), reverse=True))
+        agg[key] = agg.get(key, Fraction(0)) + coeff
+    return {k: v for k, v in agg.items() if v != 0}
+
+
+def _dense_expectation(P, m):
+    """Reference: <P * Delta^2> / <Delta^2> from the expanded product, each
+    even monomial integrated as a product of one-dimensional weight moments."""
+    def unnorm(Q):
+        total = RationalFunction(Poly())
+        for key, coeff in _dense_even_moments(Q).items():
+            term = RationalFunction.const(coeff)
+            for p in key:
+                term = term * weight_moment(2 * p, m)
+            total = total + term
+        return total
+
+    delta2 = vandermonde_squared(m)
+    return unnorm(P * delta2) / unnorm(delta2)
+
+
+@st.composite
+def integrands(draw):
+    """An arbitrary, usually non-symmetric SymPoly of arity 1-4 with mixed
+    denominators; odd monomials, constants and the zero polynomial occur."""
+    m = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([0, 1, 3, 6]))
+    expos = st.tuples(*[st.integers(0, top)] * m)
+    coeffs = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),
+        st.fractions(max_denominator=30, min_value=Fraction(-50), max_value=Fraction(50)))
+    return SymPoly(m, draw(st.dictionaries(expos, coeffs, max_size=6))), m
+
+
+class TestEvenOrbitContraction:
+    @given(integrands())
+    @example((SymPoly(3), 3))
+    @example((SymPoly.const(4, Fraction(-7, 3)), 4))
+    @example((SymPoly(2, {(3, 0): 1}), 2))
+    @example((SymPoly(3, {(2, 1, 0): Fraction(1, 6), (0, 1, 2): Fraction(-3, 10),
+                          (1, 1, 1): 4}), 3))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_dense_route(self, case):
+        P, m = case
+        assert _even_moments(P, m) == _dense_even_moments(P * vandermonde_squared(m))
+        assert hp_expectation(P, m) == _dense_expectation(P, m)
 
 
 class TestLimitingMoment:

@@ -4,6 +4,9 @@ validation, exit codes, seeding, and manifest reproducibility."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -74,6 +77,18 @@ class TestLeadingCoeff:
         captured = capsys.readouterr()
         assert code == 2
         assert "error" in json.loads(captured.out)
+
+    # L = 6, the largest arity; recorded while hp_expectation expanded
+    # P * Delta^2 monomial by monomial
+    @pytest.mark.parametrize("orders,exponents,digest", [
+        ("2,1", "2,2", "b47b5813da51563eb56b5d205e36c7ecd1561b6c6437e52f6ed40e810d6fddd3"),
+        ("1", "6", "f85494b5139c70bc92e38b0756967ecfb1e4bdb1266c5d1a31ca25fddfb85478"),
+    ])
+    def test_output_digest_pinned(self, capsys, orders, exponents, digest):
+        code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", orders,
+                               "--exponents", exponents, "--variant", "Z")
+        assert code == 0
+        assert doc["manifest"]["output_digest"] == digest
 
 
 class TestFiniteMoment:
@@ -366,6 +381,8 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     ["hankel-verify", "--s", "11"],
     ["hankel-verify", "--l", "11"],
     ["hankel-verify", "--k", "6"],
+    # just above the p3-limit series-order bound
+    ["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "41"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
@@ -381,6 +398,8 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (["hankel-verify", "--k", "6"], "--k must be <= 5"),
     (["painleve", "--mode", "p5-finite", "--N", "1", "--s", "7"], "--s <= 6"),
     (["painleve", "--mode", "p3-limit", "--s", "11"], "--s <= 10"),
+    (["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "41"],
+     "--series-order must be >= 0 and <= 40"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     import cuemoments.hankel as hk
@@ -478,6 +497,30 @@ def test_help_exits_0(capsys):
         main(["painleve", "--help"])
     assert exc.value.code == 0
     assert "--series-order" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z"],
+    ["leading-coeff", "--orders", "1", "--exponents", "3", "--variant", "Z"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # the reader end of the pipe is closed before the process starts, so
+    # every write to stdout fails, as when `head -c 10` has already exited
+    import cuemoments
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuemoments.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cuemoments.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"BrokenPipe" not in proc.stderr
 
 
 def test_manifest_structure(capsys, schema):

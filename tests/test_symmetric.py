@@ -122,6 +122,16 @@ def test_vandermonde_squared_arity2():
     assert vandermonde_squared(2) == expected
 
 
+@pytest.mark.parametrize("m", range(6))
+def test_vandermonde_squared_is_product_of_squared_differences(m):
+    expected = SymPoly.const(m, 1)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = SymPoly.variable(m, i) - SymPoly.variable(m, j)
+            expected = expected * d * d
+    assert vandermonde_squared(m) == expected
+
+
 class TestACoeff:
     def test_egf_matches_bruteforce(self):
         for N in range(1, 7):

@@ -7,7 +7,6 @@ Monte Carlo / quadrature cross-checks.
 
 from .cauchy import (
     MomentSpec,
-    cauchy_det_leading_coeff,
     finite_joint_moment,
     hp_expectation,
     keating_snaith_constant,
@@ -15,17 +14,14 @@ from .cauchy import (
     oracle_finiteN_F20,
     oracle_second_moment_V,
     oracle_second_moment_Y,
-    weight_moment,
 )
 from .exact import Poly, PowerSeries, RationalFunction, series_logderiv
 from .hankel import (
     MultiSeries,
     appendix_matrices,
     exp_derivative,
-    expansion_coeff_multinomial,
     hankel_det,
     mixed_derivative,
-    normalized_L,
     theta,
     trace_adjugate,
     verify_vector_recursion,
@@ -37,7 +33,6 @@ from .mc import (
     sample_hp,
 )
 from .painleve import (
-    barnes_G,
     fractional_moment_q1,
     painleve5_residual,
     phi_series,

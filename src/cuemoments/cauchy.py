@@ -20,8 +20,6 @@ MAX_EXACT_ARITY = 7
 # exponent such as 1e400 is rejected instead of expanded without end
 MAX_EXACT_DEGREE = 64
 
-S = Poly.x()
-
 
 @dataclass(frozen=True)
 class MomentSpec:
@@ -58,25 +56,6 @@ def domain(exponents):
 def _lin_factor(j, m):
     """The linear factor d_j = 2s + (2m - 1 - 2j) appearing in weight moments."""
     return Poly((2 * m - 1 - 2 * j, 2))
-
-
-def weight_moment(r, m):
-    """Normalized one-dimensional weight moment
-    int x^r (1+x^2)^{-(s+m)} dx / int (1+x^2)^{-(s+m)} dx
-    as a rational function of s. Zero for odd r;
-    mu_{2p} = prod_{j=1}^{p} (2j-1)/(2s+2m-1-2j).
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r % 2:
-        return RationalFunction(Poly())
-    p = r // 2
-    num = 1
-    den = Poly.const(1)
-    for j in range(1, p + 1):
-        num *= 2 * j - 1
-        den = den * _lin_factor(j, m)
-    return RationalFunction(Poly.const(num), den)
 
 
 def _double_factorial(k):
@@ -337,39 +316,6 @@ def oracle_finiteN_F20(N):
     term3 = RationalFunction(Poly.const(4 * N ** 2) * cubic, a * b * c)
     term4 = RationalFunction(Poly.const(-8 * N) * Poly((0, 1)), a * b * c)
     return RationalFunction.const(Fraction(1, 16)) * (term1 + term2 + term3 + term4)
-
-
-def cauchy_det_leading_coeff(n, m, s):
-    """Leading coefficient built from a Cauchy determinant:
-    n! m! / ((s-1+n)! (s-1+m)!) * prod_{j=2}^s (s-j)!^{-2} * det[1/(p_i+q_j+1)]
-    with p_1 = s-1+n, q_1 = s-1+m, p_i = q_i = s-i for i >= 2; the determinant
-    is evaluated by the exact product formula."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    p = [s - 1 + n] + [s - i for i in range(2, s + 1)]
-    q = [s - 1 + m] + [s - i for i in range(2, s + 1)]
-    det = Fraction(1)
-    for i in range(s):
-        for j in range(i + 1, s):
-            det *= Fraction((p[j] - p[i]) * (q[j] - q[i]))
-    for i in range(s):
-        for j in range(s):
-            det /= (p[i] + q[j] + 1)
-    pref = Fraction(math.factorial(n) * math.factorial(m),
-                    math.factorial(s - 1 + n) * math.factorial(s - 1 + m))
-    for j in range(2, s + 1):
-        pref /= Fraction(math.factorial(s - j)) ** 2
-    return pref * det
-
-
-def cauchy_det_bruteforce(n, m, s):
-    """Direct determinant evaluation of det[1/(p_i+q_j+1)] (test oracle)."""
-    from .hankel import det_perm
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    p = [s - 1 + n] + [s - i for i in range(2, s + 1)]
-    q = [s - 1 + m] + [s - i for i in range(2, s + 1)]
-    return det_perm([[Fraction(1, pi + qj + 1) for qj in q] for pi in p])
 
 
 def keating_snaith_constant(s):

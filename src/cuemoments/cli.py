@@ -60,6 +60,11 @@ MAX_P3_ORDER = 40
 # 6.6 s; one step past a bound takes 10.6 s at k = 6, 13 s at s = l = 14 and
 # 25 s at N = 5 (12.5 s at N = 6 even with s = 3, l = 4, k = 3)
 MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
+# mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.5 s
+# at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit
+# costs most at N = 1: 2e6 sweeps take 4.7 s and 190 MB there (0.6 s at N = 14)
+MAX_MC_N = 100
+MAX_MC_WORK = 2_000_000
 
 
 class CliError(Exception):
@@ -188,9 +193,8 @@ def _ratfun_json(rf):
     return {"num": rf.num.to_json(), "den": rf.den.to_json(), "repr": repr(rf)}
 
 
-def _series_json(ps, through=None):
-    n = len(ps.coeffs) if through is None else min(through + 1, len(ps.coeffs))
-    return [rat_to_str(c) for c in ps.coeffs[:n]]
+def _series_json(ps, through):
+    return [rat_to_str(c) for c in ps.coeffs[:through + 1]]
 
 
 def _canonical_dumps(obj):
@@ -332,7 +336,7 @@ def cmd_finite_moment(args):
 
 
 def cmd_mc_estimate(args):
-    from .mc import ChainConfig, _block_stats, joint_moment_values, sample_hp
+    from .mc import ChainConfig, estimate_joint_moment, sample_hp
 
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
@@ -349,7 +353,12 @@ def cmd_mc_estimate(args):
                              thin=args.thin, proposal_scale=args.proposal_scale,
                              seed=args.seed)
         _check_domain(s, exponents)
-        # e.g. numpy's "Maximum allowed dimension exceeded" for a huge --samples
+        if config.N > MAX_MC_N:
+            raise CliError("mc-estimate supports --N <= %d" % MAX_MC_N)
+        work = config.chains * (config.burn_in + config.samples * config.thin) * config.N ** 2
+        if work > MAX_MC_WORK:
+            raise CliError("mc-estimate needs chains * (burn-in + samples * thin) "
+                           "* N^2 <= %d; got %d" % (MAX_MC_WORK, work))
         batch = sample_hp(config)
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
@@ -365,9 +374,8 @@ def cmd_mc_estimate(args):
         _summary("mc-estimate FLAGGED: acceptance rate %.3f"
                  % batch.acceptance_rate)
         return result, EXIT_MC_DIAGNOSTICS, seeds
-    vals = joint_moment_values(batch, spec)
     try:
-        est, stderr = _block_stats(vals)
+        est, stderr, ess = estimate_joint_moment(batch, spec)
     except ValueError as exc:  # too few draws for block-mean errors
         raise CliError(str(exc))
     result = {
@@ -378,13 +386,13 @@ def cmd_mc_estimate(args):
         "exponents": [float(e) for e in exponents],
         "estimate": est,
         "stderr": stderr,
-        "ess": batch.ess(vals),
+        "ess": ess,
         "acceptance_rate": batch.acceptance_rate,
         "flagged": False,
         "draws": int(len(batch.draws)),
     }
     _summary("mc-estimate N=%d s=%s -> %.6g +/- %.2g (ess %.0f)"
-             % (args.N, args.s, est, stderr, result["ess"]))
+             % (args.N, args.s, est, stderr, ess))
     return result, EXIT_OK, seeds
 
 

@@ -126,9 +126,6 @@ class Poly:
                     rem[i - d + j] -= c * b
         return Poly(quot), Poly(rem)
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -198,10 +195,6 @@ class Poly:
 
     def to_json(self):
         return [rat_to_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(lst):
-        return Poly([Fraction(s) for s in lst])
 
     def __repr__(self):
         if self.is_zero():
@@ -287,33 +280,11 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.const(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction.const(other) / self
-
-    def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
-
     def eval(self, x0):
         d = self.den.eval(x0)
         if d == 0:
             raise ZeroDivisionError("pole at evaluation point %s" % (x0,))
         return self.num.eval(x0) / d
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(obj):
-        return RationalFunction(Poly.from_json(obj["num"]), Poly.from_json(obj["den"]))
 
     def __repr__(self):
         if self.den == Poly.const(1):
@@ -345,10 +316,6 @@ class PowerSeries:
     @staticmethod
     def const(c, order=DEFAULT_SERIES_ORDER):
         return PowerSeries([c], order)
-
-    @staticmethod
-    def x(order=DEFAULT_SERIES_ORDER):
-        return PowerSeries([0, 1], order)
 
     def __getitem__(self, k):
         if k > self.order:
@@ -441,16 +408,6 @@ class PowerSeries:
                 acc += j * self.coeffs[j] * out[n - j]
             out[n] = acc / n
         return PowerSeries(out, k)
-
-    def log(self):
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        d = self.derivative() / self
-        out = [Fraction(0)] * (self.order + 1)
-        for n in range(1, min(self.order, d.order + 1) + 1):
-            out[n] = d.coeffs[n - 1] / n
-        return PowerSeries(out, min(self.order, d.order + 1))
 
     def __repr__(self):
         return "PowerSeries(%s, order=%d)" % (list(self.coeffs), self.order)

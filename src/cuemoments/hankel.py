@@ -1,10 +1,9 @@
 """Exact Hankel-determinant machinery: the theta functions (Laguerre route,
 integer s), Hankel determinants shifted by partitions, exact t-derivatives and
-mixed derivatives, trace-adjugate quantities with weighted variants, the
-explicit recursion matrices, and exact verification of the Section-4-style
-identity suite (derivative/three-term recurrences, alternating sums, initial
-conditions, the vector recursion, and the two characteristic-function
-relations).
+mixed derivatives, trace-adjugate quantities, the explicit recursion matrices,
+and exact verification of the Section-4-style identity suite
+(derivative/three-term recurrences, alternating sums, initial conditions, the
+vector recursion, and the two characteristic-function relations).
 
 Everything here is exact: theta_m is e^{-t} times a polynomial with rational
 coefficients, so every determinant, derivative, trace, and residual is a known
@@ -177,16 +176,6 @@ def hankel_det(N, s, parts):
     return det_poly_bareiss(_theta_poly_matrix(N, s, parts))
 
 
-def hankel_derivative_column_rule(N, s, parts):
-    """d/dt of the determinant via the column rule d theta = theta - 2 theta_+1:
-    sum over columns of the determinant with that column's indices shifted.
-    The Poly after e^{-Nt}; each replaced column already carries the
-    derivative of its e^{-t} factor."""
-    A = _theta_poly_matrix(N, s, parts)
-    B = _matrix(lambda g: theta(g, N, s) - 2 * theta(g + 1, N, s), N, parts)
-    return _column_sum(A, B)
-
-
 def trace_adjugate(N, s, parts, h):
     """Psi_{N,lambda,h} = Tr[adj(A_{N,lambda}) A_{N,S_h lambda}] at t_rest = 0:
     the Poly after e^{-Nt}."""
@@ -206,19 +195,8 @@ def alternating_sum_residual(N, s, l):
     return trace_adjugate(N, s, (), l) - rhs
 
 
-def weighted_alternating_residual(N, s, l):
-    """Tr[adj(A_{N,empty}) B] - sum_{j=1}^l (-1)^{j-1} (2N-2j+l) Psi_{N,lambda_{l,j}},
-    where B is the l-shifted matrix with entries g theta_g (each entry
-    weighted by its index g): the Poly after e^{-Nt}; zero."""
-    B = _matrix(lambda g: g * theta(g, N, s), N, (), l)
-    rhs = Poly()
-    for j in range(1, l + 1):
-        rhs = rhs + (-1) ** (j - 1) * (2 * N - 2 * j + l) * hankel_det(N, s, partition_kq(l, j))
-    return _column_sum(_theta_poly_matrix(N, s, ()), B) - rhs
-
-
 # ---------------------------------------------------------------------------
-# mixed derivatives at t_rest = 0 and the normalized ratio
+# mixed derivatives at t_rest = 0
 # ---------------------------------------------------------------------------
 
 def mixed_derivative(N, s, ell):
@@ -238,24 +216,6 @@ def mixed_derivative(N, s, ell):
     for c in ell.values():
         scale *= math.factorial(c)
     return (scale * coeff).scale_arg(N)
-
-
-def normalized_L(N, s, ell, t0):
-    """Ratio E_N[e^{-i t0 p_1 / N} prod_q (sum_j (x_j - i)^q)^{ell_q}]
-    / E_N[e^{-i t0 p_1 / N}] = (-2i)^{sum q ell_q} * M(t0/N)/Psi(t0/N).
-
-    Returns a dict with the exact rational magnitude ratio, the power of
-    (-2i), and the complex float value.
-    """
-    t0 = Fraction(t0)
-    if t0 <= 0:
-        raise ValueError("t0 > 0 required")
-    S = sum(q * c for q, c in ell.items())
-    u0 = t0 / N
-    M = mixed_derivative(N, s, ell)
-    ratio = M.eval(u0) / hankel_det(N, s, ()).eval(u0)
-    value = complex(-2j) ** S * float(ratio)
-    return {"ratio": ratio, "power": S, "value": value}
 
 
 def cor_relation_residuals(N, s):
@@ -530,35 +490,6 @@ def Psi_ms(N, s, parts, k, cap):
     return _psi_det(N, s, k, cap, tuple(_columns(N, parts)))
 
 
-def Psi_trace_ms(N, s, parts, h, k, cap):
-    """Boldface Psi_{N,lambda,h} as a MultiSeries: the sum over j of the
-    determinant with column j shifted by h; the minors without that column
-    are those of Psi_ms."""
-    parts = tuple(parts)
-    total = MultiSeries(k - 1, cap)
-    if len(parts) > N:
-        return total
-    cols = _columns(N, parts)
-    for j in range(N):
-        shifted = tuple(cols[:j] + [cols[j] + h] + cols[j + 1:])
-        total = total + _psi_det(N, s, k, cap, shifted)
-    return total
-
-
-def lemma_dq_residual(N, s, parts, q, k=2, cap=2):
-    """d Psi_{N,lambda}/dt_q - (1/N) Psi_{N,lambda,q}; zero."""
-    lhs = Psi_ms(N, s, tuple(parts), k, cap).d_tq(q)
-    rhs = Psi_trace_ms(N, s, tuple(parts), q, k, cap).scal(Fraction(1, N))
-    return lhs - rhs
-
-
-def lemma_t1_residual(N, s, parts, k=2, cap=2):
-    """Psi_{N,lambda,1} + (N/2) d Psi/dt_1 - (N/2) Psi; zero."""
-    P = Psi_ms(N, s, tuple(parts), k, cap)
-    lhs = Psi_trace_ms(N, s, tuple(parts), 1, k, cap)
-    return lhs + P.d_t1().scal(Fraction(N, 2)) - P.scal(Fraction(N, 2))
-
-
 def initial_condition_residuals(N, s, k=2, cap=2):
     """The two second-shift initial conditions at t_rest = 0:
     Psi_{lambda_{2,1}} = (N^2/8)Psi'' - (N^2/4)Psi' + (N^2/8)Psi + (N/2)dPsi/dt2
@@ -805,104 +736,3 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
         # nonzero symbolic residual that happens to vanish at t0
         worst = Fraction(1)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# expansion coefficients of the iterated replacement
-# ---------------------------------------------------------------------------
-
-def expansion_coeff(h, hprime, i, j):
-    """The paper's printed display for the collected coefficient
-    a^{(i,j)}_{h_2, h_3',...,h_{k-1}', h_k} of the iterated replacement
-    expansion, kept as a negative control: it agrees with the brute-force
-    expansion for k <= 3 but not beyond (use expansion_coeff_multinomial).
-    h = (h_2,...,h_k), hprime = (h_3',...,h_{k-1}') with k inferred from len(h).
-
-    (i-1-j)! (-1)^{sum h' + h_k} / [(h_2+h_3')! (h_{k-1}-h_{k-1}'+h_k)!
-      prod_{n=3}^{k-2} (h_n - h_n' + h_{n+1}')!]
-    (for k = 3 this collapses to the binomial (i-1-j)!(-1)^{h_3}/(h_2! h_3!)).
-    """
-    k = len(h) + 1
-    r = i - 1 - j
-    if r < 0 or sum(h) != r:
-        raise ValueError("need sum h = i-1-j >= 0")
-    if len(hprime) != max(0, k - 3):
-        raise ValueError("hprime must have length k-3")
-    sign = (-1) ** (sum(hprime) + h[-1])
-    if k == 2:
-        if h[0] != r:
-            raise ValueError("inconsistent profile")
-        return Fraction(math.factorial(r) * sign, math.factorial(h[0]))
-    if k == 3:
-        return Fraction(math.factorial(r) * sign,
-                        math.factorial(h[0]) * math.factorial(h[1]))
-    hp = list(hprime)  # h_3'..h_{k-1}'
-    hh = list(h)       # h_2..h_k
-    for n in range(3, k):
-        if not (0 <= hp[n - 3] <= hh[n - 2]):
-            raise ValueError("constraint violated: 0 <= h_%d' <= h_%d" % (n, n))
-    denom = math.factorial(hh[0] + hp[0])
-    last = hh[k - 3] - hp[k - 4] + hh[k - 2]
-    if last < 0:
-        raise ValueError("constraint violated in trailing factorial")
-    denom *= math.factorial(last)
-    for n in range(3, k - 1):
-        arg = hh[n - 2] - hp[n - 3] + hp[n - 2]
-        if arg < 0:
-            raise ValueError("constraint violated in chain factorial")
-        denom *= math.factorial(arg)
-    return Fraction(math.factorial(r) * sign, denom)
-
-
-def expansion_coeff_multinomial(h, hprime, i, j):
-    """The collected coefficient of the iterated replacement expansion derived
-    directly from the multilinear product: each variable t_n (n = 3..k-1)
-    splits its exponent h_n into h_n' factors taken from the "-(n) t_n" branch
-    and h_n - h_n' from the "+(n) t_n" branch, t_2 is pure "+", t_k is pure
-    "-", and the coefficient is the multinomial over the resulting classes:
-
-    (i-1-j)! (-1)^{sum h' + h_k} / [h_2! h_k! prod_{n=3}^{k-1} (h_n-h_n')! h_n'!]
-
-    This reproduces the brute-force expansion for every k (the closed-form
-    display implemented by expansion_coeff agrees with it for k <= 3 but not
-    beyond; see tests).
-    """
-    k = len(h) + 1
-    r = i - 1 - j
-    if r < 0 or sum(h) != r:
-        raise ValueError("need sum h = i-1-j >= 0")
-    if len(hprime) != max(0, k - 3):
-        raise ValueError("hprime must have length k-3")
-    for n in range(3, k):
-        if not (0 <= hprime[n - 3] <= h[n - 2]):
-            raise ValueError("constraint violated: 0 <= h_%d' <= h_%d" % (n, n))
-    sign = (-1) ** (sum(hprime) + h[-1])
-    denom = math.factorial(h[0])
-    if k >= 3:
-        denom *= math.factorial(h[-1])
-    for n in range(3, k):
-        denom *= math.factorial(h[n - 2] - hprime[n - 3]) * math.factorial(hprime[n - 3])
-    return Fraction(math.factorial(r) * sign, denom)
-
-
-def expansion_bruteforce(k, r):
-    """Oracle: expand sum over (l_1..l_r) in {1..k-2}^r of
-    prod_n ((l_n+1) t_{l_n+1} - (l_n+2) t_{l_n+2}) x^{l_n}, collecting
-    coefficients of monomials prod t_n^{h_n} x^L (returned as a dict)."""
-    out = {}
-    for lvec in itertools.product(range(1, k - 1), repeat=r):
-        for choice in itertools.product((0, 1), repeat=r):
-            expo = [0] * (k - 1)  # exponents of t_2..t_k
-            coeff = 1
-            L = sum(lvec)
-            for ln, c in zip(lvec, choice):
-                if c == 0:
-                    var = ln + 1
-                    coeff *= var
-                else:
-                    var = ln + 2
-                    coeff *= -var
-                expo[var - 2] += 1
-            key = (tuple(expo), L)
-            out[key] = out.get(key, 0) + coeff
-    return {kk: v for kk, v in out.items() if v != 0}

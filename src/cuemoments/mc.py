@@ -1,17 +1,16 @@
 """Monte Carlo and quadrature engines for the Hua-Pickrell (Cauchy) eigenvalue
-ensemble: a counter-based deterministic RNG, Metropolis-within-Gibbs sampling
-of the density proportional to prod (1+x_i^2)^{-(s+N)} * prod_{i<j}(x_i-x_j)^2,
-joint-moment estimators supporting arbitrary real exponents, and a tensor
-Gauss-Legendre quadrature oracle at tiny arity.
+ensemble: Metropolis-within-Gibbs sampling of the density proportional to
+prod (1+x_i^2)^{-(s+N)} * prod_{i<j}(x_i-x_j)^2 driven by a counter-based
+SplitMix64 stream, a joint-moment estimator for arbitrary positive real
+exponents, and a tensor Gauss-Legendre quadrature oracle at tiny arity.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .cauchy import MomentSpec, domain, finite_joint_moment, limiting_moment
+from .cauchy import domain
 from .symfunc import a_coeff
 
 _MASK = (1 << 64) - 1
@@ -25,24 +24,6 @@ def _mix64(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-class CounterRNG:
-    """Counter-based 64-bit generator: the i-th output is
-    mix64(seed + (i+1)*GOLDEN) with the SplitMix64 mixing function, so streams
-    are reproducible across implementations from (seed, counter) alone."""
-
-    def __init__(self, seed):
-        self.seed = seed & _MASK
-        self.counter = 0
-
-    def next_u64(self):
-        self.counter += 1
-        return _mix64((self.seed + self.counter * _GOLDEN) & _MASK)
-
-    def uniform(self):
-        """Uniform in (0, 1), 53-bit resolution, never exactly 0 or 1."""
-        return ((self.next_u64() >> 11) + 0.5) / 9007199254740992.0
 
 
 def derive_chain_seed(seed, chain_index):
@@ -81,22 +62,14 @@ class SampleBatch:
     acceptance_rate: float
     flagged: bool              # acceptance outside [0.05, 0.95] post-adaptation
 
-    def ess(self, values):
-        """Effective sample size of a scalar statistic via block means."""
-        values = np.asarray(values, dtype=float)
-        est, stderr = _block_stats(values)
-        var = float(np.var(values))
-        if stderr == 0 or var == 0:
-            return float(len(values))
-        return var / (stderr * stderr)
-
 
 # Sweeps whose uniforms are drawn in one block: a sweep takes at most 2N.
 _BLOCK = 256
 
 
 def _uniforms(seed, start, count):
-    """CounterRNG(seed).uniform() at counters start+1 .. start+count, as a
+    """The uniforms ((mix64(seed + c * GOLDEN mod 2^64) >> 11) + 0.5) / 2^53 in
+    (0, 1) of the stream of `seed` at counters c = start+1 .. start+count, as a
     list of floats drawn in one array pass."""
     z = _mix64(np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
                + (seed & _MASK))
@@ -221,19 +194,20 @@ def _integrand_values(batch_draws, spec, N):
     return pref * v
 
 
-def joint_moment_values(batch, spec):
-    """Integrand of the joint-moment ratio at each draw of the batch."""
+def estimate_joint_moment(batch, spec):
+    """Block-mean estimate, standard error and effective sample size
+    var / stderr^2 (the draw count where either is 0) of the joint-moment ratio
+    2^{-sum 2 h_j n_j} E[prod |Xi_{n_j}|^{2h_j}] (Z) or the modulus form with
+    the extra binomial combination (V); exponents may be any positive reals."""
     N = batch.config.N
     if spec.size not in (N, "limit", None):
         raise ValueError("spec arity does not match batch arity")
-    return _integrand_values(batch.draws, spec, N)
-
-
-def estimate_joint_moment(batch, spec):
-    """Block-mean estimate and standard error of the joint-moment ratio
-    2^{-sum 2 h_j n_j} E[prod |Xi_{n_j}|^{2h_j}] (Z) or the modulus form with
-    the extra binomial combination (V); exponents may be any positive reals."""
-    return _block_stats(joint_moment_values(batch, spec))
+    values = _integrand_values(batch.draws, spec, N)
+    est, stderr = _block_stats(values)
+    var = float(np.var(values))
+    if stderr == 0 or var == 0:
+        return est, stderr, float(len(values))
+    return est, stderr, var / (stderr * stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +247,8 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
     same integral with P = 1, after x_i = tan(u_i) (so the integrand becomes a
     trigonometric polynomial on the box (-pi/2, pi/2)^N when P is polynomial).
 
-    Doubles the node count and raises if the two values disagree beyond the
-    1e-10 relative target (check=True).
+    With check=True, recomputes at nodes_per_dim + nodes_per_dim // 2 nodes and
+    raises if the two values disagree beyond the 1e-10 relative target.
     """
     if N > 3:
         raise ValueError("quadrature oracle supports N <= 3")
@@ -319,23 +293,3 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
         raise ArithmeticError("quadrature did not converge to the 1e-10 target; "
                               "increase nodes_per_dim")
     return v2
-
-
-def asymptotics_table(spec, N_list, s_value=None):
-    """Exact rows (N, normalized finite-size value) plus the limiting row.
-
-    The finite-size column is 2^{-2 sum h_j n_j} E_N[prod |Xi_{n_j}/N^{n_j}|^{2h_j}],
-    i.e. the finite joint moment divided by N^{sum 2 h_j n_j}; the limit row
-    comes from the finite-sum limiting formula with the same 2-power.
-    """
-    S = sum(n * e for n, e in zip(spec.orders, spec.exponents))
-    rows = []
-    for N in N_list:
-        fspec = MomentSpec(spec.orders, spec.exponents, spec.variant, N)
-        rf = finite_joint_moment(fspec) * Fraction(1, N ** S)
-        rows.append((N, rf if s_value is None else rf.eval(Fraction(s_value))))
-    lim = limiting_moment(spec.orders, spec.exponents) * Fraction(1, 2 ** S)
-    if s_value is not None:
-        lim = lim.eval(Fraction(s_value))
-    rows.append(("limit", lim))
-    return rows

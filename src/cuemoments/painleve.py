@@ -53,13 +53,6 @@ def log_barnes_G(z):
     return log_g
 
 
-def barnes_G(z):
-    """Barnes G-function for z > 0, exact at integers."""
-    if z > 0 and abs(z - round(z)) < 1e-13:
-        return float(barnes_G_int(int(round(z))))
-    return math.exp(log_barnes_G(z))
-
-
 def _g_series(nu, order):
     """g_nu(t) = sum_m (2t)^m / (m! (m+nu)!), truncated rational series."""
     cs = []

@@ -1,8 +1,9 @@
 """Symmetric-polynomial building blocks: elementary symmetric polynomials,
 the squared Vandermonde, the derivative-coefficient polynomials Xi_n with
-integer coefficients a_{n,l}, Newton conversions between power sums and
-elementary symmetric functions, and the real expansion of the V-variant
-integrand.
+integer coefficients a_{n,l}, and the real expansion of the V-variant
+integrand. newton_convert (power sums <-> elementary symmetric functions)
+is reached by no command yet; it is kept for the joint moments read from
+the multi-time Hankel series.
 """
 
 import functools
@@ -80,30 +81,6 @@ def a_coeff(n, l, N):
     val = (-1) ** ((n + l) // 2) * math.factorial(n) * f[n]
     assert val.denominator == 1
     return int(val)
-
-
-def a_coeff_bruteforce(n, l, N):
-    """Composition-sum oracle for a_{n,l}(N): sum of multinomials n!/(m_1!..m_N!)
-    over compositions of n into N parts with the first l parts odd and the
-    rest even (>= 0), with sign (-1)^{(n+l)/2}.
-    """
-    if (n - l) % 2:
-        return 0
-    total = 0
-    nf = math.factorial(n)
-
-    def rec(pos, remaining, denom):
-        nonlocal total
-        if pos == N:
-            if remaining == 0:
-                total += nf // denom
-            return
-        start = 1 if pos < l else 0
-        for m in range(start, remaining + 1, 2):
-            rec(pos + 1, remaining - m, denom * math.factorial(m))
-
-    rec(0, n, 1)
-    return (-1) ** ((n + l) // 2) * total
 
 
 def xi_poly(n, N):

@@ -39,12 +39,6 @@ class SymPoly:
     def const(arity, c):
         return SymPoly(arity, {(0,) * arity: Fraction(c)})
 
-    @staticmethod
-    def variable(arity, i):
-        expo = [0] * arity
-        expo[i] = 1
-        return SymPoly(arity, {tuple(expo): Fraction(1)})
-
     def is_zero(self):
         return not self.terms
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,9 +169,10 @@ class TestMcEstimate:
         cfg = mc.ChainConfig(N=2, s=3, chains=2, samples=300, burn_in=100, seed=5)
         batch = mc.sample_hp(cfg)
         spec = MomentSpec(orders=[1], exponents=[2.0], variant="Z", size=2)
-        est, stderr = mc.estimate_joint_moment(batch, spec)
-        assert (doc["result"]["estimate"], doc["result"]["stderr"]) == (est, stderr)
-        assert doc["result"]["ess"] == batch.ess(inner(batch.draws, spec, 2))
+        vals = inner(batch.draws, spec, 2)
+        est, stderr = mc._block_stats(vals)
+        assert (doc["result"]["estimate"], doc["result"]["stderr"], doc["result"]["ess"]) == \
+            (est, stderr, float(np.var(vals)) / (stderr * stderr))
 
     def test_too_few_samples_exit_2(self, capsys):
         code, doc, _ = run_cli(capsys, "mc-estimate", "--N", "1", "--s", "2",
@@ -400,9 +402,18 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (["painleve", "--mode", "p3-limit", "--s", "11"], "--s <= 10"),
     (["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "41"],
      "--series-order must be >= 0 and <= 40"),
+    (_MC + ["--N", "101", "--orders", "1", "--exponents", "2", "--chains", "1",
+            "--samples", "64", "--burn-in", "0"], "--N <= 100"),
+    # chains * (burn-in + samples * thin) * N^2 just above its bound
+    (_MC + ["--orders", "1", "--exponents", "2", "--chains", "1",
+            "--samples", "2000001", "--burn-in", "0"], "<= 2000000; got 2000001"),
+    (_MC + ["--N", "10", "--orders", "1", "--exponents", "2", "--chains", "2",
+            "--samples", "3000", "--burn-in", "1001", "--thin", "3"],
+     "<= 2000000; got 2000200"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     import cuemoments.hankel as hk
+    import cuemoments.mc as mc
     import cuemoments.painleve as painleve
 
     def no_work(*args):
@@ -410,6 +421,7 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
 
     monkeypatch.setattr(hk, "theta", no_work)
     monkeypatch.setattr(painleve, "_g_series", no_work)
+    monkeypatch.setattr(mc, "_run_chain", no_work)
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert bound in doc["error"]

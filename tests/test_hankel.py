@@ -16,24 +16,16 @@ from cuemoments.exact import Poly
 from cuemoments.hankel import (
     MultiSeries,
     Psi_ms,
-    Psi_trace_ms,
     alternating_sum_residual,
     appendix_matrices,
     cor_relation_residuals,
     det_perm,
     det_poly_bareiss,
     exp_derivative,
-    expansion_bruteforce,
-    expansion_coeff,
-    expansion_coeff_multinomial,
-    hankel_derivative_column_rule,
     hankel_det,
     initial_condition_residuals,
-    lemma_dq_residual,
-    lemma_t1_residual,
     matrix_B,
     mixed_derivative,
-    normalized_L,
     partition_kq,
     psi_multiseries,
     theta,
@@ -41,8 +33,11 @@ from cuemoments.hankel import (
     theta_three_term_residual,
     trace_adjugate,
     verify_vector_recursion,
-    weighted_alternating_residual,
 )
+from oracles import (Psi_trace_ms, expansion_bruteforce, expansion_coeff,
+                     expansion_coeff_multinomial, hankel_derivative_column_rule,
+                     lemma_dq_residual, lemma_t1_residual, normalized_L,
+                     weighted_alternating_residual)
 
 
 class TestExpDerivative:
@@ -483,7 +478,6 @@ def expansion_coeff_predictions(k, r, coeff_fn):
     minus-branch picks; the x-power is sum (n-1) h_n - sum h' + (k-2) h_k over
     the middle range and the raw variable scale is prod n^{h_n}.
     """
-    import itertools
     out = {}
     for h in itertools.product(range(r + 1), repeat=k - 1):
         if sum(h) != r:

@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo sampler, the counter-based RNG, the
-joint-moment estimator, the tensor quadrature oracle, and the asymptotics
-table."""
+joint-moment estimator, and the tensor quadrature oracle."""
 
 import math
 from fractions import Fraction
@@ -14,11 +13,9 @@ from cuemoments.mc import (
     MAX_QUAD_NODES,
     MAX_QUAD_POINTS,
     ChainConfig,
-    CounterRNG,
     _integrand_values,
     _run_chain,
     _uniforms,
-    asymptotics_table,
     derive_chain_seed,
     estimate_joint_moment,
     quadrature_expectation,
@@ -26,6 +23,7 @@ from cuemoments.mc import (
 )
 from cuemoments.symfunc import v_variant_integrand, xi_poly
 from cuemoments.sympoly import SymPoly
+from oracles import CounterRNG
 
 
 class TestCounterRNG:
@@ -88,15 +86,13 @@ class TestSampler:
             ChainConfig(N=1, s=2, burn_in=-5)
 
     def test_second_moment_estimate(self):
-        # E[x^2] at N = 1, s = 2 is 1/3; MC should land within 4 sigma
+        # E[x^2] at N = 1, s = 2 is 1/3 and (Xi_1/2)^2 = x^2/4; MC should
+        # land within 4 sigma
         cfg = ChainConfig(N=1, s=2, chains=4, burn_in=300, samples=1500, seed=11)
-        batch = sample_hp(cfg)
-        vals = batch.draws[:, 0] ** 2
-        est, stderr = batch.ess, None  # ess checked below separately
-        from cuemoments.mc import _block_stats
-        est, stderr = _block_stats(vals)
-        assert abs(est - 1 / 3) < 4 * stderr
-        assert batch.ess(vals) > 50
+        spec = MomentSpec(orders=(1,), exponents=(2,), variant="Z", size=1)
+        est, stderr, ess = estimate_joint_moment(sample_hp(cfg), spec)
+        assert abs(est - 1 / 12) < 4 * stderr
+        assert ess > 50
 
 
 def _reference_run_chain(N, s, burn_in, samples, thin, scale, seed):
@@ -198,13 +194,13 @@ class TestEstimator:
         # spec (1,), (2,), Z at N=1, s=2: target 1/12
         cfg = ChainConfig(N=1, s=2, chains=4, burn_in=300, samples=1500, seed=5)
         spec = MomentSpec(orders=(1,), exponents=(2,), variant="Z", size=1)
-        est, stderr = estimate_joint_moment(sample_hp(cfg), spec)
+        est, stderr, _ = estimate_joint_moment(sample_hp(cfg), spec)
         assert abs(est - 1 / 12) < 4 * stderr
 
     def test_fractional_exponent_accepted(self):
         cfg = ChainConfig(N=1, s=2, chains=2, burn_in=200, samples=500, seed=9)
         spec = MomentSpec(orders=(1,), exponents=(1.0,), variant="Z", size=1)
-        est, stderr = estimate_joint_moment(sample_hp(cfg), spec)
+        est, stderr, _ = estimate_joint_moment(sample_hp(cfg), spec)
         # target E[|x|]/2 = 2/(3 pi)
         assert abs(est - 2 / (3 * math.pi)) < 6 * stderr
 
@@ -340,13 +336,3 @@ class TestQuadrature:
         assert quadrature_expectation(N, 3, P, nodes_per_dim=nodes) == \
             pytest.approx(float(exact), rel=1e-10)
 
-
-class TestAsymptoticsTable:
-    def test_exact_engine_columns(self):
-        spec = MomentSpec(orders=(2,), exponents=(2,), variant="Z", size=None)
-        table = dict(asymptotics_table(spec, [1, 2], s_value=Fraction(2)))
-        # finite rows hold the value divided by N^{sum 2 h n}; the limit row
-        # carries the 2^{-sum 2 h n} normalization of the limiting moment
-        assert table[1] == Fraction(1, 16)
-        assert table[2] == Fraction(2, 5) / 16
-        assert table["limit"] == Fraction(1, 336)

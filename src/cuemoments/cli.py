@@ -44,21 +44,22 @@ EXIT_STDOUT_CLOSED = 141
 
 # G(s+1)^2/G(2s+1) is 1.7e-296 at s = 16 and below every float from s = 17
 MAX_CONSTANT_S = 16
-# painleve --mode p5-finite takes 3.2 s at N = 12, s = 1 (5.4 s at s = 3,
-# 9.3 s at s = 6, 15 s at s = 8, 22 s at s = 10) and 24 s at N = 16, s = 1
+# The times below are in process, on 2 cores with Python 3.11.
+# painleve --mode p5-finite takes 0.4 s at N = 12, s = 1 (0.7 s at s = 3,
+# 2.0 s at s = 6, 4.0 s at s = 8, 7.3 s at s = 10) and 3.6 s at N = 16, s = 1
 MAX_P5_N = 12
 MAX_P5_S = 6
-# painleve --mode p3-limit at the default --series-order 12 takes 0.4 s at
-# s = 7, 1.6 s at s = 10 (2.4 s at order 20), 3.3 s at s = 11 and 7.0 s at
+# painleve --mode p3-limit at the default --series-order 12 takes 0.03 s at
+# s = 7, 0.33 s at s = 10 (0.6 s at order 20), 0.65 s at s = 11 and 1.7 s at
 # s = 12: the s x s determinant has 2^s minors
 MAX_P3_S = 10
-# painleve --mode p3-limit at s = 10 takes 0.9 s at --series-order 16, 2.5 s
-# at 32, 5.5 s at 40 and 6.2 s at 48; at s = 1, 1.25 s at order 200 and
-# 8.2 s at 300
+# painleve --mode p3-limit at s = 10 takes 0.5 s at --series-order 16, 1.8 s
+# at 32, 2.9 s at 40 and 4.3 s at 48; at s = 1, 1.2 s at order 200 and
+# 4.9 s at 300
 MAX_P3_ORDER = 40
 # hankel-verify at every bound at once (N = 4, s = 10, l = 10, k = 5) takes
-# 6.6 s; one step past a bound takes 10.6 s at k = 6, 13 s at s = l = 14 and
-# 25 s at N = 5 (12.5 s at N = 6 even with s = 3, l = 4, k = 3)
+# 4.7 s; one step past a bound takes 7.6 s at k = 6, 8.0 s at s = l = 14 and
+# 20 s at N = 5 (5.8 s at N = 6 even with s = 3, l = 4, k = 3)
 MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.5 s
 # at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit
@@ -336,7 +337,7 @@ def cmd_finite_moment(args):
 
 
 def cmd_mc_estimate(args):
-    from .mc import ChainConfig, estimate_joint_moment, sample_hp
+    from .mc import _BLOCKS, ChainConfig, estimate_joint_moment, sample_hp
 
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
@@ -359,6 +360,10 @@ def cmd_mc_estimate(args):
         if work > MAX_MC_WORK:
             raise CliError("mc-estimate needs chains * (burn-in + samples * thin) "
                            "* N^2 <= %d; got %d" % (MAX_MC_WORK, work))
+        if config.chains * config.samples < 2 * _BLOCKS:
+            raise CliError("too few samples for block-mean standard errors: "
+                           "mc-estimate needs chains * samples >= %d; got %d"
+                           % (2 * _BLOCKS, config.chains * config.samples))
         batch = sample_hp(config)
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
@@ -374,10 +379,7 @@ def cmd_mc_estimate(args):
         _summary("mc-estimate FLAGGED: acceptance rate %.3f"
                  % batch.acceptance_rate)
         return result, EXIT_MC_DIAGNOSTICS, seeds
-    try:
-        est, stderr, ess = estimate_joint_moment(batch, spec)
-    except ValueError as exc:  # too few draws for block-mean errors
-        raise CliError(str(exc))
+    est, stderr, ess = estimate_joint_moment(batch, spec)
     result = {
         "N": args.N,
         "s": args.s,

@@ -1,23 +1,110 @@
 """Exact arithmetic foundation: rationals, univariate polynomials, rational
 functions in one parameter, and truncated power series.
 
-All values are immutable after construction and all operations are pure.
-The scalar type is fractions.Fraction throughout; no floating point here.
+All values are immutable after construction and all operations are pure; no
+floating point here. Poly and PowerSeries store their coefficients as a tuple
+of Python-int numerators `num` over one positive denominator `den` in lowest
+terms: gcd(den, *num) == 1, no trailing zero numerator, and zero is ((), 1).
+Equal values therefore have equal storage. Every operation works on the ints
+and reduces its result with one gcd (none when the denominator is 1, as on
+the integer theta matrices); `coeffs` is a Fraction view for serialisation
+and display. A RationalFunction is a pair of Polys reduced by their gcd.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 
 def _scaled_ints(coeffs):
     """Integers over one common denominator: (ints, den) with
-    coeffs[i] == ints[i] / den and den the lcm of the denominators.
-
-    The product kernels multiply on these ints and build one Fraction per
-    output coefficient, instead of normalising a Fraction per term product.
-    """
+    coeffs[i] == ints[i] / den for int or Fraction coefficients, and den the
+    lcm of the denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _lowest(nums, den):
+    """The storage (num, den) of the list of int numerators `nums` over the
+    nonzero int `den`: trailing zeros dropped (from `nums` in place), den > 0,
+    gcd(den, *num) == 1, and zero as ((), 1)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    return tuple(nums), den
+
+
+def _from_coeffs(coeffs):
+    """The storage of a sequence of ints, Fractions or anything Fraction takes."""
+    return _lowest(*_scaled_ints([c if isinstance(c, (int, Fraction)) else Fraction(c)
+                                  for c in coeffs]))
+
+
+def _sum(a, da, b, db, sign):
+    """Numerators and denominator of a/da + sign * b/db, not reduced."""
+    if da == db:
+        fa, fb, den = 1, sign, da
+    else:
+        g = math.gcd(da, db)
+        fa, fb, den = db // g, sign * (da // g), da // g * db
+    if fa != 1:
+        a = [x * fa for x in a]
+    if fb != 1:
+        b = [y * fb for y in b]
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(operator.add, a, b))
+    out += a[len(b):]
+    return out, den
+
+
+def _times(num, den, c):
+    """The storage of (num/den) * c for stored (num, den) and a scalar c."""
+    if isinstance(c, int):
+        if not c:
+            return (), 1
+        # in lowest terms already: a prime of den // g cannot divide c // g
+        g = math.gcd(den, c)
+        return tuple(x * (c // g) for x in num), den // g
+    c = Fraction(c)
+    return _lowest([x * c.numerator for x in num], den * c.denominator)
+
+
+def _convolve_into(out, a, b):
+    """out[i + j] += a[i] * b[j] for all i + j < len(out), on ints: the one
+    product kernel of Poly, PowerSeries and hankel.MultiSeries."""
+    n = len(out)
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                out[j] += x * y
+    return out
+
+
+def _scale_arg(num, den, a):
+    """Numerators and denominator of p(a t) for p = num/den, not reduced."""
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    out = []
+    pw = 1
+    for x in num:
+        out.append(x * pw)
+        pw *= p
+    if q != 1 and out:
+        # a^i = p^i / q^i over the common q^deg
+        qw = 1
+        for i in range(len(out) - 1, -1, -1):
+            out[i] *= qw
+            qw *= q
+        den *= qw // q
+    return out, den
 
 
 def rat_to_str(q):
@@ -27,104 +114,114 @@ def rat_to_str(q):
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending order.
+    """Dense univariate polynomial over Q, ascending order, stored as int
+    numerators `num` over one denominator `den` in lowest terms.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the trailing
-    coefficient is nonzero.
+    The zero polynomial is ((), 1); otherwise the last numerator is nonzero.
+    `coeffs` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.num, self.den = _from_coeffs(coeffs)
+
+    @staticmethod
+    def _raw(num, den):
+        """The Poly with storage (num, den), which must be in lowest terms."""
+        p = object.__new__(Poly)
+        p.num, p.den = num, den
+        return p
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @staticmethod
     def const(c):
-        return Poly((Fraction(c),))
+        return Poly((c,))
 
     @staticmethod
     def x():
-        return Poly((0, 1))
+        return Poly._raw((0, 1), 1)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def degree(self):
         # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._raw(tuple(-x for x in self.num), self.den)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly._raw(*_lowest(*_sum(self.num, self.den, other.num, other.den, sign)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return Poly.const(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            if c == 0:
-                return Poly()
-            return Poly(tuple(a * c for a in self.coeffs))
-        if self.is_zero() or other.is_zero():
+            return Poly._raw(*_times(self.num, self.den, other))
+        a, b = self.num, other.num
+        if not a or not b:
             return Poly()
-        a, da = _scaled_ints(self.coeffs)
-        b, db = _scaled_ints(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        den = da * db
-        return Poly([Fraction(c, den) for c in out])
+        out = _convolve_into([0] * (len(a) + len(b) - 1), a, b)
+        return Poly._raw(*_lowest(out, self.den * other.den))
 
     __rmul__ = __mul__
 
     def divmod(self, other):
-        """Exact polynomial division with remainder."""
+        """Exact polynomial division with remainder, as integer long division:
+        the remainder is scaled only where the divisor's leading numerator
+        does not divide the current leading one (never when the numerators
+        divide with an integer quotient, as in Bareiss on integer matrices)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        if len(rem) <= d:
+        b = other.num
+        d = len(b) - 1
+        if len(self.num) <= d:
             return Poly(), self
-        quot = [Fraction(0)] * (len(rem) - d)
+        lead, low = b[-1], b[:-1]
+        rem = list(self.num)
+        quot = [0] * (len(rem) - d)
+        scale = 1  # scale * self.num == quot * b + rem
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
+            r = rem[i]
+            if not r:
+                continue
+            c, m = divmod(r, lead)
+            if m:
+                f = lead // math.gcd(r, lead)
+                rem = [x * f for x in rem[:i + 1]]
+                quot = [x * f for x in quot]
+                scale *= f
+                c = rem[i] // lead
             quot[i - d] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * b
-        return Poly(quot), Poly(rem)
+            rem[i - d:i] = map(operator.sub, rem[i - d:i], [c * y for y in low])
+        den = self.den * scale
+        return (Poly._raw(*_lowest([x * other.den for x in quot], den)),
+                Poly._raw(*_lowest(rem[:d], den)))
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -137,9 +234,7 @@ class Poly:
         pseudo-remainder sequence to keep coefficient growth tame."""
 
         def primitive(v):
-            g = 0
-            for c in v:
-                g = math.gcd(g, abs(c))
+            g = math.gcd(*v)
             if g > 1:
                 v = [c // g for c in v]
             return v
@@ -158,7 +253,7 @@ class Poly:
                     a.pop()
             return a
 
-        A, B = _scaled_ints(self.coeffs)[0], _scaled_ints(other.coeffs)[0]
+        A, B = self.num, other.num
         if not A:
             return other.monic() if B else Poly()
         if not B:
@@ -166,32 +261,32 @@ class Poly:
         A, B = primitive(A), primitive(B)
         while B:
             A, B = B, primitive(prem(A, B))
-        return Poly(A).monic()
+        return Poly._raw(*_lowest(list(A), A[-1]))
 
     def monic(self):
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs))
+        return Poly._raw(*_lowest(list(self.num), self.num[-1]))
 
     def derivative(self):
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Poly._raw(*_lowest([i * x for i, x in enumerate(self.num) if i], self.den))
 
     def eval(self, x):
-        out = Fraction(0) if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """The value at an int or Fraction x, as a Fraction."""
+        if not self.num:
+            return Fraction(0)
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        # Horner on sum num_i p^i q^(deg - i), over den * q^deg
+        v, qw = 0, 1
+        for c in reversed(self.num):
+            v = v * p + c * qw
+            qw *= q
+        return Fraction(v, self.den * (qw // q))
 
     def scale_arg(self, a):
         """p(t) -> p(a*t)."""
-        a = Fraction(a)
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= a
-        return Poly(out)
+        return Poly._raw(*_lowest(*_scale_arg(self.num, self.den, a)))
 
     def to_json(self):
         return [rat_to_str(c) for c in self.coeffs]
@@ -230,7 +325,7 @@ class RationalFunction:
         if not g.is_zero() and g.degree() > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lead = den.coeffs[-1]
+        lead = Fraction(den.num[-1], den.den)
         if lead != 1:
             num = num * (1 / lead)
             den = den.monic()
@@ -296,22 +391,36 @@ DEFAULT_SERIES_ORDER = 24
 
 
 class PowerSeries:
-    """Truncated formal power series with Fraction coefficients.
+    """Truncated formal power series over Q, stored as a Poly is: int
+    numerators `num` (no trailing zero) over one denominator `den` in lowest
+    terms. `coeffs` gives c_0..c_K as Fractions.
 
     `order` is the truncation order K: coefficients c_0..c_K are meaningful.
     Operations track the order through derivatives and divisions.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, coeffs, order=None):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if order is None:
-            order = len(cs) - 1
-        if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            order = len(coeffs) - 1
         self.order = order
-        self.coeffs = tuple(cs[:order + 1])
+        self.num, self.den = _from_coeffs(coeffs[:order + 1])
+
+    @staticmethod
+    def _raw(num, den, order):
+        """The series with storage (num, den), which must be in lowest terms
+        and no longer than order + 1."""
+        f = object.__new__(PowerSeries)
+        f.num, f.den, f.order = num, den, order
+        return f
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return (tuple(Fraction(x, den) for x in self.num)
+                + (Fraction(0),) * (self.order + 1 - len(self.num)))
 
     @staticmethod
     def const(c, order=DEFAULT_SERIES_ORDER):
@@ -320,103 +429,115 @@ class PowerSeries:
     def __getitem__(self, k):
         if k > self.order:
             raise IndexError("coefficient %d beyond truncation order %d" % (k, self.order))
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return self.coeffs[k]
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        k = min(self.order, other.order)
-        return self.coeffs[:k + 1] == other.coeffs[:k + 1]
+        n = min(self.order, other.order) + 1
+        if len(self.num) <= n and len(other.num) <= n:
+            return self.num == other.num and self.den == other.den
+        return (_lowest(list(self.num[:n]), self.den)
+                == _lowest(list(other.num[:n]), other.den))
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
+        return PowerSeries._raw(tuple(-x for x in self.num), self.den, self.order)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, PowerSeries):
             other = PowerSeries.const(other, self.order)
         k = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(k + 1)], k)
+        return PowerSeries._raw(*_lowest(*_sum(self.num[:k + 1], self.den,
+                                               other.num[:k + 1], other.den, sign)), k)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            other = PowerSeries.const(other, self.order)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            c = Fraction(other)
-            return PowerSeries([a * c for a in self.coeffs], self.order)
+            return PowerSeries._raw(*_times(self.num, self.den, other), self.order)
         k = min(self.order, other.order)
-        a, da = _scaled_ints(self.coeffs[:k + 1])
-        b, db = _scaled_ints(other.coeffs[:k + 1])
-        out = [0] * (k + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[:k + 1 - i], i):
-                    out[j] += x * y
-        den = da * db
-        return PowerSeries([Fraction(c, den) for c in out], k)
+        a, b = self.num[:k + 1], other.num[:k + 1]
+        if not a or not b:
+            return PowerSeries._raw((), 1, k)
+        out = _convolve_into([0] * min(k + 1, len(a) + len(b) - 1), a, b)
+        return PowerSeries._raw(*_lowest(out, self.den * other.den), k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, PowerSeries):
             return self * (1 / Fraction(other))
-        if other.coeffs[0] == 0:
+        if not other.num or other.num[0] == 0:
             raise ZeroDivisionError("series division requires nonzero constant term")
         k = min(self.order, other.order)
-        inv0 = 1 / other.coeffs[0]
-        out = [Fraction(0)] * (k + 1)
+        a, b0, tail = self.num, other.num[0], other.num[1:k + 1]
+        # q / scale = a / b through t^k: b_0 q_i = scale * a_i - sum_j b_j q_{i-j},
+        # with q and scale multiplied up only where b_0 does not divide the right side
+        q, scale = [], 1
         for i in range(k + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                acc -= other.coeffs[j] * out[i - j]
-            out[i] = acc * inv0
-        return PowerSeries(out, k)
+            r = (scale * a[i] if i < len(a) else 0) - sum(map(operator.mul, tail, reversed(q)))
+            c, m = divmod(r, b0)
+            if m:
+                f = b0 // math.gcd(r, b0)
+                q = [x * f for x in q]
+                scale *= f
+                c = r * f // b0
+            q.append(c)
+        return PowerSeries._raw(*_lowest([x * other.den for x in q], self.den * scale), k)
 
     def derivative(self):
         if self.order == 0:
             return PowerSeries([0], 0)
-        return PowerSeries(
-            [(i + 1) * self.coeffs[i + 1] for i in range(self.order)], self.order - 1)
+        return PowerSeries._raw(
+            *_lowest([i * x for i, x in enumerate(self.num) if i], self.den), self.order - 1)
 
     def scale_arg(self, a):
-        a = Fraction(a)
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= a
-        return PowerSeries(out, self.order)
+        return PowerSeries._raw(*_lowest(*_scale_arg(self.num, self.den, a)), self.order)
 
     def exp(self):
         """exp of a series with zero constant term."""
-        if self.coeffs[0] != 0:
+        a = self.num
+        if a and a[0]:
             raise ValueError("exp requires zero constant term")
-        k = self.order
-        out = [Fraction(0)] * (k + 1)
-        out[0] = Fraction(1)
-        # (exp f)' = f' exp f  =>  n*out[n] = sum_j j*f_j*out[n-j]
-        for n in range(1, k + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += j * self.coeffs[j] * out[n - j]
-            out[n] = acc / n
-        return PowerSeries(out, k)
+        # (exp f)' = f' exp f  =>  n*out[n] = sum_j j*f_j*out[n-j]; with
+        # f = a/den and out = e/scale, e_n = sum_j j a_j e_{n-j} / (n den),
+        # e and scale multiplied up only where that division is inexact
+        ja = [j * x for j, x in enumerate(a)][1:]
+        e, scale = [1], 1
+        for n in range(1, self.order + 1):
+            r = sum(map(operator.mul, ja, reversed(e)))
+            d = n * self.den
+            c, m = divmod(r, d)
+            if m:
+                f = d // math.gcd(r, d)
+                e = [x * f for x in e]
+                scale *= f
+                c = r * f // d
+            e.append(c)
+        return PowerSeries._raw(*_lowest(e, scale), self.order)
 
     def __repr__(self):
         return "PowerSeries(%s, order=%d)" % (list(self.coeffs), self.order)
 
 
+def _mul_t(f):
+    """t * f, with order one higher."""
+    return PowerSeries._raw((0,) + f.num if f.num else (), f.den, f.order + 1)
+
+
 def series_logderiv(f):
     """t * f'(t)/f(t) for a series with nonzero constant term."""
-    if f.coeffs[0] == 0:
+    if not f.num or f.num[0] == 0:
         raise ZeroDivisionError("log-derivative requires nonzero constant term")
-    d = f.derivative() / f  # order K-1
-    out = [Fraction(0)] + list(d.coeffs)
-    return PowerSeries(out, d.order + 1)
+    return _mul_t(f.derivative() / f)  # order K

@@ -19,26 +19,12 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import Poly, _scaled_ints
+from .exact import Poly, _convolve_into, _lowest
 
 
 # ---------------------------------------------------------------------------
 # theta functions
 # ---------------------------------------------------------------------------
-
-def _laguerre_poly(n, alpha):
-    """Generalized Laguerre polynomial L_n^{(alpha)}(x) as a Poly in x,
-    from the explicit finite sum with generalized binomial coefficients."""
-    coeffs = []
-    for kk in range(n + 1):
-        # binom(n+alpha, n-k) = prod_{i=1}^{n-k} (alpha+k+i) / (n-k)!
-        num = 1
-        for i in range(1, n - kk + 1):
-            num *= alpha + kk + i
-        b = Fraction(num, math.factorial(n - kk))
-        coeffs.append((-1) ** kk * b / math.factorial(kk))
-    return Poly(coeffs)
-
 
 def exp_derivative(p, c):
     """d/dt (e^{-ct} p) = e^{-ct} (p' - c p): returns the Poly p' - c p."""
@@ -54,9 +40,17 @@ def theta(m, N, s):
     if m < 0:
         raise ValueError("m >= 0 required")
     n = N + s - 1
-    lag = _laguerre_poly(n, 1 - 2 * N - 2 * s + m).scale_arg(2)
-    pref = (-1) ** n * math.factorial(n)
-    return pref * lag
+    alpha = 1 - 2 * N - 2 * s + m
+    # (-1)^n n! L_n^{(alpha)}(2t)
+    #   = sum_k (-1)^{n+k} C(n, k) 2^k prod_{i=1}^{n-k} (alpha+k+i) t^k,
+    # an integer polynomial
+    coeffs = []
+    for k in range(n + 1):
+        c = (-1) ** (n + k) * math.comb(n, k) * 2 ** k
+        for i in range(1, n - k + 1):
+            c *= alpha + k + i
+        coeffs.append(c)
+    return Poly(coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,14 +262,9 @@ class MultiSeries:
     __slots__ = ("nv", "cap", "ord", "c", "num", "den")
 
     def __init__(self, nv, cap, ord=None, terms=None, c=0):
-        polys = [(tuple(e), p.coeffs) for e, p in (terms or {}).items()
-                 if not p.is_zero()]
-        ints, self.den = _scaled_ints([x for _, cs in polys for x in cs])
-        self.num = {}
-        i = 0
-        for e, cs in polys:
-            self.num[e] = ints[i:i + len(cs)]
-            i += len(cs)
+        polys = {tuple(e): p for e, p in (terms or {}).items() if not p.is_zero()}
+        self.den = math.lcm(*[p.den for p in polys.values()])
+        self.num = {e: [x * (self.den // p.den) for x in p.num] for e, p in polys.items()}
         self.nv = nv
         self.cap = cap
         self.ord = cap if ord is None else ord
@@ -295,8 +284,7 @@ class MultiSeries:
     @property
     def terms(self):
         """The coefficients as Polys, keyed by exponent tuple of t_2..t_k."""
-        return {e: Poly([Fraction(x, self.den) for x in v])
-                for e, v in self.num.items()}
+        return {e: Poly._raw(*_lowest(list(v), self.den)) for e, v in self.num.items()}
 
     def _check(self, other):
         if self.nv != other.nv or self.cap != other.cap:
@@ -343,10 +331,7 @@ class MultiSeries:
                     acc = out[e] = [0] * n
                 elif len(acc) < n:
                     acc.extend([0] * (n - len(acc)))
-                for i, x in enumerate(u):
-                    if x:
-                        for j, y in enumerate(v, i):
-                            acc[j] += x * y
+                _convolve_into(acc, u, v)
         return self._with(_nonzero(out), self.den * other.den,
                           min(self.ord, other.ord), self.c + other.c)
 

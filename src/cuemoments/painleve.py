@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
-                    series_logderiv)
+                    _mul_t, series_logderiv)
 from .hankel import _shifted_det, det_perm, hankel_det
 
 EULER_GAMMA = 0.5772156649015328606
@@ -91,10 +91,6 @@ def tau_limit(s, K=DEFAULT_SERIES_ORDER):
     tau = series_logderiv(phi.scale_arg(Fraction(1, 2)))
     assert tau[0] == 0 and tau[1] == 0
     return tau
-
-
-def _mul_t(f):
-    return PowerSeries([Fraction(0)] + list(f.coeffs), f.order + 1)
 
 
 def _residual_poly(tau, s, n2, sn):

@@ -118,18 +118,6 @@ class SymPoly:
             n = base_needed
         return result
 
-    def eval(self, point):
-        if len(point) != self.arity:
-            raise ValueError("point arity mismatch")
-        total = Fraction(0) if not any(isinstance(p, float) for p in point) else 0.0
-        for e, c in self.terms.items():
-            term = c if not isinstance(total, float) else float(c)
-            for x, k in zip(point, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"

@@ -23,6 +23,21 @@ def variable(arity, i):
     return SymPoly(arity, {tuple(expo): Fraction(1)})
 
 
+def sympoly_eval(p, point):
+    """The SymPoly p at a point: a Fraction for rational coordinates, a
+    float if any coordinate is a float."""
+    if len(point) != p.arity:
+        raise ValueError("point arity mismatch")
+    total = Fraction(0) if not any(isinstance(x, float) for x in point) else 0.0
+    for e, c in p.terms.items():
+        term = c if not isinstance(total, float) else float(c)
+        for x, k in zip(point, e):
+            if k:
+                term *= x ** k
+        total += term
+    return total
+
+
 def a_coeff_bruteforce(n, l, N):
     """Composition-sum oracle for a_{n,l}(N): sum of multinomials n!/(m_1!..m_N!)
     over compositions of n into N parts with the first l parts odd and the

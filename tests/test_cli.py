@@ -410,6 +410,9 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (_MC + ["--N", "10", "--orders", "1", "--exponents", "2", "--chains", "2",
             "--samples", "3000", "--burn-in", "1001", "--thin", "3"],
      "<= 2000000; got 2000200"),
+    # too few draws for block-mean errors, with a burn-in that would take seconds
+    (_MC + ["--orders", "1", "--exponents", "2", "--chains", "1",
+            "--samples", "10", "--burn-in", "1000000"], "chains * samples >= 64; got 10"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     import cuemoments.hankel as hk

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic foundation: Poly, RationalFunction,
 and PowerSeries."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,74 @@ def schoolbook(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# Zero, constant and general coefficient lists
+edge_coeffs = st.one_of(st.just([]), st.lists(small_fracs, min_size=1, max_size=1),
+                        kernel_coeffs)
+scalars = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+                    st.fractions(max_denominator=7, min_value=Fraction(-4),
+                                 max_value=Fraction(4)))
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_divmod(a, b):
+    """Long division of Fraction lists, one Fraction per step."""
+    rem, b = list(a), trim(b)
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return trim(quot), trim(rem[:len(b) - 1])
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid on Fraction lists."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_series_div(a, b, k):
+    """a / b through t^k for b[0] != 0, one Fraction per step."""
+    out = []
+    for i in range(k + 1):
+        acc = a[i] if i < len(a) else Fraction(0)
+        for j in range(1, min(i, len(b) - 1) + 1):
+            acc -= b[j] * out[i - j]
+        out.append(acc / b[0])
+    return out
+
+
+def ref_exp(a, k):
+    """exp of the series a (a[0] == 0) through t^k, from n c_n = sum j a_j c_{n-j}."""
+    out = [Fraction(1)]
+    for n in range(1, k + 1):
+        out.append(sum((j * a[j] * out[n - j] for j in range(1, min(n, len(a) - 1) + 1)),
+                       Fraction(0)) / n)
+    return out
+
+
+def assert_canonical(v):
+    """Int numerators over a positive denominator in lowest terms, no
+    trailing zero, zero as ((), 1)."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(x) is int for x in v.num)
+    if v.num:
+        assert v.num[-1] != 0 and math.gcd(v.den, *v.num) == 1
+    else:
+        assert v.den == 1
+    if isinstance(v, PowerSeries):
+        assert len(v.num) <= v.order + 1
 
 
 def test_rat_roundtrip():
@@ -103,6 +172,43 @@ class TestPoly:
     def test_gcd_divides(self, a, b):
         g = a.gcd(b)
         assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
+
+    @given(edge_coeffs, edge_coeffs, scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_storage_matches_fraction_lists(self, a, b, x):
+        f, g = Poly(a), Poly(b)
+        a, b = trim(a), trim(b)
+        results = {
+            "+": (f + g, [u + v for u, v in zip(a + [0] * len(b), b + [0] * len(a))]),
+            "-": (f - g, [u - v for u, v in zip(a + [0] * len(b), b + [0] * len(a))]),
+            "*": (f * g, schoolbook(a, b)),
+            "scalar *": (f * x, [c * x for c in a]),
+            "scale_arg": (f.scale_arg(x), [c * Fraction(x) ** i for i, c in enumerate(a)]),
+            "derivative": (f.derivative(), [i * c for i, c in enumerate(a)][1:]),
+        }
+        if b:
+            q, r = f.divmod(g)
+            ref_q, ref_r = ref_divmod(a, b)
+            results["divmod q"] = (q, ref_q)
+            results["divmod r"] = (r, ref_r)
+            results["gcd"] = (f.gcd(g), ref_gcd(a, b))
+        for name, (got, ref) in results.items():
+            assert_canonical(got)
+            assert got.coeffs == tuple(trim(ref)), name
+            # equal values have equal storage, so equal hashes
+            same = Poly(ref)
+            assert got == same and hash(got) == hash(same), name
+        assert f.eval(x) == sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+        assert type(f.eval(x)) is Fraction
+
+    def test_zero_and_constants(self):
+        for zero in (Poly(), Poly((0, 0)), Poly((1,)) - Poly((1,)), Poly((3, 1)) * 0,
+                     Poly((Fraction(1, 2),)).derivative()):
+            assert (zero.num, zero.den) == ((), 1) and zero == Poly()
+        half = Poly((Fraction(1, 2), Fraction(-3, 2)))
+        assert (half.num, half.den) == ((1, -3), 2)
+        assert (half * 2).den == 1 and (half * 2).num == (1, -3)
+        assert Poly.const(Fraction(-4, 6)).eval(Fraction(5, 7)) == Fraction(-2, 3)
 
 
 class TestRationalFunction:
@@ -172,3 +278,41 @@ class TestPowerSeries:
     def test_scale_arg(self):
         f = PowerSeries([0, 0, 1], order=6).scale_arg(Fraction(1, 2))
         assert f[2] == Fraction(1, 4)
+
+    @given(edge_coeffs, edge_coeffs, st.integers(0, 8), st.integers(0, 8), scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_storage_matches_fraction_lists(self, a, b, ka, kb, x):
+        f, g = PowerSeries(a, ka), PowerSeries(b, kb)
+        k = min(ka, kb)
+        a = list(f.coeffs)
+        b = list(g.coeffs)
+        results = {
+            "+": (f + g, [u + v for u, v in zip(a, b)]),
+            "-": (f - g, [u - v for u, v in zip(a, b)]),
+            "*": (f * g, schoolbook(a, b)[:k + 1]),
+            "scalar *": (f * x, [c * x for c in a]),
+            "scale_arg": (f.scale_arg(x), [c * Fraction(x) ** i for i, c in enumerate(a)]),
+            "derivative": (f.derivative(), [i * c for i, c in enumerate(a)][1:] or [0]),
+        }
+        if b[0] != 0:
+            results["/"] = (f / g, ref_series_div(a, b, k))
+        if a[0] == 0:
+            results["exp"] = (f.exp(), ref_exp(a, ka))
+        else:
+            with pytest.raises(ValueError):
+                f.exp()
+        for name, (got, ref) in results.items():
+            assert_canonical(got)
+            assert got.order == len(ref) - 1, name
+            assert got.coeffs == tuple(ref), name
+            assert got == PowerSeries(ref) and got[got.order] == ref[-1], name
+
+    def test_zero_storage(self):
+        for zero in (PowerSeries([], 3), PowerSeries([0, 0], 3),
+                     PowerSeries([1, 2], 3) - PowerSeries([1, 2], 5),
+                     PowerSeries([0, 1], 3) * PowerSeries([0, 0, 0, 1], 3)):
+            assert (zero.num, zero.den, zero.order) == ((), 1, 3)
+            assert zero.coeffs == (0, 0, 0, 0)
+        # equality compares through the lower order, after truncation
+        assert PowerSeries([1, Fraction(1, 3), 5], 2) == PowerSeries([1, Fraction(1, 3)], 1)
+        assert PowerSeries([2, 1], 1) != PowerSeries([2, Fraction(1, 2)], 1)

@@ -222,7 +222,7 @@ def limiting_moment(orders, exponents):
     for m in range(n1, L + 1):
         sign = (-1) ** (m + L)
         term = _elem_product_expectation(orders, exponents, m)
-        total = total + (sign * math.comb(L, m)) * RationalFunction.const(1) * term
+        total = total + (sign * math.comb(L, m)) * term
     return RationalFunction.const(pref) * total
 
 

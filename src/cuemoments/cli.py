@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cauchy import (
+    MAX_EXACT_ARITY,
     MomentSpec,
     domain,
     finite_joint_moment,
@@ -66,6 +68,10 @@ MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # costs most at N = 1: 2e6 sweeps take 4.7 s and 190 MB there (0.6 s at N = 14)
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
+# finite-moment's integrand has at most _integrand_monomials monomials. Timed
+# from the CLI on 2 cores, inputs with at most 100,000 took at most 5.8 s;
+# above it, 10 s at 169,911, 53 s at 431,937 and over 90 s at 7,591,179
+MAX_FINITE_MONOMIALS = 100_000
 
 
 class CliError(Exception):
@@ -152,6 +158,16 @@ def _default_seed():
         return int(env)
     except ValueError:
         raise CliError("CUEMOMENTS_SEED must be an integer, got %r" % env)
+
+
+def _integrand_monomials(N, orders, exponents):
+    """The number of monomials in N variables with every exponent at most
+    d = sum e_j and degree at most D = sum e_j min(n_j, N) (Xi_n has degree
+    min(n, N)), by inclusion-exclusion over the exponents above d."""
+    d = sum(exponents)
+    D = sum(e * min(n, N) for n, e in zip(orders, exponents))
+    return sum((-1) ** j * math.comb(N, j) * math.comb(D - j * (d + 1) + N, N)
+               for j in range(N + 1) if D >= j * (d + 1))
 
 
 def _check_domain(s, exponents):
@@ -319,6 +335,11 @@ def cmd_finite_moment(args):
         spec = MomentSpec(orders=[n for n, _ in pairs],
                           exponents=[int(e) for _, e in pairs],
                           variant=args.variant, size=args.N)
+        if args.N <= MAX_EXACT_ARITY:  # the engine rejects a larger N
+            size = _integrand_monomials(args.N, spec.orders, spec.exponents)
+            if size > MAX_FINITE_MONOMIALS:
+                raise CliError("finite-moment expands at most %d integrand "
+                               "monomials; got %d" % (MAX_FINITE_MONOMIALS, size))
         rf = finite_joint_moment(spec)
     except ValueError as exc:
         raise CliError(str(exc))

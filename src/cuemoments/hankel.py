@@ -158,16 +158,12 @@ def _column_sum(A, B):
     return total
 
 
-def _theta_poly_matrix(N, s, parts):
-    return _matrix(lambda g: theta(g, N, s), N, parts)
-
-
 def hankel_det(N, s, parts):
     """Psi_{N,lambda} at t_2 = ... = t_k = 0: the Poly after e^{-Nt}."""
     parts = tuple(parts)
     if len(parts) > N:
         return Poly()
-    return det_poly_bareiss(_theta_poly_matrix(N, s, parts))
+    return det_poly_bareiss(_matrix(lambda g: theta(g, N, s), N, parts))
 
 
 def trace_adjugate(N, s, parts, h):
@@ -177,7 +173,7 @@ def trace_adjugate(N, s, parts, h):
     if len(parts) > N:
         return Poly()
     B = _matrix(lambda g: theta(g, N, s), N, parts, h)
-    return _column_sum(_theta_poly_matrix(N, s, parts), B)
+    return _column_sum(_matrix(lambda g: theta(g, N, s), N, parts), B)
 
 
 def alternating_sum_residual(N, s, l):
@@ -475,11 +471,12 @@ def Psi_ms(N, s, parts, k, cap):
     return _psi_det(N, s, k, cap, tuple(_columns(N, parts)))
 
 
-def initial_condition_residuals(N, s, k=2, cap=2):
+def initial_condition_residuals(N, s):
     """The two second-shift initial conditions at t_rest = 0:
     Psi_{lambda_{2,1}} = (N^2/8)Psi'' - (N^2/4)Psi' + (N^2/8)Psi + (N/2)dPsi/dt2
     Psi_{lambda_{2,2}} = same with -(N/2)dPsi/dt2.
-    Returns the pair of residual MultiSeries."""
+    Returns the pair of residual MultiSeries, in t_2 through order 2."""
+    k = cap = 2
     P = Psi_ms(N, s, (), k, cap)
     base = (P.d_t1().d_t1().scal(Fraction(N * N, 8))
             + P.d_t1().scal(Fraction(-N * N, 4))

@@ -11,7 +11,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import PowerSeries
 from .sympoly import SymPoly
 
 
@@ -47,40 +46,19 @@ def vandermonde_squared(m):
     return delta * delta
 
 
-def _sinh_series(order):
-    cs = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1, 2):
-        cs[k] = Fraction(1, math.factorial(k))
-    return PowerSeries(cs, order)
-
-
-def _cosh_series(order):
-    cs = [Fraction(0)] * (order + 1)
-    for k in range(0, order + 1, 2):
-        cs[k] = Fraction(1, math.factorial(k))
-    return PowerSeries(cs, order)
-
-
 @functools.lru_cache(maxsize=None)
 def a_coeff(n, l, N):
-    """a_{n,l}(N) = (-1)^{(n+l)/2} * n! * [z^n] sinh(z)^l cosh(z)^{N-l}.
-
-    Zero when n - l is odd. Exact integer, memoised per (n, l, N).
-    """
+    """a_{n,l}(N) = (-1)^{(n+l)/2} * n! * [z^n] sinh(z)^l cosh(z)^{N-l}, from
+    sinh^l cosh^{N-l} = 2^{-N} (e^z - e^{-z})^l (e^z + e^{-z})^{N-l} expanded
+    in exponentials e^{(N-2j-2k)z}. Zero when n - l is odd; memoised."""
     if N < 1 or not (0 <= l <= min(n, N)):
         raise ValueError("need N >= 1 and 0 <= l <= min(n, N)")
     if (n - l) % 2:
         return 0
-    f = PowerSeries([1], n)
-    sh = _sinh_series(n)
-    ch = _cosh_series(n)
-    for _ in range(l):
-        f = f * sh
-    for _ in range(N - l):
-        f = f * ch
-    val = (-1) ** ((n + l) // 2) * math.factorial(n) * f[n]
-    assert val.denominator == 1
-    return int(val)
+    total = sum((-1) ** j * math.comb(l, j) * math.comb(N - l, k)
+                * (N - 2 * j - 2 * k) ** n
+                for j in range(l + 1) for k in range(N - l + 1))
+    return (-1) ** ((n + l) // 2) * total // 2 ** N
 
 
 def xi_poly(n, N):

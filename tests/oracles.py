@@ -10,8 +10,7 @@ from fractions import Fraction
 from cuemoments.cauchy import _lin_factor
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_det,
-                               _theta_poly_matrix, hankel_det, mixed_derivative,
-                               partition_kq, theta)
+                               hankel_det, mixed_derivative, partition_kq, theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
 from cuemoments.sympoly import SymPoly
 
@@ -101,7 +100,7 @@ def hankel_derivative_column_rule(N, s, parts):
     sum over columns of the determinant with that column's indices shifted.
     The Poly after e^{-Nt}; each replaced column already carries the
     derivative of its e^{-t} factor."""
-    A = _theta_poly_matrix(N, s, parts)
+    A = _matrix(lambda g: theta(g, N, s), N, parts)
     B = _matrix(lambda g: theta(g, N, s) - 2 * theta(g + 1, N, s), N, parts)
     return _column_sum(A, B)
 
@@ -114,7 +113,7 @@ def weighted_alternating_residual(N, s, l):
     rhs = Poly()
     for j in range(1, l + 1):
         rhs = rhs + (-1) ** (j - 1) * (2 * N - 2 * j + l) * hankel_det(N, s, partition_kq(l, j))
-    return _column_sum(_theta_poly_matrix(N, s, ()), B) - rhs
+    return _column_sum(_matrix(lambda g: theta(g, N, s), N, ()), B) - rhs
 
 
 def Psi_trace_ms(N, s, parts, h, k, cap):

@@ -413,8 +413,19 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     # too few draws for block-mean errors, with a burn-in that would take seconds
     (_MC + ["--orders", "1", "--exponents", "2", "--chains", "1",
             "--samples", "10", "--burn-in", "1000000"], "chains * samples >= 64; got 10"),
+    # finite-moment inputs that ran for 18 s, 20 s and past 90 s
+    (["finite-moment", "--N", "5", "--orders", "3,2,1", "--exponents", "6,6,6",
+      "--variant", "V"], "at most 100000 integrand monomials; got 617728"),
+    (["finite-moment", "--N", "6", "--orders", "3,2", "--exponents", "6,4",
+      "--variant", "Z"], "at most 100000 integrand monomials; got 583758"),
+    (["finite-moment", "--N", "6", "--orders", "3,2,1", "--exponents", "8,6,4",
+      "--variant", "V"], "at most 100000 integrand monomials; got 7591179"),
+    # just above the bound (--N 5 --orders 2 --exponents 12 has 96915)
+    (["finite-moment", "--N", "4", "--orders", "2", "--exponents", "20",
+      "--variant", "Z"], "at most 100000 integrand monomials; got 100331"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
+    import cuemoments.cli as cli
     import cuemoments.hankel as hk
     import cuemoments.mc as mc
     import cuemoments.painleve as painleve
@@ -425,6 +436,7 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     monkeypatch.setattr(hk, "theta", no_work)
     monkeypatch.setattr(painleve, "_g_series", no_work)
     monkeypatch.setattr(mc, "_run_chain", no_work)
+    monkeypatch.setattr(cli, "finite_joint_moment", no_work)
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert bound in doc["error"]
@@ -607,3 +619,30 @@ def test_cli_fuzz_exits_with_one_json_document(argv):
     assert code in (0, 2, 3, 4)
     doc = json.loads(out.getvalue(), parse_constant=_not_json)
     assert ("error" in doc) == (code == 2)
+
+
+@pytest.mark.parametrize("N,orders,exponents", [
+    (1, (2, 1), (4, 2)), (2, (3,), (4,)), (3, (2, 1), (2, 2)), (3, (4, 1), (2, 2)),
+])
+@pytest.mark.parametrize("variant", ["Z", "V"])
+def test_integrand_monomials_bound_the_integrand(N, orders, exponents, variant):
+    # the bound of finite-moment counts the monomials with every exponent at
+    # most sum e_j and degree at most sum e_j min(n_j, N); the integrand's
+    # own monomials are among them
+    import itertools
+
+    from cuemoments.cli import _integrand_monomials
+    from cuemoments.symfunc import v_variant_integrand, xi_poly
+    from cuemoments.sympoly import SymPoly
+
+    d = sum(exponents)
+    D = sum(e * min(n, N) for n, e in zip(orders, exponents))
+    box = [a for a in itertools.product(range(d + 1), repeat=N) if sum(a) <= D]
+    assert _integrand_monomials(N, orders, exponents) == len(box)
+    if variant == "Z":
+        P = SymPoly.const(N, 1)
+        for n, e in zip(orders, exponents):
+            P = P * xi_poly(n, N) ** e
+    else:
+        P = v_variant_integrand(orders, exponents, N)
+    assert set(P.terms) <= set(box)

@@ -74,7 +74,7 @@ class TestDeterminants:
     def test_hankel_det_matches_permutation_expansion(self):
         for N, s, parts in [(1, 1, ()), (2, 2, ()), (2, 1, (2,)),
                             (3, 2, (2, 1)), (3, 1, (3, 1, 1))]:
-            mat = hk._theta_poly_matrix(N, s, parts)
+            mat = hk._matrix(lambda g: theta(g, N, s), N, parts)
             assert hankel_det(N, s, parts) == det_perm(mat)
 
     def test_too_many_parts_is_zero(self):
@@ -145,7 +145,7 @@ class TestTraceAdjugate:
         # alpha = 1 breaks the identity that alpha = 0 satisfies
         N, s, l = 2, 2, 2
         B = hk._matrix(lambda g: g * theta(g, N, s), N, (), l)
-        weighted = hk._column_sum(hk._theta_poly_matrix(N, s, ()), B)
+        weighted = hk._column_sum(hk._matrix(lambda g: theta(g, N, s), N, ()), B)
 
         def residual(alpha):
             r = weighted

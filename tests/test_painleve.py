@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuemoments.painleve as painleve
 from cuemoments.exact import Poly, PowerSeries, RationalFunction
-from cuemoments.hankel import det_perm
+from cuemoments.hankel import _shifted_det, det_perm
 from cuemoments.painleve import (
+    MAX_FLOAT_PHI_S,
     _g_series,
     barnes_G_int,
     cos_constant,
@@ -70,6 +72,22 @@ class TestPhiSeries:
     def test_float_route_rejects_s_below_one(self):
         with pytest.raises(ValueError):
             phi_eval(0, 1.0)
+
+    @pytest.mark.parametrize("s", range(1, MAX_FLOAT_PHI_S + 1))
+    @pytest.mark.parametrize("t", [1, 5, 20, 60])
+    def test_float_route_matches_exact_phi(self, s, t):
+        # phi_s(t) e^t exactly, from g-sums truncated far below the float
+        # rounding (the term of index 200 at t = 60 is below 1e-200)
+        gs = [sum(Fraction((2 * t) ** m, math.factorial(m) * math.factorial(m + nu))
+                  for m in range(200)) for nu in range(1, 2 * s)]
+        pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
+                        barnes_G_int(s + 1) ** 2)
+        exact = float(pref * _shifted_det(gs.__getitem__, tuple(range(s)), {}))
+        assert phi_eval(s, t) == pytest.approx(exact * math.exp(-t), rel=1e-9)
+
+    def test_float_route_rejects_s_above_bound(self):
+        with pytest.raises(ValueError, match="<= %d" % MAX_FLOAT_PHI_S):
+            phi_eval(MAX_FLOAT_PHI_S + 1, 1.0)
 
 
 class TestTauLimit:
@@ -206,3 +224,24 @@ class TestFractionalMoment:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             fractional_moment_q1(2.5, 1)
+
+    # values of the adaptive-Simpson integral this Gauss-Legendre rule replaced
+    @pytest.mark.parametrize("s,p,value", [
+        (1, 0.5, 0.5502522530985685), (1, 1.5, 0.31878861226788713),
+        (1, 1.99, 0.33211863913938294), (2, 0.5, 0.4025541970225862),
+        (2, 1.5, 0.10822937338511367), (2, 1.99, 0.06725049558079797),
+        (3, 0.5, 0.33198915960756725), (3, 1.5, 0.05862747208792309),
+        (3, 1.99, 0.028962942055530672), (4, 0.5, 0.2887443526219317),
+        (4, 1.5, 0.03803550826223532), (4, 1.99, 0.01614157243783415),
+    ])
+    def test_recorded_values(self, s, p, value):
+        assert fractional_moment_q1(p, s) == pytest.approx(value, rel=1e-9)
+
+    def test_s_above_bound_rejected_before_any_phi(self, monkeypatch):
+        def no_phi(*args):
+            pytest.fail("phi was evaluated for s above MAX_FLOAT_PHI_S")
+
+        monkeypatch.setattr(painleve, "phi_eval", no_phi)
+        monkeypatch.setattr(painleve, "phi_series", no_phi)
+        with pytest.raises(ValueError, match="MAX_FLOAT_PHI_S = %d" % MAX_FLOAT_PHI_S):
+            fractional_moment_q1(1.5, MAX_FLOAT_PHI_S + 1)

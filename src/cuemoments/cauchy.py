@@ -320,7 +320,7 @@ def oracle_finiteN_F20(N):
 
 def keating_snaith_constant(s):
     """G(s+1)^2 / G(2s+1): exact Fraction for integer s via the recurrence
-    G(z+1) = Gamma(z) G(z); float via the product formula otherwise."""
+    G(z+1) = Gamma(z) G(z); float from log_barnes_G otherwise."""
     if isinstance(s, int) or (isinstance(s, Fraction) and s.denominator == 1):
         s = int(s)
         if s <= 0:

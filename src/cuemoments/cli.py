@@ -116,6 +116,14 @@ def _parse_rational(text):
         raise CliError("expected a rational number, got %r" % text)
 
 
+def _float_s(s):
+    """float(s), or exit 2 naming --s when s is beyond the float range."""
+    try:
+        return float(s)
+    except OverflowError:
+        raise CliError("--s is beyond the float range")
+
+
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -367,10 +375,11 @@ def cmd_mc_estimate(args):
     if len(orders) != len(exponents):
         raise CliError("orders and exponents must have equal length")
     s = _parse_rational(args.s)
+    s_float = _float_s(s)
     try:
         spec = MomentSpec(orders=orders, exponents=[float(e) for e in exponents],
                           variant=args.variant, size=args.N)
-        config = ChainConfig(N=args.N, s=float(s), chains=args.chains,
+        config = ChainConfig(N=args.N, s=s_float, chains=args.chains,
                              burn_in=args.burn_in, samples=args.samples,
                              thin=args.thin, proposal_scale=args.proposal_scale,
                              seed=args.seed)
@@ -389,7 +398,7 @@ def cmd_mc_estimate(args):
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
     # result and manifest report an integral s as an int, any other as a float
-    args.s = int(s) if s.denominator == 1 else float(s)
+    args.s = int(s) if s.denominator == 1 else s_float
     seeds = {"seed": config.seed, "chains": config.chains}
     if batch.flagged:
         result = {
@@ -426,6 +435,7 @@ def cmd_quadrature(args):
         raise CliError("--N must be >= 1")
     if args.nodes < 1:
         raise CliError("--nodes must be >= 1")
+    _float_s(args.s)
     try:
         P = _parse_poly(args.poly, args.N)
         value = quadrature_expectation(args.N, args.s, P,

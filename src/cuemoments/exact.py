@@ -505,28 +505,6 @@ class PowerSeries:
     def scale_arg(self, a):
         return PowerSeries._raw(*_lowest(*_scale_arg(self.num, self.den, a)), self.order)
 
-    def exp(self):
-        """exp of a series with zero constant term."""
-        a = self.num
-        if a and a[0]:
-            raise ValueError("exp requires zero constant term")
-        # (exp f)' = f' exp f  =>  n*out[n] = sum_j j*f_j*out[n-j]; with
-        # f = a/den and out = e/scale, e_n = sum_j j a_j e_{n-j} / (n den),
-        # e and scale multiplied up only where that division is inexact
-        ja = [j * x for j, x in enumerate(a)][1:]
-        e, scale = [1], 1
-        for n in range(1, self.order + 1):
-            r = sum(map(operator.mul, ja, reversed(e)))
-            d = n * self.den
-            c, m = divmod(r, d)
-            if m:
-                f = d // math.gcd(r, d)
-                e = [x * f for x in e]
-                scale *= f
-                c = r * f // d
-            e.append(c)
-        return PowerSeries._raw(*_lowest(e, scale), self.order)
-
     def __repr__(self):
         return "PowerSeries(%s, order=%d)" % (list(self.coeffs), self.order)
 

@@ -12,7 +12,9 @@ from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     _mul_t, series_logderiv)
 from .hankel import _shifted_det, hankel_det
 
-EULER_GAMMA = 0.5772156649015328606
+# zeta'(-1) and the Bernoulli numbers B_4, B_6, ..., B_14 of log_barnes_G
+_ZETA_PRIME_MINUS_1 = -0.16542114370045092921
+_BERNOULLI_4_TO_14 = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 # phi_eval is within 1e-9 relative of the exact phi_s at t = 1, 5, 20 and 60
 # for s <= 4 (3.4e-10 at s = 4, t = 60); at t = 60 it is off by 1.3e-7 at s = 5
 MAX_FLOAT_PHI_S = 4
@@ -29,31 +31,21 @@ def barnes_G_int(n):
 
 
 def log_barnes_G(z):
-    """log G(z) for z > 0: exact recurrence at integers, otherwise the
-    Weierstrass-type product for G(1+w) with an Euler-Maclaurin tail estimate.
-    Finite also where G(z) itself overflows a float."""
+    """log G(z) for z > 0, finite also where G(z) overflows a float.
+
+    G(z) = G(z + M) / prod_{j<M} Gamma(z + j) brings the argument to 1 + x
+    with x = z + M - 1 >= 19, where the asymptotic series of log G(1 + x)
+    (DLMF 5.17.5) is summed through B_14; the first omitted term is below
+    1e-19 there."""
     if z <= 0:
         raise ValueError("z > 0 required")
-    if abs(z - round(z)) < 1e-13:
-        return math.log(barnes_G_int(int(round(z))))
-    # reduce to G(1+w) with w in (0,1) via G(z+1) = Gamma(z) G(z)
-    w = z - 1.0
-    log_g = 0.0
-    while w > 1.0:
-        w -= 1.0
-        log_g += math.lgamma(w + 1.0)
-    J = 200000
-    log_g += (w / 2.0) * math.log(2.0 * math.pi) - (w + w * w * (1.0 + EULER_GAMMA)) / 2.0
-    acc = 0.0
-    for j in range(1, J + 1):
-        acc += j * math.log1p(w / j) - w + w * w / (2.0 * j)
-    log_g += acc
-    # tail: sum_{j>J} sum_{m>=3} (-1)^{m+1} w^m / (m j^{m-1})
-    for m in range(3, 11):
-        k = m - 1
-        zeta_tail = J ** (1 - k) / (k - 1) + J ** (-k) / 2.0
-        log_g += (-1) ** (m + 1) * w ** m / m * zeta_tail
-    return log_g
+    M = max(0, math.ceil(20.0 - z))
+    x = z + M - 1.0
+    series = sum(b / (4 * k * (k + 1) * x ** (2 * k))
+                 for k, b in enumerate(_BERNOULLI_4_TO_14, 1))
+    log_g = ((x * x / 2.0 - 1.0 / 12.0) * math.log(x) - 0.75 * x * x
+             + 0.5 * x * math.log(2.0 * math.pi) + _ZETA_PRIME_MINUS_1 + series)
+    return log_g - math.fsum(math.lgamma(z + j) for j in range(M))
 
 
 def _g_series(nu, order):

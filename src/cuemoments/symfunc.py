@@ -1,7 +1,7 @@
 """Symmetric-polynomial building blocks: elementary symmetric polynomials,
 the squared Vandermonde, the derivative-coefficient polynomials Xi_n with
 integer coefficients a_{n,l}, and the real expansion of the V-variant
-integrand. newton_convert (power sums <-> elementary symmetric functions)
+integrand. newton_convert (power sums -> elementary symmetric functions)
 is reached by no command yet; it is kept for the joint moments read from
 the multi-time Hankel series.
 """
@@ -73,41 +73,21 @@ def xi_poly(n, N):
     return total
 
 
-def newton_convert(values, direction):
-    """Convert between power sums q_1..q_n and elementary symmetric values
-    Y_1..Y_n via Newton's identity Y_n = (1/n) sum_{j=1}^n (-1)^{j-1} Y_{n-j} q_j.
+def newton_convert(q):
+    """Elementary symmetric values Y_1..Y_n from the power sums q_1..q_n via
+    Newton's identity Y_k = (1/k) sum_{j=1}^k (-1)^{j-1} Y_{k-j} q_j.
 
-    Works over any commutative ring supporting +, -, * and division by integers
-    (division implemented as multiplication by Fraction(1, n)).
+    Works over any commutative ring supporting +, -, * and multiplication by
+    a Fraction.
     """
-    n = len(values)
-    if direction == "p_to_e":
-        q = list(values)
-        Y = [None] * (n + 1)
-        Y[0] = 1
-        for k in range(1, n + 1):
-            acc = None
-            for j in range(1, k + 1):
-                term = Y[k - j] * q[j - 1]
-                if j % 2 == 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-            Y[k] = acc * Fraction(1, k)
-        return Y[1:]
-    if direction == "e_to_p":
-        Y = [1] + list(values)
-        q = [None] * (n + 1)
-        for k in range(1, n + 1):
-            acc = Y[k] * k
-            for j in range(1, k):
-                term = Y[k - j] * q[j]
-                if j % 2 == 0:
-                    term = -term
-                acc = acc - term
-            # solve (-1)^{k-1} q_k = acc
-            q[k] = acc if k % 2 == 1 else -acc
-        return q[1:]
-    raise ValueError("direction must be 'p_to_e' or 'e_to_p'")
+    Y = [1]
+    for k in range(1, len(q) + 1):
+        acc = Y[k - 1] * q[0]
+        for j in range(2, k + 1):
+            term = Y[k - j] * q[j - 1]
+            acc = acc - term if j % 2 == 0 else acc + term
+        Y.append(acc * Fraction(1, k))
+    return Y[1:]
 
 
 def v_variant_integrand(orders, exponents, N):

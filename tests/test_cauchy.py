@@ -258,6 +258,12 @@ class TestKeatingSnaith:
         v = keating_snaith_constant(0.5)
         assert v == pytest.approx(1.1432370737066495, rel=1e-8)
 
+    def test_rational_non_integer(self):
+        # 0.015397493667347171 is G(10/3)^2 / G(17/3), computed with mpmath
+        v = keating_snaith_constant(Fraction(7, 3))
+        assert abs(v - 0.015397493667347171) <= 1e-12 * 0.015397493667347171
+        assert type(keating_snaith_constant(Fraction(6, 2))) is Fraction
+
     def test_float_route_where_G_overflows(self):
         # G(30) alone is beyond the float range; the ratio is not
         v = keating_snaith_constant(14.5)

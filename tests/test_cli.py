@@ -511,6 +511,9 @@ def test_usage_error_rejected_before_engine(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["mc-estimate", "--N", "1", "--s", "-1/2", "--orders", "1", "--exponents", "2"],
     ["painleve", "--mode", "p3-limit", "--s", "5/2"],
+    # an --s beyond the float range
+    ["quadrature", "--N", "1", "--s", str(10 ** 400), "--poly", "x1^2"],
+    ["mc-estimate", "--N", "1", "--s", "1e400", "--orders", "1", "--exponents", "2"],
 ])
 def test_usage_error_prints_json_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)

@@ -3,6 +3,7 @@ nonlinear ODE residuals, Barnes G, and the fractional-moment integral."""
 
 import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,27 @@ class TestBarnesG:
     def test_reference_values(self):
         assert math.exp(log_barnes_G(1.5)) == pytest.approx(1.0692226492675179, rel=1e-10)
         assert math.exp(log_barnes_G(4.5)) == pytest.approx(4.186253258973907, rel=1e-10)
+
+    # log G(z) to 20 digits, computed independently with mpmath.barnesg
+    @pytest.mark.parametrize("z,log_g", [
+        (0.3, -1.0282956303232098428),
+        (1.5, 0.066931888435004704274),
+        (10 / 3, 0.13062499248578776081),
+        (9.7, 32.752472204986907982),
+        (30.2, 825.38200255247593763),
+        (1000.0, 2698890.6165336429019),
+        (3000.0, 29260394.018921804999),
+    ])
+    def test_high_precision_references(self, z, log_g):
+        started = time.perf_counter()
+        value = log_barnes_G(z)
+        assert time.perf_counter() - started < 0.1
+        assert abs(value - log_g) <= 1e-12 * max(1.0, abs(log_g))
+
+    def test_integral_float_matches_exact(self):
+        for n in range(1, 200):
+            exact = math.log(barnes_G_int(n))
+            assert abs(log_barnes_G(float(n)) - exact) <= 1e-12 * max(1.0, exact)
 
 
 class TestFractionalMoment:

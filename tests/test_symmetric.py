@@ -184,15 +184,19 @@ class TestNewtonConvert:
                                  min_value=Fraction(-3), max_value=Fraction(3)),
                     min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, values):
-        back = newton_convert(newton_convert(values, "p_to_e"), "e_to_p")
-        assert back == [Fraction(v) for v in values]
+    def test_power_sums_map_to_elementary_values(self, points):
+        # e_k(points) is the t^k coefficient of prod (1 + x t)
+        e = [Fraction(1)]
+        for x in points:
+            e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+        q = [sum(x ** k for x in points) for k in range(1, len(points) + 1)]
+        assert newton_convert(q) == e[1:]
 
     def test_numeric_consistency(self):
         # power sums / elementaries of concrete points {1, 2, 3}
         pts = [Fraction(1), Fraction(2), Fraction(3)]
         p = [sum(x ** k for x in pts) for k in (1, 2, 3)]
-        e = newton_convert(p, "p_to_e")
+        e = newton_convert(p)
         assert e == [Fraction(6), Fraction(11), Fraction(6)]
 
 

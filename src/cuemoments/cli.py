@@ -68,6 +68,14 @@ MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # costs most at N = 1: 2e6 sweeps take 4.7 s and 190 MB there (0.6 s at N = 14)
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
+# The V closed form of leading-coeff reduces polynomials of degree about 2n;
+# at --eval-s 5/3 it takes 0.45 s at order 64, 1.4 s at 80, 4.1 s at 96 and
+# 56 s at 160
+MAX_V_ORDER = 64
+# mc-estimate builds Xi_1..Xi_n from exact a_{n,l}(N), about n N^3 / 6 big
+# integer powers: 64 sweeps take 2.1 s at N = 100, n = 64 (0.58 s at n = 32,
+# 5.1 s at n = 100) and 0.47 s at N = 50, n = 64
+MAX_MC_ORDER = 64
 # finite-moment's integrand has at most _integrand_monomials monomials. Timed
 # from the CLI on 2 cores, inputs with at most 100,000 took at most 5.8 s;
 # above it, 10 s at 169,911, 53 s at 431,937 and over 90 s at 7,591,179
@@ -116,12 +124,12 @@ def _parse_rational(text):
         raise CliError("expected a rational number, got %r" % text)
 
 
-def _float_s(s):
-    """float(s), or exit 2 naming --s when s is beyond the float range."""
+def _float(x, option):
+    """float(x), or exit 2 naming the option when x is beyond the float range."""
     try:
-        return float(s)
+        return float(x)
     except OverflowError:
-        raise CliError("--s is beyond the float range")
+        raise CliError("%s is beyond the float range" % option)
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -294,6 +302,9 @@ def cmd_leading_coeff(args):
             # second-moment product: single order n with exponent 2 only.
             if len(orders) != 1 or exponents != [2]:
                 raise CliError("variant V supports a single order with exponent 2")
+            if orders[0] > MAX_V_ORDER:
+                raise CliError("variant V supports --orders <= %d; got %d"
+                               % (MAX_V_ORDER, orders[0]))
             rf = oracle_second_moment_V(orders[0])
     except ValueError as exc:
         raise CliError(str(exc))
@@ -375,9 +386,10 @@ def cmd_mc_estimate(args):
     if len(orders) != len(exponents):
         raise CliError("orders and exponents must have equal length")
     s = _parse_rational(args.s)
-    s_float = _float_s(s)
+    s_float = _float(s, "--s")
+    float_exponents = [_float(e, "--exponents") for e in exponents]
     try:
-        spec = MomentSpec(orders=orders, exponents=[float(e) for e in exponents],
+        spec = MomentSpec(orders=orders, exponents=float_exponents,
                           variant=args.variant, size=args.N)
         config = ChainConfig(N=args.N, s=s_float, chains=args.chains,
                              burn_in=args.burn_in, samples=args.samples,
@@ -386,6 +398,9 @@ def cmd_mc_estimate(args):
         _check_domain(s, exponents)
         if config.N > MAX_MC_N:
             raise CliError("mc-estimate supports --N <= %d" % MAX_MC_N)
+        if max(orders, default=0) > MAX_MC_ORDER:
+            raise CliError("mc-estimate supports --orders <= %d; got %d"
+                           % (MAX_MC_ORDER, max(orders)))
         work = config.chains * (config.burn_in + config.samples * config.thin) * config.N ** 2
         if work > MAX_MC_WORK:
             raise CliError("mc-estimate needs chains * (burn-in + samples * thin) "
@@ -395,6 +410,11 @@ def cmd_mc_estimate(args):
                            "mc-estimate needs chains * samples >= %d; got %d"
                            % (2 * _BLOCKS, config.chains * config.samples))
         batch = sample_hp(config)
+        if not batch.flagged:
+            est, stderr, ess = estimate_joint_moment(batch, spec)
+            if not all(map(math.isfinite, (est, stderr, ess))):
+                raise CliError("the integrand leaves the float range at these "
+                               "draws; lower --orders or --exponents")
     except (ValueError, OverflowError) as exc:
         raise CliError(str(exc))
     # result and manifest report an integral s as an int, any other as a float
@@ -409,13 +429,12 @@ def cmd_mc_estimate(args):
         _summary("mc-estimate FLAGGED: acceptance rate %.3f"
                  % batch.acceptance_rate)
         return result, EXIT_MC_DIAGNOSTICS, seeds
-    est, stderr, ess = estimate_joint_moment(batch, spec)
     result = {
         "N": args.N,
         "s": args.s,
         "variant": args.variant,
         "orders": orders,
-        "exponents": [float(e) for e in exponents],
+        "exponents": float_exponents,
         "estimate": est,
         "stderr": stderr,
         "ess": ess,
@@ -435,7 +454,7 @@ def cmd_quadrature(args):
         raise CliError("--N must be >= 1")
     if args.nodes < 1:
         raise CliError("--nodes must be >= 1")
-    _float_s(args.s)
+    _float(args.s, "--s")
     try:
         P = _parse_poly(args.poly, args.N)
         value = quadrature_expectation(args.N, args.s, P,

@@ -251,8 +251,9 @@ class MultiSeries:
 
     The polynomials are integer numerator lists (ascending, no trailing zero)
     over one common denominator `den`: a product multiplies the denominators
-    and a sum brings two of them to their lcm, so no coefficient is normalised
-    until it leaves the class as a Poly through `terms`.
+    and every linear combination (`lincomb`, behind +, - and `scal`) brings
+    its terms to their lcm, so no coefficient is normalised until it leaves
+    the class as a Poly through `terms`.
     """
 
     __slots__ = ("nv", "cap", "ord", "c", "num", "den")
@@ -286,28 +287,36 @@ class MultiSeries:
         if self.nv != other.nv or self.cap != other.cap:
             raise ValueError("incompatible MultiSeries shapes")
 
-    def _combine(self, other, sign):
-        """self + sign * other, for sign = 1 or -1."""
-        self._check(other)
-        # an empty series adds to anything; otherwise the decays must agree
-        if self.num and other.num and self.c != other.c:
+    def lincomb(self, pairs):
+        """self + sum of a * v over the (int or Fraction a, MultiSeries v)
+        pairs, over one common denominator. Valid through the lowest ord of
+        self and of every v with a != 0; the nonempty series must share one
+        decay."""
+        pairs = [(a, v) for a, v in pairs if a]
+        series = [v for _, v in pairs]
+        for v in series:
+            self._check(v)
+        live = [v for v in [self] + series if v.num]
+        c = live[0].c if live else self.c
+        if any(v.c != c for v in live):
             raise ValueError("MultiSeries sum requires equal decay rates")
-        g = math.gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
-        out = {e: [x * fa for x in v] for e, v in self.num.items()}
-        for e, v in other.num.items():
-            u = out.setdefault(e, [])
-            u.extend([0] * (len(v) - len(u)))
-            for i, y in enumerate(v):
-                u[i] += y * fb
-        return self._with(_nonzero(out), self.den * fa, min(self.ord, other.ord),
-                          self.c if self.num else other.c)
+        den = math.lcm(self.den, *[a.denominator * v.den for a, v in pairs])
+        f = den // self.den
+        out = {e: [x * f for x in u] for e, u in self.num.items()}
+        for a, v in pairs:
+            f = a.numerator * (den // (a.denominator * v.den))
+            for e, u in v.num.items():
+                acc = out.setdefault(e, [])
+                acc.extend([0] * (len(u) - len(acc)))
+                for i, y in enumerate(u):
+                    acc[i] += y * f
+        return self._with(_nonzero(out), den, min([self.ord] + [v.ord for v in series]), c)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self.lincomb([(1, other)])
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self.lincomb([(-1, other)])
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
@@ -332,17 +341,14 @@ class MultiSeries:
                           min(self.ord, other.ord), self.c + other.c)
 
     def scal(self, c):
-        """Multiply by an int, a Fraction or a Poly in t_1."""
-        if isinstance(c, Poly):
-            # the product with the series whose one coefficient, at
-            # t_2 = ... = t_k = 0, is c with decay 0
-            return self * MultiSeries(self.nv, self.cap, terms={(0,) * self.nv: c})
-        if not c:
-            return self._with({})
-        c = Fraction(c)
-        a = c.numerator
-        return self._with({e: [x * a for x in v] for e, v in self.num.items()},
-                          self.den * c.denominator)
+        """Multiply by an int or a Fraction."""
+        return self._with({}).lincomb([(c, self)])
+
+    def mul_t1(self, weight=1):
+        """Multiply by weight * t_1 (an int weight): a shift of every
+        coefficient."""
+        return self._with(_nonzero({e: [0] + [x * weight for x in v]
+                                    for e, v in self.num.items()}))
 
     def mul_tq(self, q, weight=1):
         """Multiply by weight * t_q."""
@@ -383,15 +389,8 @@ class MultiSeries:
     def max_abs_at(self, t0):
         """Largest |coefficient polynomial| evaluated at rational t0, over the
         validated coefficients (the shared exponential factor is dropped)."""
-        t0 = Fraction(t0)
-        best = Fraction(0)
-        for e, c in self.terms.items():
-            if sum(e) > self.ord:
-                continue
-            v = abs(c.eval(t0))
-            if v > best:
-                best = v
-        return best
+        return max((abs(c.eval(Fraction(t0))) for e, c in self.terms.items()
+                    if sum(e) <= self.ord), default=Fraction(0))
 
 
 def _nonzero(num):
@@ -478,12 +477,12 @@ def initial_condition_residuals(N, s):
     Returns the pair of residual MultiSeries, in t_2 through order 2."""
     k = cap = 2
     P = Psi_ms(N, s, (), k, cap)
-    base = (P.d_t1().d_t1().scal(Fraction(N * N, 8))
-            + P.d_t1().scal(Fraction(-N * N, 4))
-            + P.scal(Fraction(N * N, 8)))
-    dt2 = P.d_tq(2).scal(Fraction(N, 2))
-    r1 = Psi_ms(N, s, (2,), k, cap) - (base + dt2)
-    r2 = Psi_ms(N, s, (1, 1), k, cap) - (base - dt2)
+    d = P.d_t1() - P
+    # the right sides are (N^2/8)(d/dt_1 - 1)^2 Psi +/- (N/2) dPsi/dt2
+    base = [(Fraction(-N * N, 8), d.d_t1() - d)]
+    dt2 = P.d_tq(2)
+    r1 = Psi_ms(N, s, (2,), k, cap).lincomb(base + [(Fraction(-N, 2), dt2)])
+    r2 = Psi_ms(N, s, (1, 1), k, cap).lincomb(base + [(Fraction(N, 2), dt2)])
     return r1, r2
 
 
@@ -574,56 +573,23 @@ def appendix_matrices(l, k, N, s):
     return out
 
 
-def _matvec(M, vec):
-    """Rational matrix times vector of MultiSeries; the vector is padded with
-    trailing zero series if one short of the matrix width."""
-    rows = len(M)
-    cols = len(M[0])
-    if len(vec) == cols - 1:
-        vec = list(vec) + [MultiSeries(vec[0].nv, vec[0].cap)]
-    if len(vec) != cols:
-        raise ValueError("matrix width %d vs vector length %d" % (cols, len(vec)))
-    out = []
-    for i in range(rows):
-        acc = MultiSeries(vec[0].nv, vec[0].cap)
-        for j in range(cols):
-            if M[i][j]:
-                acc = acc + vec[j].scal(M[i][j])
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vector recursion
 # ---------------------------------------------------------------------------
 
-def _vec_Psi(N, s, b, p, r, k, cap):
-    """The vector (Psi_{lambda_{b,p}},...,Psi_{lambda_{b,b}}, 0^r)."""
-    entries = [Psi_ms(N, s, partition_kq(b, q), k, cap) for q in range(p, b + 1)]
-    entries += [MultiSeries(k - 1, cap)] * r
-    return entries
-
-
-def _op_d1(vec, coef_d, coef_id, N):
-    """Entrywise coef_d * (N/2) d/dt_1 + coef_id * (N/2)."""
-    out = []
-    for e in vec:
-        out.append(e.d_t1().scal(Fraction(coef_d * N, 2)) + e.scal(Fraction(coef_id * N, 2)))
-    return out
+def _d1m1(ms):
+    """(d/dt_1 - 1) ms."""
+    return ms.d_t1() - ms
 
 
 def _mul_2t12(ms):
     """Multiply by 2(t_1 + t_2)."""
-    return ms.scal(Poly((0, 2))) + ms.mul_tq(2, 2)
+    return ms.mul_t1(2) + ms.mul_tq(2, 2)
 
 
 def _diffmul(ms, p, q):
-    """Multiply by diff_{p,q} = p t_p - q t_q (index 1 means t_1)."""
-    if p == 1:
-        first = ms.scal(Poly((0, 1)))
-    else:
-        first = ms.mul_tq(p, p)
-    return first - ms.mul_tq(q, q)
+    """Multiply by diff_{p,q} = p t_p - q t_q, for p, q >= 2."""
+    return ms.mul_tq(p, p) - ms.mul_tq(q, q)
 
 
 def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
@@ -636,6 +602,12 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
     polynomial vanishes identically.
     perturb=True deliberately corrupts one Q_2 entry (negative control).
     The series are truncated at total degree 3 in t_2..t_k.
+
+    Every term of the right side is c * M w for a number c, a rational matrix
+    M and a vector w of series. The t-operators act entrywise, so they commute
+    with M and are applied to w first; a w one short of B's width has a zero
+    last entry. Entry i of the residual is then one linear combination,
+    lhs_i - sum over the terms and j of c M[i][j] w_j.
     """
     if l < 3 or k < 2:
         raise ValueError("l >= 3 and k >= 2 required")
@@ -646,71 +618,59 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
         Q2 = [row[:] for row in mats["Q2"]]
         Q2[0][0] = Q2[0][0] + 1
         mats = dict(mats, Q2=Q2)
-    zero = MultiSeries(k - 1, cap)
+    half = Fraction(N, 2)
 
-    def vsum(a, b):
-        return [x + y for x, y in zip(a, b)]
+    def vec(b, p):
+        """The vector (Psi_{lambda_{b,p}},...,Psi_{lambda_{b,b}})."""
+        return [Psi_ms(N, s, partition_kq(b, q), k, cap) for q in range(p, b + 1)]
 
-    lhs = [_mul_2t12(e) for e in _vec_Psi(N, s, l, 1, 0, k, cap)]
-
-    rhs = [zero] * l
-
+    terms = []
     # T1: k t_k (-1)^{k+1} B (-N/2 d1 + N/2) Psi^{(0)}[l+k-2;k]
-    w = _op_d1(_vec_Psi(N, s, l + k - 2, k, 0, k, cap), -1, 1, N)
-    w = _matvec(B, w)
-    rhs = vsum(rhs, [e.mul_tq(k, k * (-1) ** (k + 1)) for e in w])
+    terms.append((k * (-1) ** k * half, B, [_d1m1(e).mul_tq(k) for e in vec(l + k - 2, k)]))
 
     # T2: B [2(t1+t2)(N/2 d1 - N/2) + N(sum diff_{m-1,m} d_{t_{m-1}} + k t_k d_{t_k})]
-    v = _vec_Psi(N, s, l - 1, 1, 1, k, cap)
-    inner = [_mul_2t12(e) for e in _op_d1(v, 1, -1, N)]
+    v = vec(l - 1, 1)
+    terms.append((half, B, [_mul_2t12(_d1m1(e)) for e in v]))
     for m in range(3, k + 1):
-        inner = vsum(inner, [_diffmul(e.d_tq(m - 1), m - 1, m).scal(N) for e in v])
-    inner = vsum(inner, [e.d_tq(k).mul_tq(k, k * N) for e in v])
-    rhs = vsum(rhs, _matvec(B, inner))
+        terms.append((N, B, [_diffmul(e.d_tq(m - 1), m - 1, m) for e in v]))
+    terms.append((N * k, B, [e.d_tq(k).mul_tq(k) for e in v]))
 
     # T3: sum_{m=1}^{k-2} diff_{m+1,m+2} (-1)^m Q_{m+2} Psi^{(0)}[l+m;1]
     for m in range(1, k - 1):
-        w = _matvec(mats["Q%d" % (m + 2)], _vec_Psi(N, s, l + m, 1, 0, k, cap))
-        rhs = vsum(rhs, [_diffmul(e, m + 1, m + 2).scal((-1) ** m) for e in w])
+        terms.append(((-1) ** m, mats["Q%d" % (m + 2)],
+                      [_diffmul(e, m + 1, m + 2) for e in vec(l + m, 1)]))
 
     # T4: (2 t_1 Q_1 + N Q_0) Psi^{(0)}[l-1;1]
-    v = _vec_Psi(N, s, l - 1, 1, 0, k, cap)
-    w1 = _matvec(mats["Q1"], v)
-    rhs = vsum(rhs, [e.scal(Poly((0, 2))) for e in w1])
-    w0 = _matvec(mats["Q0"], v)
-    rhs = vsum(rhs, [e.scal(N) for e in w0])
+    terms.append((2, mats["Q1"], [e.mul_t1() for e in v]))
+    terms.append((N, mats["Q0"], v))
 
     # T5: N Q_2 Psi^{(0)}[l-2;1]
-    w = _matvec(mats["Q2"], _vec_Psi(N, s, l - 2, 1, 0, k, cap))
-    rhs = vsum(rhs, [e.scal(N) for e in w])
+    terms.append((N, mats["Q2"], vec(l - 2, 1)))
 
     # T6: - sum_{m=0}^{k-3} diff_{m+2,m+3} (-1)^m B (-N/2 d1 + N/2) Psi^{(0)}[l+m;m+2]
     for m in range(0, k - 2):
-        w = _op_d1(_vec_Psi(N, s, l + m, m + 2, 0, k, cap), -1, 1, N)
-        w = _matvec(B, w)
-        rhs = vsum(rhs, [_diffmul(e, m + 2, m + 3).scal(-(-1) ** m) for e in w])
+        terms.append(((-1) ** m * half, B,
+                      [_diffmul(_d1m1(e), m + 2, m + 3) for e in vec(l + m, m + 2)]))
 
     # T7: (-1)^{k-1} k t_k Q_{k+1} Psi^{(0)}[l+k-1;1]
-    w = _matvec(mats["Q%d" % (k + 1)], _vec_Psi(N, s, l + k - 1, 1, 0, k, cap))
-    rhs = vsum(rhs, [e.mul_tq(k, k * (-1) ** (k - 1)) for e in w])
+    terms.append(((-1) ** (k - 1) * k, mats["Q%d" % (k + 1)],
+                  [e.mul_tq(k) for e in vec(l + k - 1, 1)]))
 
     # T8: B N k t_k sum_{h=2}^{k-1} (-1)^{k+h} d_{t_h} Psi^{(1)}[l+k-1-h;k+1-h]
     for h in range(2, k):
-        v = _vec_Psi(N, s, l + k - 1 - h, k + 1 - h, 1, k, cap)
-        w = _matvec(B, [e.d_tq(h) for e in v])
-        rhs = vsum(rhs, [e.mul_tq(k, k * N * (-1) ** (k + h)) for e in w])
+        terms.append((N * k * (-1) ** (k + h), B,
+                      [e.d_tq(h).mul_tq(k) for e in vec(l + k - 1 - h, k + 1 - h)]))
 
     # T9: B N sum_{m=4}^k (-1)^{m-1} diff_{m-1,m} sum_{h=2}^{m-2} (-1)^h d_{t_h}
     #     Psi^{(1)}[l+m-2-h;m-h]
     for m in range(4, k + 1):
-        acc = [zero] * (l - 1 + 1)
         for h in range(2, m - 1):
-            v = _vec_Psi(N, s, l + m - 2 - h, m - h, 1, k, cap)
-            acc = vsum(acc, [e.d_tq(h).scal((-1) ** h) for e in v])
-        w = _matvec(B, acc)
-        rhs = vsum(rhs, [_diffmul(e, m - 1, m).scal(N * (-1) ** (m - 1)) for e in w])
+            terms.append((N * (-1) ** (m - 1 + h), B,
+                          [_diffmul(e.d_tq(h), m - 1, m) for e in vec(l + m - 2 - h, m - h)]))
 
-    residual = [a - b for a, b in zip(lhs, rhs)]
+    residual = [_mul_2t12(e).lincomb([(-c * M[i][j], w_j) for c, M, w in terms
+                                      for j, w_j in enumerate(w)])
+                for i, e in enumerate(vec(l, 1))]
     if all(r.is_zero_through_ord() for r in residual):
         return Fraction(0)
     worst = max((r.max_abs_at(t0) for r in residual), default=Fraction(0))

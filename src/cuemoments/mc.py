@@ -198,13 +198,16 @@ def estimate_joint_moment(batch, spec):
     """Block-mean estimate, standard error and effective sample size
     var / stderr^2 (the draw count where either is 0) of the joint-moment ratio
     2^{-sum 2 h_j n_j} E[prod |Xi_{n_j}|^{2h_j}] (Z) or the modulus form with
-    the extra binomial combination (V); exponents may be any positive reals."""
+    the extra binomial combination (V); exponents may be any positive reals.
+    An integrand beyond the float range gives a non-finite result with no
+    numpy warning; the caller checks for it."""
     N = batch.config.N
     if spec.size not in (N, "limit", None):
         raise ValueError("spec arity does not match batch arity")
-    values = _integrand_values(batch.draws, spec, N)
-    est, stderr = _block_stats(values)
-    var = float(np.var(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _integrand_values(batch.draws, spec, N)
+        est, stderr = _block_stats(values)
+        var = float(np.var(values))
     if stderr == 0 or var == 0:
         return est, stderr, float(len(values))
     return est, stderr, var / (stderr * stderr)

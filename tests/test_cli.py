@@ -25,10 +25,14 @@ def schema():
     return json.loads(text)
 
 
+def _not_json(token):
+    raise AssertionError("%s is not a JSON value" % token)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    return code, json.loads(captured.out), captured.err
+    return code, json.loads(captured.out, parse_constant=_not_json), captured.err
 
 
 def validate(schema, doc):
@@ -311,6 +315,14 @@ class TestHankelVerify:
          "b0740f5820fa8a34ff1c46cf3ac5af56bd1502185a02a6ac68bb1bc0ce970561"),
         (["--N", "3", "--s", "3", "--l", "4", "--k", "3", "--perturb"],
          "87698dfebfa74e86b753c0b596e034c2d0ff8c01536173f77a2bbaf2addf0474"),
+        # k = 4 and 5 reach the terms T8 and T9 of the vector recursion;
+        # recorded while each term built its own matrix-vector products
+        (["--N", "2", "--s", "3", "--l", "5", "--k", "4"],
+         "fdab1d2031abf232fa52775ab2136c506de42b1da00ea9f3bfe0ac3699d7a930"),
+        (["--N", "2", "--s", "2", "--l", "4", "--k", "5", "--t", "7/3"],
+         "14aaa55ab46b1811a9474cdb1b6d6c82f73e2b3c78b75226a23bbe37c98e0a2d"),
+        (["--N", "3", "--s", "2", "--l", "5", "--k", "5", "--perturb"],
+         "01d72023993543f627b422a5f7aaae3e874bc8e1d746ea649123cb858190c328"),
     ])
     def test_output_digest_pinned(self, capsys, argv, digest):
         code, doc, _ = run_cli(capsys, "hankel-verify", *argv)
@@ -320,6 +332,13 @@ class TestHankelVerify:
         residuals = {c["name"]: c["residual"] for c in doc["result"]["checks"]}
         assert residuals["theta-derivative m=0"] == "e^(-1 t)*(0)"
         assert residuals["alternating-sum l=1"] == "e^(-%d t)*(0)" % N
+
+    def test_perturbed_residual_at_k5(self, capsys):
+        code, doc, _ = run_cli(capsys, "hankel-verify", "--N", "3", "--s", "2",
+                               "--l", "5", "--k", "5", "--perturb")
+        assert code == 4
+        residuals = {c["name"]: c["residual"] for c in doc["result"]["checks"]}
+        assert residuals["vector-recursion l=5 k=5 (perturbed)"] == "12986362880/81"
 
     def test_perturbed_exit_4(self, capsys):
         code = main(["hankel-verify", "--perturb"])
@@ -423,6 +442,17 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     # just above the bound (--N 5 --orders 2 --exponents 12 has 96915)
     (["finite-moment", "--N", "4", "--orders", "2", "--exponents", "20",
       "--variant", "Z"], "at most 100000 integrand monomials; got 100331"),
+    # the V closed form took 56 s at order 160 and never returned at 10^20
+    (["leading-coeff", "--orders", "99999999999999999999", "--exponents", "2",
+      "--variant", "V"], "--orders <= 64; got 99999999999999999999"),
+    (["leading-coeff", "--orders", "65", "--exponents", "2", "--variant", "V",
+      "--eval-s", "5/3"], "--orders <= 64; got 65"),
+    # an uncaught OverflowError from a_{n,l}, and an Xi loop of 10^20 steps
+    (["mc-estimate", "--N", "2", "--s", "3", "--orders", "1100", "--exponents", "1",
+      "--samples", "100"], "--orders <= 64; got 1100"),
+    (["mc-estimate", "--N", "1", "--s", "3", "--orders", "99999999999999999999",
+      "--exponents", "1", "--samples", "100"], "--orders <= 64; got 99999999999999999999"),
+    (_MC + ["--orders", "65", "--exponents", "2"], "--orders <= 64; got 65"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     import cuemoments.cli as cli
@@ -437,6 +467,7 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     monkeypatch.setattr(painleve, "_g_series", no_work)
     monkeypatch.setattr(mc, "_run_chain", no_work)
     monkeypatch.setattr(cli, "finite_joint_moment", no_work)
+    monkeypatch.setattr(cli, "oracle_second_moment_V", no_work)
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert bound in doc["error"]
@@ -520,6 +551,20 @@ def test_usage_error_prints_json_exit_2(capsys, argv):
     assert code == 2
     assert set(doc) == {"error", "exit_code"}
     assert doc["exit_code"] == 2 and "--s" in doc["error"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    # printed "estimate": Infinity, "stderr": NaN, "ess": NaN with exit 0
+    (["mc-estimate", "--N", "20", "--s", "400", "--orders", "60", "--exponents", "8",
+      "--chains", "1", "--samples", "64", "--burn-in", "0"], "--orders"),
+    # printed Python's "integer division result too large for a float"
+    (_MC + ["--orders", "1", "--exponents", "1e400"], "--exponents"),
+])
+def test_float_range_named_exit_2(capsys, argv, option):
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(doc) == {"error", "exit_code"}
+    assert "float range" in doc["error"] and option in doc["error"]
 
 
 def test_help_exits_0(capsys):
@@ -607,10 +652,6 @@ def _argv(draw):
         if values is not None:
             argv.append(draw(st.sampled_from(_MALFORMED if roll == 1 else values)))
     return argv
-
-
-def _not_json(token):
-    raise AssertionError("%s is not a JSON value" % token)
 
 
 @given(_argv())

@@ -258,6 +258,21 @@ class RefMultiSeries:
     def scal(self, c):
         return self._with({e: v * c for e, v in self.terms.items()})
 
+    def lincomb(self, pairs):
+        pairs = [(a, v) for a, v in pairs if a]
+        live = [v for v in [self] + [v for _, v in pairs] if v.terms]
+        if len({v.c for v in live}) > 1:
+            raise ValueError("MultiSeries sum requires equal decay rates")
+        out = dict(self.terms)
+        for a, v in pairs:
+            for e, p in v.terms.items():
+                out[e] = out[e] + p * a if e in out else p * a
+        return RefMultiSeries(self.nv, self.cap, min([self.ord] + [v.ord for _, v in pairs]),
+                              out, live[0].c if live else self.c)
+
+    def mul_t1(self, weight=1):
+        return self._with({e: v * Poly((0, weight)) for e, v in self.terms.items()})
+
     def mul_tq(self, q, weight=1):
         out = {}
         for e, c in self.terms.items():
@@ -306,7 +321,7 @@ def same_series(new, ref):
 
 
 @st.composite
-def _series_pairs(draw, nv, cap):
+def _series_pairs(draw, nv, cap, decays=(0, 1, Fraction(1, 2), Fraction(2, 3))):
     """A MultiSeries and its reference from the same random coefficients."""
     terms = {}
     for e in itertools.product(range(cap + 1), repeat=nv):
@@ -314,18 +329,32 @@ def _series_pairs(draw, nv, cap):
             terms[e] = Poly(draw(st.lists(st.fractions(-9, 9, max_denominator=12),
                                           max_size=4)))
     ord = draw(st.integers(0, cap))
-    c = draw(st.sampled_from([0, 1, Fraction(1, 2), Fraction(2, 3)]))
+    c = draw(st.sampled_from(decays))
     return MultiSeries(nv, cap, ord, terms, c), RefMultiSeries(nv, cap, ord, terms, c)
+
+
+_scalars = st.sampled_from([0, -1, 3, Fraction(-5, 6), Fraction(7, 4)])
 
 
 @st.composite
 def _series_cases(draw):
     nv, cap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     a, b = draw(_series_pairs(nv, cap)), draw(_series_pairs(nv, cap))
-    scalar = draw(st.sampled_from([0, -1, 3, Fraction(-5, 6), Fraction(7, 4),
-                                   Poly((Fraction(1, 3), -2)), Poly()]))
+    scalar = draw(_scalars)
     q = draw(st.integers(2, nv + 1))
     return a, b, scalar, q, draw(st.sampled_from([-2, 1, 3]))
+
+
+@st.composite
+def _lincomb_cases(draw):
+    """A base series and up to four (scalar, series) pairs of its shape; one
+    decay for all of them in about half the cases, so that most sums are
+    defined."""
+    nv, cap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    decays = draw(st.sampled_from([(0, 1, Fraction(1, 2)), (Fraction(1, 2),)]))
+    base = draw(_series_pairs(nv, cap, decays))
+    pairs = draw(st.lists(st.tuples(_scalars, _series_pairs(nv, cap, decays)), max_size=4))
+    return base, pairs
 
 
 def partitions(n, most=None):
@@ -357,11 +386,41 @@ class TestIntegerMultiSeries:
             assert same_series(a - b, ra - rb)
         assert same_series(a * b, ra * rb)
         assert same_series(a.scal(scalar), ra.scal(scalar))
+        assert same_series(a.mul_t1(weight), ra.mul_t1(weight))
         assert same_series(a.mul_tq(q, weight), ra.mul_tq(q, weight))
         assert same_series(a.d_t1(), ra.d_t1())
         assert same_series(a.d_tq(q), ra.d_tq(q))
         assert a.is_zero_through_ord() == ra.is_zero_through_ord()
         assert a.max_abs_at(Fraction(3, 2)) == ra.max_abs_at(Fraction(3, 2))
+
+    @given(_lincomb_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_lincomb_matches_reference(self, case):
+        # the sum is valid through the lowest ord of the base and of every
+        # series with a nonzero scalar; nonempty series of unequal decays raise
+        (a, ra), pairs = case
+        new = [(x, v) for x, (v, _) in pairs]
+        ref = [(x, rv) for x, (_, rv) in pairs]
+        live = [v for v in [ra] + [rv for x, rv in ref if x] if v.terms]
+        if len({v.c for v in live}) > 1:
+            with pytest.raises(ValueError, match="decay"):
+                a.lincomb(new)
+        else:
+            assert same_series(a.lincomb(new), ra.lincomb(ref))
+            assert a.lincomb(new).ord == min([a.ord] + [v.ord for x, v in new if x])
+
+    def test_lincomb_ord_skips_zero_scalars(self):
+        a = MultiSeries(1, 2, 2, {(0,): Poly((1,))}, Fraction(1, 2))
+        low = MultiSeries(1, 2, 0, {(1,): Poly((3,))}, Fraction(1, 2))
+        assert a.lincomb([(0, low)]).ord == 2
+        assert a.lincomb([(0, low), (Fraction(1, 3), low)]).ord == 0
+        assert a.lincomb([(-1, low)]).ord == 0
+
+    def test_lincomb_rejects_other_shapes(self):
+        a = MultiSeries(2, 2, terms={(0, 0): Poly((1,))})
+        for other in (MultiSeries(1, 2), MultiSeries(2, 3)):
+            with pytest.raises(ValueError, match="shape"):
+                a.lincomb([(1, other)])
 
     @pytest.mark.parametrize("k,cap", [(k, cap) for k in (2, 3, 4) for cap in (1, 2, 3)])
     def test_kernel_matches_permutation_expansion(self, k, cap):

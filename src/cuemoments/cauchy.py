@@ -23,7 +23,7 @@ MAX_EXACT_DEGREE = 64
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Joint-moment query: derivative orders (strictly decreasing, >= 0),
+    """Joint-moment query: derivative orders (strictly decreasing, >= 1),
     exponents 2h_j (> 0), variant "V" or "Z", and matrix size N (integer) or
     "limit"."""
     orders: tuple
@@ -39,8 +39,11 @@ class MomentSpec:
         if list(self.orders) != sorted(self.orders, reverse=True) or \
                 len(set(self.orders)) != len(self.orders):
             raise ValueError("orders must be strictly decreasing")
-        if any(n < 0 for n in self.orders):
-            raise ValueError("orders must be >= 0")
+        # Xi_0 = 1: an order-0 factor would be 1 while its exponent still
+        # counted in the convergence domain
+        if min(self.orders, default=0) < 1:
+            raise ValueError("every order must be >= 1, with one at least: the "
+                             "power of the polynomial itself is the weight s")
         if any(e <= 0 for e in self.exponents):
             raise ValueError("exponents must be > 0")
 
@@ -208,9 +211,7 @@ def limiting_moment(orders, exponents):
     exponents = tuple(exponents)
     if any(e <= 0 or e % 2 for e in exponents):
         raise ValueError("exponents must be positive even integers")
-    MomentSpec(orders, exponents, "Z", "limit")  # orders >= 0, decreasing
-    if not orders or orders[0] < 1:
-        raise ValueError("leading order must be >= 1")
+    MomentSpec(orders, exponents, "Z", "limit")  # orders >= 1, decreasing
     L = sum(n * e for n, e in zip(orders, exponents))
     if L > MAX_EXACT_ARITY:
         raise ValueError("L = %d exceeds arity bound %d" % (L, MAX_EXACT_ARITY))

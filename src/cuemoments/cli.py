@@ -7,7 +7,9 @@ never floats) and a one-line human summary to stderr, and embeds a run
 manifest (command, parameters, seeds, version, wall time, output digest)
 so any run can be reproduced bit-for-bit.
 
-Exit codes: 0 success; 2 invalid or unsupported input; 3 Monte Carlo
+Exit codes: 0 success; 2 invalid or unsupported input: main turns any
+ValueError or OverflowError, from the parser, a command or an engine, into
+the document {"error": message, "exit_code": 2}; 3 Monte Carlo
 diagnostics failure (flagged chain); 4 a verified identity failed; 141
 (128 + SIGPIPE, as a shell reports a writer ended by a broken pipe) the
 reader closed stdout before the document was written, and the run stops
@@ -82,14 +84,6 @@ MAX_MC_ORDER = 64
 MAX_FINITE_MONOMIALS = 100_000
 
 
-class CliError(Exception):
-    """Invalid or unsupported input; maps to exit code 2."""
-
-    def __init__(self, message, code=EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
@@ -98,7 +92,7 @@ def _parse_int_list(text):
     try:
         return [int(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise CliError("expected a comma-separated list of integers: %r" % text)
+        raise ValueError("expected a comma-separated list of integers: %r" % text)
 
 
 def _parse_exponent_list(text):
@@ -113,7 +107,7 @@ def _parse_exponent_list(text):
         try:
             out.append(Fraction(p))
         except (ValueError, ZeroDivisionError):
-            raise CliError("bad exponent %r (use integers, rationals or '_')" % p)
+            raise ValueError("bad exponent %r (use integers, rationals or '_')" % p)
     return out
 
 
@@ -121,7 +115,7 @@ def _parse_rational(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError("expected a rational number, got %r" % text)
+        raise ValueError("expected a rational number, got %r" % text)
 
 
 def _float(x, option):
@@ -129,7 +123,7 @@ def _float(x, option):
     try:
         return float(x)
     except OverflowError:
-        raise CliError("%s is beyond the float range" % option)
+        raise ValueError("%s is beyond the float range" % option)
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -154,14 +148,14 @@ def _parse_poly(text, arity):
             if m:
                 idx = int(m.group(1))
                 if not 1 <= idx <= arity:
-                    raise CliError("variable x%d out of range for %d variables"
-                                   % (idx, arity))
+                    raise ValueError("variable x%d out of range for %d variables"
+                                     % (idx, arity))
                 expo[idx - 1] += int(m.group(2) or 1)
             else:
                 try:
                     coeff *= Fraction(factor)
                 except (ValueError, ZeroDivisionError):
-                    raise CliError("cannot parse monomial factor %r" % factor)
+                    raise ValueError("cannot parse monomial factor %r" % factor)
         poly = poly + SymPoly(arity, {tuple(expo): coeff})
     return poly
 
@@ -173,7 +167,7 @@ def _default_seed():
     try:
         return int(env)
     except ValueError:
-        raise CliError("CUEMOMENTS_SEED must be an integer, got %r" % env)
+        raise ValueError("CUEMOMENTS_SEED must be an integer, got %r" % env)
 
 
 def _integrand_monomials(N, orders, exponents):
@@ -190,8 +184,8 @@ def _check_domain(s, exponents):
     """Exit 2 unless the moment with these exponents converges at s."""
     bound = domain(exponents)
     if s <= bound:
-        raise CliError("the moment diverges for s <= (sum of exponents - 1)/2 "
-                       "= %s; got s = %s" % (bound, s))
+        raise ValueError("the moment diverges for s <= (sum of exponents - 1)/2 "
+                         "= %s; got s = %s" % (bound, s))
 
 
 def _reject_divergent(text, exponents):
@@ -210,7 +204,7 @@ def _evaluate(rf, s0, exponents, result):
     try:
         value = rf.eval(s0)
     except ZeroDivisionError:
-        raise CliError("pole at s = %s" % s0)
+        raise ValueError("pole at s = %s" % s0)
     _check_domain(s0, exponents)
     result["eval_s"] = rat_to_str(s0)
     result["value"] = rat_to_str(value)
@@ -281,33 +275,29 @@ def cmd_leading_coeff(args):
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
     if any(e is None for e in exponents):
-        raise CliError("'_' exponents are only meaningful for finite-moment")
-    if len(orders) != len(exponents):
-        raise CliError("orders and exponents must have equal length")
+        raise ValueError("'_' exponents are only meaningful for finite-moment")
     if any(e.denominator != 1 for e in exponents):
-        raise CliError("exact engine needs integer exponents; use mc-estimate")
+        raise ValueError("exact engine needs integer exponents; use mc-estimate")
     exponents = [int(e) for e in exponents]
     if args.with_constant and args.eval_s is None:
-        raise CliError("--with-constant requires --eval-s")
+        raise ValueError("--with-constant requires --eval-s")
     if args.eval_s is not None:
         s0 = _reject_divergent(args.eval_s, exponents)
         if args.with_constant and s0 > MAX_CONSTANT_S:
-            raise CliError("--with-constant needs s <= %d: G(s+1)^2/G(2s+1) "
-                           "leaves the float range beyond it" % MAX_CONSTANT_S)
-    try:
-        if args.variant == "Z":
-            rf = limiting_moment(orders, exponents)
-        else:
-            # V-variant leading coefficients are wired through the closed-form
-            # second-moment product: single order n with exponent 2 only.
-            if len(orders) != 1 or exponents != [2]:
-                raise CliError("variant V supports a single order with exponent 2")
-            if orders[0] > MAX_V_ORDER:
-                raise CliError("variant V supports --orders <= %d; got %d"
-                               % (MAX_V_ORDER, orders[0]))
-            rf = oracle_second_moment_V(orders[0])
-    except ValueError as exc:
-        raise CliError(str(exc))
+            raise ValueError("--with-constant needs s <= %d: G(s+1)^2/G(2s+1) "
+                             "leaves the float range beyond it" % MAX_CONSTANT_S)
+    if args.variant == "Z":
+        rf = limiting_moment(orders, exponents)
+    else:
+        MomentSpec(orders, exponents, "V", "limit")  # orders >= 1, decreasing
+        # V-variant leading coefficients are wired through the closed-form
+        # second-moment product: single order n with exponent 2 only.
+        if len(orders) != 1 or exponents != [2]:
+            raise ValueError("variant V supports a single order with exponent 2")
+        if orders[0] > MAX_V_ORDER:
+            raise ValueError("variant V supports --orders <= %d; got %d"
+                             % (MAX_V_ORDER, orders[0]))
+        rf = oracle_second_moment_V(orders[0])
     result = {
         "variant": args.variant,
         "orders": orders,
@@ -325,43 +315,40 @@ def cmd_leading_coeff(args):
             result["value_with_constant"] = const * float(value)
     _summary("leading-coeff %s orders=%s exponents=%s -> %s"
              % (args.variant, orders, exponents, result["rational"]["repr"]))
-    return result, EXIT_OK
+    return result, EXIT_OK, None
 
 
 def cmd_finite_moment(args):
     if args.N < 1:
-        raise CliError("--N must be >= 1")
+        raise ValueError("--N must be >= 1")
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
     if len(orders) != len(exponents):
-        raise CliError("orders and exponents must have equal length")
+        raise ValueError("orders and exponents must have equal length")
     # '_' marks an exponent absorbed symbolically into the weight parameter s
     # (it sits on the 0-th derivative), so the pair is dropped from the
     # polynomial integrand.
     if any(e is None and n != 0 for n, e in zip(orders, exponents)):
-        raise CliError("'_' marks the 0-th derivative slot; use it on order 0 only")
+        raise ValueError("'_' marks the 0-th derivative slot; use it on order 0 only")
     pairs = [(n, e) for n, e in zip(orders, exponents) if e is not None]
     if any(n == 0 for n, e in pairs):
-        raise CliError("exponents on order 0 must be '_' (absorbed into s)")
+        raise ValueError("exponents on order 0 must be '_' (absorbed into s)")
     if any(e.denominator != 1 or e <= 0 or int(e) % 2 for _, e in pairs):
-        raise CliError("exact engine needs positive even integer exponents; "
-                       "use mc-estimate for others")
+        raise ValueError("exact engine needs positive even integer exponents; "
+                         "use mc-estimate for others")
     if not pairs:
-        raise CliError("at least one non-'_' exponent is required")
+        raise ValueError("at least one non-'_' exponent is required")
     if args.eval_s is not None:
         s0 = _reject_divergent(args.eval_s, [e for _, e in pairs])
-    try:
-        spec = MomentSpec(orders=[n for n, _ in pairs],
-                          exponents=[int(e) for _, e in pairs],
-                          variant=args.variant, size=args.N)
-        if args.N <= MAX_EXACT_ARITY:  # the engine rejects a larger N
-            size = _integrand_monomials(args.N, spec.orders, spec.exponents)
-            if size > MAX_FINITE_MONOMIALS:
-                raise CliError("finite-moment expands at most %d integrand "
-                               "monomials; got %d" % (MAX_FINITE_MONOMIALS, size))
-        rf = finite_joint_moment(spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    spec = MomentSpec(orders=[n for n, _ in pairs],
+                      exponents=[int(e) for _, e in pairs],
+                      variant=args.variant, size=args.N)
+    if args.N <= MAX_EXACT_ARITY:  # the engine rejects a larger N
+        size = _integrand_monomials(args.N, spec.orders, spec.exponents)
+        if size > MAX_FINITE_MONOMIALS:
+            raise ValueError("finite-moment expands at most %d integrand "
+                             "monomials; got %d" % (MAX_FINITE_MONOMIALS, size))
+    rf = finite_joint_moment(spec)
     result = {
         "N": args.N,
         "variant": args.variant,
@@ -373,7 +360,7 @@ def cmd_finite_moment(args):
         _evaluate(rf, s0, spec.exponents, result)
     _summary("finite-moment N=%d %s -> %s"
              % (args.N, args.variant, result["rational"]["repr"]))
-    return result, EXIT_OK
+    return result, EXIT_OK, None
 
 
 def cmd_mc_estimate(args):
@@ -382,41 +369,36 @@ def cmd_mc_estimate(args):
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
     if any(e is None for e in exponents):
-        raise CliError("'_' exponents are only meaningful for finite-moment")
-    if len(orders) != len(exponents):
-        raise CliError("orders and exponents must have equal length")
+        raise ValueError("'_' exponents are only meaningful for finite-moment")
     s = _parse_rational(args.s)
     s_float = _float(s, "--s")
     float_exponents = [_float(e, "--exponents") for e in exponents]
-    try:
-        spec = MomentSpec(orders=orders, exponents=float_exponents,
-                          variant=args.variant, size=args.N)
-        config = ChainConfig(N=args.N, s=s_float, chains=args.chains,
-                             burn_in=args.burn_in, samples=args.samples,
-                             thin=args.thin, proposal_scale=args.proposal_scale,
-                             seed=args.seed)
-        _check_domain(s, exponents)
-        if config.N > MAX_MC_N:
-            raise CliError("mc-estimate supports --N <= %d" % MAX_MC_N)
-        if max(orders, default=0) > MAX_MC_ORDER:
-            raise CliError("mc-estimate supports --orders <= %d; got %d"
-                           % (MAX_MC_ORDER, max(orders)))
-        work = config.chains * (config.burn_in + config.samples * config.thin) * config.N ** 2
-        if work > MAX_MC_WORK:
-            raise CliError("mc-estimate needs chains * (burn-in + samples * thin) "
-                           "* N^2 <= %d; got %d" % (MAX_MC_WORK, work))
-        if config.chains * config.samples < 2 * _BLOCKS:
-            raise CliError("too few samples for block-mean standard errors: "
-                           "mc-estimate needs chains * samples >= %d; got %d"
-                           % (2 * _BLOCKS, config.chains * config.samples))
-        batch = sample_hp(config)
-        if not batch.flagged:
-            est, stderr, ess = estimate_joint_moment(batch, spec)
-            if not all(map(math.isfinite, (est, stderr, ess))):
-                raise CliError("the integrand leaves the float range at these "
-                               "draws; lower --orders or --exponents")
-    except (ValueError, OverflowError) as exc:
-        raise CliError(str(exc))
+    spec = MomentSpec(orders=orders, exponents=float_exponents,
+                      variant=args.variant, size=args.N)
+    config = ChainConfig(N=args.N, s=s_float, chains=args.chains,
+                         burn_in=args.burn_in, samples=args.samples,
+                         thin=args.thin, proposal_scale=args.proposal_scale,
+                         seed=args.seed)
+    _check_domain(s, exponents)
+    if config.N > MAX_MC_N:
+        raise ValueError("mc-estimate supports --N <= %d" % MAX_MC_N)
+    if max(orders) > MAX_MC_ORDER:
+        raise ValueError("mc-estimate supports --orders <= %d; got %d"
+                         % (MAX_MC_ORDER, max(orders)))
+    work = config.chains * (config.burn_in + config.samples * config.thin) * config.N ** 2
+    if work > MAX_MC_WORK:
+        raise ValueError("mc-estimate needs chains * (burn-in + samples * thin) "
+                         "* N^2 <= %d; got %d" % (MAX_MC_WORK, work))
+    if config.chains * config.samples < 2 * _BLOCKS:
+        raise ValueError("too few samples for block-mean standard errors: "
+                         "mc-estimate needs chains * samples >= %d; got %d"
+                         % (2 * _BLOCKS, config.chains * config.samples))
+    batch = sample_hp(config)
+    if not batch.flagged:
+        est, stderr, ess = estimate_joint_moment(batch, spec)
+        if not all(map(math.isfinite, (est, stderr, ess))):
+            raise ValueError("the integrand leaves the float range at these "
+                             "draws; lower --orders or --exponents")
     # result and manifest report an integral s as an int, any other as a float
     args.s = int(s) if s.denominator == 1 else s_float
     seeds = {"seed": config.seed, "chains": config.chains}
@@ -451,21 +433,19 @@ def cmd_quadrature(args):
     from .mc import quadrature_expectation
 
     if args.N < 1:
-        raise CliError("--N must be >= 1")
+        raise ValueError("--N must be >= 1")
     if args.nodes < 1:
-        raise CliError("--nodes must be >= 1")
+        raise ValueError("--nodes must be >= 1")
     _float(args.s, "--s")
     try:
         P = _parse_poly(args.poly, args.N)
         value = quadrature_expectation(args.N, args.s, P,
                                        nodes_per_dim=args.nodes)
-    except ValueError as exc:
-        raise CliError(str(exc))
     except OverflowError:
-        raise CliError("a coefficient of --poly is beyond the float range")
+        raise ValueError("a coefficient of --poly is beyond the float range")
     except ArithmeticError:
-        raise CliError("quadrature did not converge to the 1e-10 target with "
-                       "--nodes %d; increase --nodes" % args.nodes)
+        raise ValueError("quadrature did not converge to the 1e-10 target with "
+                         "--nodes %d; increase --nodes" % args.nodes)
     result = {"N": args.N, "s": args.s, "poly": args.poly,
               "nodes_per_dim": args.nodes, "value": value}
     try:
@@ -476,7 +456,7 @@ def cmd_quadrature(args):
         pass
     _summary("quadrature N=%d s=%d <%s> -> %.12g"
              % (args.N, args.s, args.poly, value))
-    return result, EXIT_OK
+    return result, EXIT_OK, None
 
 
 def cmd_painleve(args):
@@ -484,17 +464,17 @@ def cmd_painleve(args):
                            tau_limit)
 
     if args.s < 1:
-        raise CliError("s must be a positive integer")
+        raise ValueError("s must be a positive integer")
     if not 0 <= args.series_order <= MAX_P3_ORDER:
-        raise CliError("--series-order must be >= 0 and <= %d" % MAX_P3_ORDER)
+        raise ValueError("--series-order must be >= 0 and <= %d" % MAX_P3_ORDER)
     max_s = MAX_P5_S if args.mode == "p5-finite" else MAX_P3_S
     if args.s > max_s:
-        raise CliError("%s supports --s <= %d" % (args.mode, max_s))
+        raise ValueError("%s supports --s <= %d" % (args.mode, max_s))
     if args.mode == "p5-finite":
         if args.N is None or args.N < 1:
-            raise CliError("p5-finite requires --N >= 1")
+            raise ValueError("p5-finite requires --N >= 1")
         if args.N > MAX_P5_N:
-            raise CliError("p5-finite supports --N <= %d" % MAX_P5_N)
+            raise ValueError("p5-finite supports --N <= %d" % MAX_P5_N)
         tau = tau_finiteN(args.N, args.s)
         res = painleve5_residual(tau, args.N, args.s)
         zero = res.is_zero()
@@ -507,7 +487,7 @@ def cmd_painleve(args):
         }
         _summary("painleve p5-finite N=%d s=%d residual_zero=%s"
                  % (args.N, args.s, zero))
-        return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED)
+        return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED), None
     order = args.series_order
     tau = tau_limit(args.s, K=order + 4)
     res = sigma_p3_residual(tau, args.s)
@@ -524,7 +504,7 @@ def cmd_painleve(args):
     }
     _summary("painleve p3-limit s=%d zero through order %d: %s"
              % (args.s, order, zero))
-    return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED)
+    return result, (EXIT_OK if zero else EXIT_IDENTITY_FAILED), None
 
 
 def cmd_hankel_verify(args):
@@ -535,9 +515,9 @@ def cmd_hankel_verify(args):
 
     for name, low in (("N", 1), ("s", 1), ("l", 3), ("k", 2)):
         if getattr(args, name) < low:
-            raise CliError("--%s must be >= %d" % (name, low))
+            raise ValueError("--%s must be >= %d" % (name, low))
         if getattr(args, name) > MAX_HANKEL[name]:
-            raise CliError("--%s must be <= %d" % (name, MAX_HANKEL[name]))
+            raise ValueError("--%s must be <= %d" % (name, MAX_HANKEL[name]))
     t0 = _parse_rational(args.t)
     checks = []
 
@@ -578,7 +558,7 @@ def cmd_hankel_verify(args):
     _summary("hankel-verify N=%d s=%d: %d/%d checks passed%s"
              % (args.N, args.s, len(checks) - len(failed), len(checks),
                 "" if not failed else " (failed: %s)" % ", ".join(failed)))
-    return result, (EXIT_OK if not failed else EXIT_IDENTITY_FAILED)
+    return result, (EXIT_OK if not failed else EXIT_IDENTITY_FAILED), None
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +566,11 @@ def cmd_hankel_verify(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors raise CliError, so that they print
+    """Argument parser whose usage errors raise ValueError, so that they print
     the JSON error document and exit 2; subparsers inherit the class."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def build_parser():
@@ -700,17 +680,12 @@ def main(argv=None):
         started = time.monotonic()
         if args.command == "mc-estimate" and args.seed is None:
             args.seed = _default_seed()
-        out = args.func(args)
-    except CliError as exc:
-        if not _write_stdout(json.dumps({"error": str(exc), "exit_code": exc.code}) + "\n"):
+        result, code, seeds = args.func(args)
+    except (ValueError, OverflowError) as exc:
+        if not _write_stdout(json.dumps({"error": str(exc), "exit_code": EXIT_INVALID}) + "\n"):
             return EXIT_STDOUT_CLOSED
         _summary("error: %s" % exc)
-        return exc.code
-    if len(out) == 3:
-        result, code, seeds = out
-    else:
-        result, code = out
-        seeds = None
+        return EXIT_INVALID
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "format") and v is not None}
     if not _emit(args.command, params, result, seeds, started, args.format):

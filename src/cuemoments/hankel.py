@@ -490,6 +490,12 @@ def initial_condition_residuals(N, s):
 # recursion matrices (explicit case formulas)
 # ---------------------------------------------------------------------------
 
+def _case_matrix(rows, cols, entry):
+    """The rows x cols matrix of Fractions entry(i, j), i and j 1-based."""
+    return [[Fraction(entry(i, j)) for j in range(1, cols + 1)]
+            for i in range(1, rows + 1)]
+
+
 def matrix_B(l):
     # Case-table resolution, fixed empirically against the vector recursion:
     # the upper-triangular sign exponent is i+j-1 (the variant with exponent
@@ -498,70 +504,68 @@ def matrix_B(l):
     # B inside the recursion multiplies a vector whose last entry is a
     # structural zero, so the recursion cannot distinguish the final-column
     # clauses; the separate-clause reading is kept as written.
-    B = [[Fraction(0)] * l for _ in range(l)]
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            if j == l:
-                v = Fraction((-1) ** (i - 1), l)
-            elif j >= i:
-                v = Fraction((-1) ** (i + j - 1), j * (j + 1))
-            elif j == i - 1:
-                v = Fraction(-1, i)
-            else:
-                v = Fraction(0)
-            B[i - 1][j - 1] = v
-    return B
+    def entry(i, j):
+        if j == l:
+            return Fraction((-1) ** (i - 1), l)
+        elif j >= i:
+            return Fraction((-1) ** (i + j - 1), j * (j + 1))
+        elif j == i - 1:
+            return Fraction(-1, i)
+        return 0
+
+    return _case_matrix(l, l, entry)
 
 
 def matrix_Q0(l, s):
-    Q = [[Fraction(0)] * (l - 1) for _ in range(l)]
-    for i in range(1, l + 1):
-        for j in range(1, l):
-            if i <= j:
-                Q[i - 1][j - 1] = Fraction((-1) ** (i + j) * (j * (l - j - 2) + 1 - 2 * s),
-                                           j * (j + 1))
-            elif j == i - 1:
-                Q[i - 1][j - 1] = Fraction(j * (j + 2 * s) - l + 1, j + 1)
-    return Q
+    def entry(i, j):
+        if i <= j:
+            return Fraction((-1) ** (i + j) * (j * (l - j - 2) + 1 - 2 * s),
+                            j * (j + 1))
+        elif j == i - 1:
+            return Fraction(j * (j + 2 * s) - l + 1, j + 1)
+        return 0
+
+    return _case_matrix(l, l - 1, entry)
 
 
 def matrix_Q1(l):
-    Q = [[Fraction(0)] * (l - 1) for _ in range(l)]
-    for i in range(1, l + 1):
-        for j in range(1, l):
-            if i <= j:
-                Q[i - 1][j - 1] = Fraction((-1) ** (i + j), j * (j + 1))
-            elif j == i - 1:
-                Q[i - 1][j - 1] = Fraction(-j, j + 1)
-    return Q
+    def entry(i, j):
+        if i <= j:
+            return Fraction((-1) ** (i + j), j * (j + 1))
+        elif j == i - 1:
+            return Fraction(-j, j + 1)
+        return 0
+
+    return _case_matrix(l, l - 1, entry)
 
 
 def matrix_Q2(l, N, s):
-    Q = [[Fraction(0)] * (l - 2) for _ in range(l)]
-    for i in range(1, l + 1):
-        for j in range(1, l - 1):
-            if j >= i - 1:
-                num = (s - 2) * N + j * (j + 3) - (j + 2) * (l - 2) + 2 * (s - 1)
-                Q[i - 1][j - 1] = Fraction((-1) ** (i + j) * num, (j + 1) * (j + 2))
-            elif j == i - 2:
-                Q[i - 1][j - 1] = Fraction((j + s) * (j - N), j + 2)
-    return Q
+    def entry(i, j):
+        if j >= i - 1:
+            num = (s - 2) * N + j * (j + 3) - (j + 2) * (l - 2) + 2 * (s - 1)
+            return Fraction((-1) ** (i + j) * num, (j + 1) * (j + 2))
+        elif j == i - 2:
+            return Fraction((j + s) * (j - N), j + 2)
+        return 0
+
+    return _case_matrix(l, l - 2, entry)
 
 
 def matrix_Qm(l, m):
     if m < 3:
         raise ValueError("m >= 3 for the generic family")
-    Q = [[Fraction(0)] * (l + m - 2) for _ in range(l)]
-    for i in range(1, l + 1):
-        for j in range(1, l + m - 1):
-            if i == 1 and j <= m - 1:
-                Q[i - 1][j - 1] = Fraction((-1) ** (m - j - 1))
-            elif j > i + m - 2:
-                Q[i - 1][j - 1] = Fraction((-1) ** (i + j + m) * (2 - m),
-                                           (j - m + 1) * (j - m + 2))
-            elif i != 1 and j == i + m - 2:
-                Q[i - 1][j - 1] = Fraction(i + m - 2, i)
-    return Q
+
+    def entry(i, j):
+        if i == 1 and j <= m - 1:
+            return (-1) ** (m - j - 1)
+        elif j > i + m - 2:
+            return Fraction((-1) ** (i + j + m) * (2 - m),
+                            (j - m + 1) * (j - m + 2))
+        elif i != 1 and j == i + m - 2:
+            return Fraction(i + m - 2, i)
+        return 0
+
+    return _case_matrix(l, l + m - 2, entry)
 
 
 def appendix_matrices(l, k, N, s):

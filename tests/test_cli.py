@@ -4,9 +4,12 @@ validation, exit codes, seeding, and manifest reproducibility."""
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -404,6 +407,16 @@ _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
     ["hankel-verify", "--k", "6"],
     # just above the p3-limit series-order bound
     ["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "41"],
+    # order 0 or no order at all: Xi_0 = 1 dropped the factor and exited 0,
+    # while its exponent still counted in the convergence bound
+    ["mc-estimate", "--N", "2", "--s", "3", "--orders", "1,0", "--exponents", "2,4",
+     "--samples", "200", "--seed", "3"],
+    ["mc-estimate", "--N", "1", "--s", "3", "--orders", "0", "--exponents", "2",
+     "--samples", "100"],
+    ["mc-estimate", "--N", "1", "--s", "3", "--orders", "", "--exponents", "",
+     "--samples", "100"],
+    ["leading-coeff", "--orders", "2,0", "--exponents", "2,2", "--variant", "Z"],
+    ["leading-coeff", "--orders", "0", "--exponents", "2", "--variant", "V"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
@@ -471,6 +484,23 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert bound in doc["error"]
+
+
+@pytest.mark.parametrize("target,error,argv", [
+    ("cuemoments.hankel.verify_vector_recursion", ValueError, ["hankel-verify"]),
+    ("cuemoments.painleve.tau_finiteN", OverflowError,
+     ["painleve", "--mode", "p5-finite", "--N", "2", "--s", "1"]),
+])
+def test_engine_error_exits_2_from_any_command(capsys, monkeypatch, target, error, argv):
+    # main alone maps a ValueError or OverflowError to the exit-2 document,
+    # also from a command with no error handling of its own
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(target, boom)
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc == {"error": "boom", "exit_code": 2}
 
 
 def test_cached_parser_documents_equal_fresh_parser(capsys, monkeypatch):
@@ -654,6 +684,28 @@ def _argv(draw):
     return argv
 
 
+# main maps every ValueError and OverflowError to exit 2, so an engine fault
+# that Python itself reports (a float conversion, an empty max, an unpack)
+# would pass as invalid input; its message gives it away.
+_PYTHON_TEXT = re.compile(r"too large|math (range|domain) error|out of range'\)|"
+                          r"nvalid literal|could not convert|cannot convert|"
+                          r"Exceeds the limit|values to unpack|not in (list|tuple)|"
+                          r"\w\(\) ")
+
+
+@pytest.mark.parametrize("fault", [
+    lambda: float(10 ** 400), lambda: 10 ** 400 / 3, lambda: math.exp(1000),
+    lambda: math.log(-1.0), lambda: 1e300 ** 2, lambda: int("abc"),
+    lambda: float("abc"), lambda: Fraction("abc"), lambda: int(float("inf")),
+    lambda: max([]), lambda: [].index(1), lambda: int("9" * 5000),
+    lambda: [a for a, b in [(1,)]],
+])
+def test_python_fault_texts_are_recognised(fault):
+    with pytest.raises((ValueError, OverflowError)) as info:
+        fault()
+    assert _PYTHON_TEXT.search(str(info.value)), str(info.value)
+
+
 @given(_argv())
 @settings(max_examples=1000, deadline=None, derandomize=True)
 def test_cli_fuzz_exits_with_one_json_document(argv):
@@ -663,6 +715,8 @@ def test_cli_fuzz_exits_with_one_json_document(argv):
     assert code in (0, 2, 3, 4)
     doc = json.loads(out.getvalue(), parse_constant=_not_json)
     assert ("error" in doc) == (code == 2)
+    if code == 2:
+        assert not _PYTHON_TEXT.search(doc["error"]), doc["error"]
 
 
 @pytest.mark.parametrize("N,orders,exponents", [

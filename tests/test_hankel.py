@@ -3,6 +3,7 @@ determinants, adjugate traces, mixed derivatives, the multivariate series
 layer, the recursion matrices, and the expansion coefficients."""
 
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -520,6 +521,18 @@ class TestRecursion:
             return B
         monkeypatch.setattr(hk, "matrix_B", bad_B)
         assert verify_vector_recursion(3, 2, 2, 2) != 0
+
+    # recorded while each matrix had a zero-filled double loop of its own
+    @pytest.mark.parametrize("l,k,N,s,digest", [
+        (3, 2, 2, 2, "58db7c4523dd48a767ae603237324fc1bb580fde95ae6432a272b5f76c0855eb"),
+        (5, 4, 3, 3, "46b7373572a537fbd34997aece6f401e85ca37944a71a0d58674ea2d71e7e195"),
+        (10, 5, 4, 10, "0ea88c4e0d788a81ea669d69588d2ab96bc9d0933a4222c3b94fbff84116b1a9"),
+    ])
+    def test_appendix_matrices_pinned(self, l, k, N, s, digest):
+        m = appendix_matrices(l, k, N, s)
+        text = ";".join("%s=%s" % (name, [[str(x) for x in row] for row in m[name]])
+                        for name in sorted(m))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_appendix_matrix_shapes(self):
         mats = appendix_matrices(3, 3, 2, 2)

@@ -7,6 +7,7 @@ and several independent closed-form oracles used for cross-validation.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,26 +182,15 @@ def hp_expectation(P, m):
     if n2.is_zero():
         raise ZeroDivisionError("degenerate normalization")
     num, den = n1, n2
-    k = max(len(f1), len(f2))
-    f1 = list(f1) + [0] * (k - len(f1))
-    f2 = list(f2) + [0] * (k - len(f2))
-    for j in range(k):
-        net = f1[j] - f2[j]
-        fac = _lin_factor(j + 1, m)
+    for j, (e1, e2) in enumerate(itertools.zip_longest(f1, f2, fillvalue=0), 1):
+        net = e1 - e2
+        fac = _lin_factor(j, m)
         for _ in range(abs(net)):
             if net > 0:
                 den = den * fac
             else:
                 num = num * fac
     return RationalFunction(num, den)
-
-
-@functools.lru_cache(maxsize=None)
-def _elem_product_expectation(orders, exponents, m):
-    P = SymPoly.const(m, 1)
-    for n, two_h in zip(orders, exponents):
-        P = P * elementary(n, m) ** two_h
-    return hp_expectation(P, m)
 
 
 def limiting_moment(orders, exponents):
@@ -222,8 +212,10 @@ def limiting_moment(orders, exponents):
     n1 = orders[0]
     for m in range(n1, L + 1):
         sign = (-1) ** (m + L)
-        term = _elem_product_expectation(orders, exponents, m)
-        total = total + (sign * math.comb(L, m)) * term
+        P = SymPoly.const(m, 1)
+        for n, two_h in zip(orders, exponents):
+            P = P * elementary(n, m) ** two_h
+        total = total + (sign * math.comb(L, m)) * hp_expectation(P, m)
     return RationalFunction.const(pref) * total
 
 

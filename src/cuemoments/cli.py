@@ -199,8 +199,8 @@ def _reject_divergent(text, exponents):
 
 def _evaluate(rf, s0, exponents, result):
     """Evaluate rf at the rational s0 (from _reject_divergent) into result,
-    with exit 2 at a pole or outside the convergence domain; returns the
-    value."""
+    with exit 2 at a pole, outside the convergence domain or where the
+    value leaves the float range."""
     try:
         value = rf.eval(s0)
     except ZeroDivisionError:
@@ -208,8 +208,7 @@ def _evaluate(rf, s0, exponents, result):
     _check_domain(s0, exponents)
     result["eval_s"] = rat_to_str(s0)
     result["value"] = rat_to_str(value)
-    result["value_float"] = float(value)
-    return value
+    result["value_float"] = _float(value, "the value at --eval-s")
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +304,14 @@ def cmd_leading_coeff(args):
         "rational": _ratfun_json(rf),
     }
     if args.eval_s is not None:
-        value = _evaluate(rf, s0, exponents, result)
+        _evaluate(rf, s0, exponents, result)
         if args.with_constant:
             # Multiply by G(s+1)^2/G(2s+1) and the 2^{-2 sum h_j n_j}
             # prefactor of the full leading-order coefficient.
             S = sum(n * e for n, e in zip(orders, exponents))
             const = keating_snaith_constant(s0) * 2.0 ** (-float(S))
             result["constant"] = const
-            result["value_with_constant"] = const * float(value)
+            result["value_with_constant"] = const * result["value_float"]
     _summary("leading-coeff %s orders=%s exponents=%s -> %s"
              % (args.variant, orders, exponents, result["rational"]["repr"]))
     return result, EXIT_OK, None

@@ -107,6 +107,33 @@ def _scale_arg(num, den, a):
     return out, den
 
 
+def _divide(a, b):
+    """Integer long division of the int list a by b, whose last entry is
+    nonzero: (quot, rem, scale) with scale * a == quot * b + rem and
+    len(rem) <= len(b) - 1. The remainder is scaled only where b's
+    leading entry does not divide the current leading one (never when the
+    quotient has integer entries, as in Bareiss on integer matrices)."""
+    d = len(b) - 1
+    lead, low = b[-1], b[:-1]
+    rem = list(a)
+    quot = [0] * max(len(rem) - d, 0)
+    scale = 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        r = rem[i]
+        if not r:
+            continue
+        c, m = divmod(r, lead)
+        if m:
+            f = lead // math.gcd(r, lead)
+            rem = [x * f for x in rem[:i + 1]]
+            quot = [x * f for x in quot]
+            scale *= f
+            c = rem[i] // lead
+        quot[i - d] = c
+        rem[i - d:i] = map(operator.sub, rem[i - d:i], [c * y for y in low])
+    return quot, rem[:d], scale
+
+
 def rat_to_str(q):
     """Serialize a rational as the canonical "p/q" decimal string."""
     q = Fraction(q)
@@ -141,10 +168,6 @@ class Poly:
     @staticmethod
     def const(c):
         return Poly((c,))
-
-    @staticmethod
-    def x():
-        return Poly._raw((0, 1), 1)
 
     def is_zero(self):
         return not self.num
@@ -192,36 +215,14 @@ class Poly:
     __rmul__ = __mul__
 
     def divmod(self, other):
-        """Exact polynomial division with remainder, as integer long division:
-        the remainder is scaled only where the divisor's leading numerator
-        does not divide the current leading one (never when the numerators
-        divide with an integer quotient, as in Bareiss on integer matrices)."""
+        """Exact polynomial division with remainder, by _divide on the
+        numerators."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        b = other.num
-        d = len(b) - 1
-        if len(self.num) <= d:
-            return Poly(), self
-        lead, low = b[-1], b[:-1]
-        rem = list(self.num)
-        quot = [0] * (len(rem) - d)
-        scale = 1  # scale * self.num == quot * b + rem
-        for i in range(len(rem) - 1, d - 1, -1):
-            r = rem[i]
-            if not r:
-                continue
-            c, m = divmod(r, lead)
-            if m:
-                f = lead // math.gcd(r, lead)
-                rem = [x * f for x in rem[:i + 1]]
-                quot = [x * f for x in quot]
-                scale *= f
-                c = rem[i] // lead
-            quot[i - d] = c
-            rem[i - d:i] = map(operator.sub, rem[i - d:i], [c * y for y in low])
+        quot, rem, scale = _divide(self.num, other.num)
         den = self.den * scale
         return (Poly._raw(*_lowest([x * other.den for x in quot], den)),
-                Poly._raw(*_lowest(rem[:d], den)))
+                Poly._raw(*_lowest(rem, den)))
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -230,38 +231,17 @@ class Poly:
         return q
 
     def gcd(self, other):
-        """Monic gcd, computed over the integers via a primitive
-        pseudo-remainder sequence to keep coefficient growth tame."""
-
-        def primitive(v):
-            g = math.gcd(*v)
-            if g > 1:
-                v = [c // g for c in v]
-            return v
-
-        def prem(a, b):
-            a = list(a)
-            db = len(b) - 1
-            lb = b[-1]
-            while a and len(a) - 1 >= db:
-                da = len(a) - 1
-                lead = a[-1]
-                a = [lb * c for c in a]
-                for i, bc in enumerate(b):
-                    a[da - db + i] -= lead * bc
-                while a and a[-1] == 0:
-                    a.pop()
-            return a
-
+        """Monic gcd, computed over the integers by a primitive remainder
+        sequence (each remainder of _divide over its content) to keep
+        coefficient growth tame."""
         A, B = self.num, other.num
-        if not A:
-            return other.monic() if B else Poly()
-        if not B:
-            return self.monic()
-        A, B = primitive(A), primitive(B)
         while B:
-            A, B = B, primitive(prem(A, B))
-        return Poly._raw(*_lowest(list(A), A[-1]))
+            rem = _divide(A, B)[1]
+            while rem and not rem[-1]:
+                rem.pop()
+            g = math.gcd(*rem) or 1
+            A, B = B, [x // g for x in rem]
+        return Poly._raw(*_lowest(list(A), A[-1])) if A else Poly()
 
     def monic(self):
         if self.is_zero():
@@ -510,8 +490,11 @@ class PowerSeries:
 
 
 def _mul_t(f):
-    """t * f, with order one higher."""
-    return PowerSeries._raw((0,) + f.num if f.num else (), f.den, f.order + 1)
+    """t * f for a Poly, or a PowerSeries with order one higher."""
+    num = (0,) + f.num if f.num else ()
+    if isinstance(f, Poly):
+        return Poly._raw(num, f.den)
+    return PowerSeries._raw(num, f.den, f.order + 1)
 
 
 def series_logderiv(f):

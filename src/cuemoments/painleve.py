@@ -8,7 +8,7 @@ equations, and fractional moments via the cosine-integral identity.
 import math
 from fractions import Fraction
 
-from .exact import (Poly, PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
+from .exact import (PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     _mul_t, series_logderiv)
 from .hankel import _shifted_det, hankel_det
 
@@ -90,29 +90,28 @@ def tau_limit(s, K=DEFAULT_SERIES_ORDER):
     return tau
 
 
-def _residual_poly(tau, s, n2, sn):
+def _residual_poly(A, P, s, n2, sn):
     """P^6 times the residual (t tau'')^2 + 4t(tau')^3
     - (4s^2 + 4tau + n2 t^2)(tau')^2 - t(1 + sn - 2 n2 tau) tau'
-    + (1 + sn - n2 tau) tau of tau = A/P, as a Poly.
+    + (1 + sn - n2 tau) tau of tau = A/P, for Polys A and P != 0 or
+    PowerSeries A and P = 1: P-V at n2 = 1/N^2 and sn = 2s/N, and
+    sigma-P-III' at n2 = sn = 0, its N -> infinity limit.
 
     With tau' = B/P^2 (B = A'P - AP') and tau'' = C/P^3 (C = B'P - 2BP'),
-    every term has denominator dividing P^6, so the identity is checked on
-    polynomials with no gcd; P != 0, so the Poly is zero exactly when the
+    every term has denominator dividing P^6, so the identity is checked
+    with no division; P != 0, so the result is zero exactly when the
     residual is.
     """
-    A, P = tau.num, tau.den
-    t = Poly.x()
     dP = P.derivative()
     B = A.derivative() * P - A * dP
     C = B.derivative() * P - 2 * B * dP
     B2 = B * B
-    P3 = P * P * P
     k = (1 + sn) * P
-    tC = t * C
-    res = tC * tC + 4 * t * B2 * B
-    res = res - (4 * s * s * P + 4 * A + n2 * t * t * P) * B2 * P
-    res = res - t * (k - 2 * n2 * A) * B * P3
-    return res + (k - n2 * A) * A * P3 * P
+    tC = _mul_t(C)
+    # the terms in P^4, P^3 and P nested, Horner-like, to save two products
+    inner = (k - n2 * A) * A * P - _mul_t((k - 2 * n2 * A) * B)
+    outer = inner * (P * P) - (4 * s * s * P + 4 * A + n2 * _mul_t(_mul_t(P))) * B2
+    return tC * tC + 4 * _mul_t(B2 * B) + outer * P
 
 
 def sigma_p3_residual(tau, s):
@@ -123,12 +122,8 @@ def sigma_p3_residual(tau, s):
     P^6 times the residual as a Poly.
     """
     if isinstance(tau, PowerSeries):
-        d1 = tau.derivative()
-        d2 = d1.derivative()
-        td2 = _mul_t(d2)
-        return (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
-                - (4 * s * s + 4 * tau) * d1 * d1 - _mul_t(d1) + tau)
-    return _residual_poly(tau, s, 0, 0)
+        return _residual_poly(tau, PowerSeries.const(1, tau.order), s, 0, 0)
+    return _residual_poly(tau.num, tau.den, s, 0, 0)
 
 
 def tau_finiteN(N, s):
@@ -139,9 +134,7 @@ def tau_finiteN(N, s):
     P1(t) = P(t/(2N)).
     """
     P1 = hankel_det(N, s, ()).scale_arg(Fraction(1, 2 * N))
-    t_poly = Poly((0, 1))
-    num = t_poly * P1.derivative() - Fraction(1, 2) * t_poly * P1
-    return RationalFunction(num, P1)
+    return RationalFunction(_mul_t(P1.derivative() - Fraction(1, 2) * P1), P1)
 
 
 def painleve5_residual(tau, N, s):
@@ -151,7 +144,7 @@ def painleve5_residual(tau, N, s):
     Returns P^6 times the residual as a Poly, where P is the (monic)
     denominator of tau; identically zero for tau_finiteN(N, s).
     """
-    return _residual_poly(tau, s, Fraction(1, N * N), Fraction(2 * s, N))
+    return _residual_poly(tau.num, tau.den, s, Fraction(1, N * N), Fraction(2 * s, N))
 
 
 def phi_eval(s, t):

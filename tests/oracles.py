@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from cuemoments.cauchy import _lin_factor
-from cuemoments.exact import Poly, RationalFunction
+from cuemoments.exact import Poly, RationalFunction, _mul_t
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_det,
                                hankel_det, mixed_derivative, partition_kq, theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
@@ -93,6 +93,17 @@ class CounterRNG:
     def uniform(self):
         """Uniform in (0, 1), 53-bit resolution, never exactly 0 or 1."""
         return ((self.next_u64() >> 11) + 0.5) / 9007199254740992.0
+
+
+def sigma_p3_series_residual(tau, s):
+    """(t tau'')^2 + 4t(tau')^3 - (4s^2+4tau)(tau')^2 - t tau' + tau of a
+    PowerSeries tau, straight from the equation with no P^6 clearing: the
+    series reference for painleve.sigma_p3_residual."""
+    d1 = tau.derivative()
+    d2 = d1.derivative()
+    td2 = _mul_t(d2)
+    return (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
+            - (4 * s * s + 4 * tau) * d1 * d1 - _mul_t(d1) + tau)
 
 
 def hankel_derivative_column_rule(N, s, parts):

@@ -98,6 +98,15 @@ class TestLeadingCoeff:
         assert code == 0
         assert doc["manifest"]["output_digest"] == digest
 
+    # the V order bound, the input with the most gcd work; recorded with the
+    # pseudo-remainder gcd that kept its own long division
+    def test_v_order_bound_digest_pinned(self, capsys):
+        code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", "64", "--exponents", "2",
+                               "--variant", "V", "--eval-s", "5/3")
+        assert code == 0
+        assert doc["manifest"]["output_digest"] == \
+            "373e74cd5c577f8b2ec566ea2a58053f99f9eab3e0c4d8d76fef0a2a8e332b8e"
+
 
 class TestFiniteMoment:
     def test_absorbed_exponent(self, capsys, schema):
@@ -284,8 +293,9 @@ class TestPainleve:
         capsys.readouterr()
         assert code == 2
 
-    # digests recorded while tau was still wrapped in a TauFunction, and
-    # (s = 5) while phi_series expanded all s! permutations
+    # digests recorded while tau was still wrapped in a TauFunction, (s = 5)
+    # while phi_series expanded all s! permutations, and (N = 12) while the
+    # residual multiplied by t as a product with the Poly t
     @pytest.mark.parametrize("argv,digest", [
         (["--mode", "p5-finite", "--N", "2", "--s", "2"],
          "7ecba0de75e5528c6c66d1eb25e70c3300d49157d9ac5828a5778530d202bc7a"),
@@ -293,6 +303,8 @@ class TestPainleve:
          "0d704147b930a23a045787bbe34ba629322c84b70469809cef11598333754c0c"),
         (["--mode", "p3-limit", "--s", "5"],
          "fcddb212dc34e1931ad809968ea970ce60779f02527c8b5d01f3c7eb23e2a48a"),
+        (["--mode", "p5-finite", "--N", "12", "--s", "1"],
+         "972f35469a3676fc5937008583c8161507f85bbe8688d0b0552d04b628acda21"),
     ])
     def test_output_digest_pinned(self, capsys, argv, digest):
         code, doc, _ = run_cli(capsys, "painleve", *argv)
@@ -367,6 +379,11 @@ def test_out_of_range_input_exit_2(capsys, argv):
 
 
 _MC = ["mc-estimate", "--N", "1", "--s", "2", "--samples", "100"]
+# 1/2 + 10^-401: the order-1, exponent-2 moments have a pole at s = 1/2, so
+# their exact value there is beyond the float range
+_NEAR_POLE = "0.5" + "0" * 400 + "1"
+_NEAR_POLE_LC = ["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z",
+                 "--eval-s", _NEAR_POLE]
 
 
 @pytest.mark.parametrize("argv", [
@@ -589,6 +606,11 @@ def test_usage_error_prints_json_exit_2(capsys, argv):
       "--chains", "1", "--samples", "64", "--burn-in", "0"], "--orders"),
     # printed Python's "integer division result too large for a float"
     (_MC + ["--orders", "1", "--exponents", "1e400"], "--exponents"),
+    # an exact value just off the pole at s = 1/2, and so beyond the float range
+    (_NEAR_POLE_LC, "--eval-s"),
+    (_NEAR_POLE_LC + ["--with-constant"], "--eval-s"),
+    (["finite-moment", "--N", "2", "--orders", "1", "--exponents", "2", "--variant", "Z",
+      "--eval-s", _NEAR_POLE], "--eval-s"),
 ])
 def test_float_range_named_exit_2(capsys, argv, option):
     code, doc, _ = run_cli(capsys, *argv)
@@ -641,20 +663,18 @@ def test_manifest_structure(capsys, schema):
 
 # Malformed tokens that every option of the fuzz below may receive.
 _MALFORMED = ["-1", "1,2", "1,1", "_", "3/2", "abc", "1/0", "1e400"]
-# Per subcommand, each option's well-formed values (None for a flag). A
+# Per subcommand, each option's well-formed values (None for a flag, given or
+# not). --orders and --exponents are drawn together from _PAIRS: equal
+# lengths, decreasing orders, and even exponents for the exact commands. A
 # well-formed query stays cheap: moment degree L <= 4, N <= 2, at most 100
-# samples in 2 chains, 16 quadrature nodes, and series order 8. An option is
-# left out one time in eight, except those in _ALWAYS (their defaults are
-# expensive), and takes a malformed token one time in eight.
+# samples in 2 chains, 16 quadrature nodes, and series order 8. One example
+# in four has exactly one fault: an option left out (never one in _ALWAYS,
+# whose defaults are expensive) or given a malformed token.
+_EVAL_S = ["1", "5/2", "1/4", "3", _NEAR_POLE]
 _FUZZ = {
-    "leading-coeff": {"--orders": ["1", "2", "2,0"], "--exponents": ["2", "4", "2,2"],
-                      "--variant": ["Z", "V"], "--eval-s": ["1", "5/2", "1/4", "3"],
-                      "--with-constant": None},
-    "finite-moment": {"--N": ["1", "2"], "--orders": ["1", "2", "1,0"],
-                      "--exponents": ["2", "2,_", "2,2"], "--variant": ["Z", "V"],
-                      "--eval-s": ["1", "5/2", "1/4", "3"]},
+    "leading-coeff": {"--variant": ["Z", "V"], "--eval-s": _EVAL_S, "--with-constant": None},
+    "finite-moment": {"--N": ["1", "2"], "--variant": ["Z", "V"], "--eval-s": _EVAL_S},
     "mc-estimate": {"--N": ["1", "2"], "--s": ["2", "5/2", "1/4", "3"],
-                    "--orders": ["1", "2", "2,1"], "--exponents": ["2", "1", "0.5", "2,2"],
                     "--variant": ["Z", "V"], "--seed": ["0", "7"],
                     "--chains": ["1", "2"], "--samples": ["64", "100"],
                     "--burn-in": ["10", "50"], "--thin": ["1", "2"],
@@ -667,20 +687,35 @@ _FUZZ = {
     "hankel-verify": {"--l": ["3", "4"], "--k": ["2", "3"], "--N": ["1", "2"],
                       "--s": ["1", "2"], "--t": ["1", "5/2"], "--perturb": None},
 }
+_PAIRS = {
+    "leading-coeff": [("1", "2"), ("2", "2"), ("1", "4")],
+    "finite-moment": [("1", "2"), ("2", "2"), ("1", "4"), ("1,0", "2,_"), ("2,0", "2,_")],
+    "mc-estimate": [("1", "2"), ("2", "2"), ("1", "1"), ("1", "0.5"), ("2,1", "1,2"),
+                    ("2,1", "0.5,1")],
+}
 _ALWAYS = {"mc-estimate": ("--chains", "--samples"), "painleve": ("--series-order",)}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ)))
-    argv = [command]
+    args = {}
+    if command in _PAIRS:
+        args["--orders"], args["--exponents"] = draw(st.sampled_from(_PAIRS[command]))
     for option, values in _FUZZ[command].items():
-        roll = draw(st.integers(0, 7))
-        if roll == 0 and option not in _ALWAYS.get(command, ()):
-            continue
-        argv.append(option)
-        if values is not None:
-            argv.append(draw(st.sampled_from(_MALFORMED if roll == 1 else values)))
+        args[option] = draw(st.booleans() if values is None else st.sampled_from(values))
+    if draw(st.integers(0, 3)) == 0:
+        option = draw(st.sampled_from([o for o, v in args.items() if v not in (True, False)]))
+        if option in _ALWAYS.get(command, ()) or draw(st.booleans()):
+            args[option] = draw(st.sampled_from(_MALFORMED))
+        else:
+            del args[option]
+    argv = [command]
+    for option, value in args.items():
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            argv += [option, value]
     return argv
 
 

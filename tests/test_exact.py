@@ -137,7 +137,7 @@ class TestPoly:
         assert all(type(c) is Fraction for c in (f * g).coeffs)
 
     def test_product_edge_cases(self):
-        x = Poly.x()
+        x = Poly((0, 1))
         assert (Poly() * x).is_zero() and (x * Poly()).is_zero()
         assert Poly.const(Fraction(-2, 3)) * Poly.const(Fraction(3, 4)) == Poly.const(Fraction(-1, 2))
         # (1 + x/2)(1 - x/2): the degree-1 terms cancel
@@ -163,6 +163,24 @@ class TestPoly:
     def test_gcd_divides(self, a, b):
         g = a.gcd(b)
         assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
+
+    # zero on either side, negative and fractional leading coefficients, a
+    # common factor 1 - 2x/3, one operand dividing the other, and coprime ones
+    @pytest.mark.parametrize("a,b", [
+        ([], [Fraction(-3, 2), Fraction(-2, 5)]),
+        ([1, 0, Fraction(-7, 3)], []),
+        ([], []),
+        (schoolbook([1, Fraction(-2, 3)], [Fraction(1, 2), 0, -4]),
+         schoolbook([1, Fraction(-2, 3)], [3, Fraction(-5, 7)])),
+        (schoolbook([Fraction(-1, 2), Fraction(3, 4)], [Fraction(-1, 2), Fraction(3, 4)]),
+         [Fraction(-1, 2), Fraction(3, 4)]),
+        ([Fraction(5, 2), -1], [Fraction(1, 3), Fraction(-1, 6)]),
+    ])
+    def test_gcd_edge_operands(self, a, b):
+        for f, g in ((a, b), (b, a)):
+            got = Poly(f).gcd(Poly(g))
+            assert_canonical(got)
+            assert got.coeffs == tuple(ref_gcd(f, g))
 
     @given(edge_coeffs, edge_coeffs, scalars)
     @settings(max_examples=150, deadline=None)

@@ -27,6 +27,7 @@ from cuemoments.painleve import (
     tau_finiteN,
     tau_limit,
 )
+from oracles import sigma_p3_series_residual
 
 
 class TestPhiSeries:
@@ -100,6 +101,21 @@ class TestTauLimit:
     def test_sigma_p3_residual_vanishes(self, s):
         res = sigma_p3_residual(tau_limit(s, K=16), s)
         assert all(res[k] == 0 for k in range(13))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("K", [2, 7, 20])
+    def test_sigma_p3_residual_matches_series_reference(self, s, K):
+        # the P-V residual at n2 = sn = 0 with P = 1, against the equation
+        # written out on series; t^5 added to tau breaks it in both (at s = 2,
+        # t^5 = t^(2s+1) solves the equation linearised at t = 0, so the
+        # residual starts beyond t^6 there)
+        tau = tau_limit(s, K)
+        taus = [tau, tau + PowerSeries([0] * 5 + [1], K)] if K >= 5 else [tau]
+        for f in taus:
+            got, ref = sigma_p3_residual(f, s), sigma_p3_series_residual(f, s)
+            assert got.order == ref.order and got.coeffs == ref.coeffs
+        if K == 20:
+            assert any(got.coeffs) and any(ref.coeffs)
 
     def test_residual_detects_wrong_tau(self):
         # negative control: perturbing one series coefficient breaks the ODE

@@ -6,8 +6,8 @@ Provides the finite-sum limiting-moment formula, finite-size joint moments,
 and several independent closed-form oracles used for cross-validation.
 """
 
+import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,17 +57,10 @@ def domain(exponents):
     return (Fraction(sum(exponents)) - 1) / 2
 
 
-def _lin_factor(j, m):
-    """The linear factor d_j = 2s + (2m - 1 - 2j) appearing in weight moments."""
-    return Poly((2 * m - 1 - 2 * j, 2))
-
-
-def _double_factorial(k):
-    # (2p-1)!! for k = 2p
-    out = 1
-    for j in range(1, k, 2):
-        out *= j
-    return out
+@functools.lru_cache(maxsize=None)
+def _factor_power(k, r):
+    """(2s + k)^r, a power of a linear factor of the weight moments."""
+    return _factor_power(k, r - 1) * Poly((k, 2)) if r else Poly.const(1)
 
 
 def _pack(e, shifts):
@@ -132,43 +125,36 @@ def _even_moments(P, m):
     return {key: Fraction(v, den) for key, v in moments.items() if v}
 
 
-def _unnorm_factored(agg, m):
-    """<Q> from the even moments agg of Q (as `_even_moments` returns them),
-    with each monomial factored into one-dimensional weight moments.
+def _numerators(aggs, m):
+    """The numerators of <Q> for the even moments agg of each Q in aggs (as
+    `_even_moments` returns them) over one denominator prod_j d_j^{E_j}, where
+    d_j = 2s + 2m - 1 - 2j and E_j is the most parts >= j of any key.
 
-    Returns (numerator Poly in s, tuple of exponents E_j for the linear
-    factors d_j = 2s+2m-1-2j, j = 1..len(E)), representing
-    <Q> = numerator / prod_j d_j^{E_j} up to the common normalization that
-    cancels in all ratios taken by callers.
+    A monomial with halved exponents key factors into one-dimensional weight
+    moments, prod_{p in key} prod_{j <= p} (2j - 1)/d_j, up to the
+    normalization of the weight, which cancels in every ratio callers take.
     """
-    if not agg:
-        return Poly(), ()
-    pmax = max(k[0] for k in agg)
-    E = [0] * pmax
-    eps_of = {}
-    for key in agg:
-        eps = tuple(sum(1 for p in key if p >= j) for j in range(1, pmax + 1))
-        eps_of[key] = eps
-        for j in range(pmax):
-            E[j] = max(E[j], eps[j])
-    num = Poly()
-    for key, coeff in agg.items():
-        df = 1
-        for p in key:
-            df *= _double_factorial(2 * p)
-        term = Poly.const(coeff * df)
-        eps = eps_of[key]
-        for j in range(pmax):
-            for _ in range(E[j] - eps[j]):
-                term = term * _lin_factor(j + 1, m)
-        num = num + term
-    return num, tuple(E)
+    keys = {key for agg in aggs for key in agg}
+    E = [max(sum(p >= j for p in key) for key in keys)
+         for j in range(1, max((key[0] for key in keys), default=0) + 1)]
+    nums = []
+    for agg in aggs:
+        num = Poly()
+        for key, coeff in agg.items():
+            term = Poly.const(coeff * math.prod(math.prod(range(1, 2 * p, 2)) for p in key))
+            for j, e in enumerate(E, 1):
+                r = e - sum(p >= j for p in key)
+                if r:
+                    term = term * _factor_power(2 * m - 1 - 2 * j, r)
+            num = num + term
+        nums.append(num)
+    return nums
 
 
 @functools.lru_cache(maxsize=None)
-def _delta2_norm(m):
-    """The factored normalization <Delta^2> in m variables."""
-    return _unnorm_factored(_even_moments(SymPoly.const(m, 1), m), m)
+def _delta2_moments(m):
+    """The even moments of Delta^2 in m variables, the normalization <Delta^2>."""
+    return _even_moments(SymPoly.const(m, 1), m)
 
 
 def hp_expectation(P, m):
@@ -177,19 +163,9 @@ def hp_expectation(P, m):
         raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
     if P.arity != m:
         raise ValueError("polynomial arity does not match m")
-    n1, f1 = _unnorm_factored(_even_moments(P, m), m)
-    n2, f2 = _delta2_norm(m)
-    if n2.is_zero():
+    num, den = _numerators((_even_moments(P, m), _delta2_moments(m)), m)
+    if den.is_zero():
         raise ZeroDivisionError("degenerate normalization")
-    num, den = n1, n2
-    for j, (e1, e2) in enumerate(itertools.zip_longest(f1, f2, fillvalue=0), 1):
-        net = e1 - e2
-        fac = _lin_factor(j, m)
-        for _ in range(abs(net)):
-            if net > 0:
-                den = den * fac
-            else:
-                num = num * fac
     return RationalFunction(num, den)
 
 
@@ -282,17 +258,18 @@ def oracle_second_moment_Y(n):
 
 def oracle_second_moment_V(n):
     """Closed-form second moment for the V-variant:
-    2^{2n} (2s-1)/(2s-1+2n) * prod_{l=1}^n ((l+s-1)/(l+2s-2))^2."""
+    2^{2n} (2s-1)/(2s-1+2n) * prod_{l=1}^n ((l+s-1)/(l+2s-2))^2.
+
+    With (l+s-1)^2 = (2s+2l-2)^2/4 the constant is 1, and every factor is
+    some 2s + k: counting their exponents cancels the shared ones, so the
+    quotient is built coprime."""
     if n < 0:
         raise ValueError("n >= 0 required")
-    if n == 0:
-        return RationalFunction.const(1)
-    num = Poly.const(2 ** (2 * n)) * Poly((-1, 2))
-    den = Poly((2 * n - 1, 2))
-    for l in range(1, n + 1):
-        num = num * Poly((l - 1, 1)) * Poly((l - 1, 1))
-        den = den * Poly((l - 2, 2)) * Poly((l - 2, 2))
-    return RationalFunction(num, den)
+    num = collections.Counter([-1] + [2 * l - 2 for l in range(1, n + 1)] * 2)
+    den = collections.Counter([2 * n - 1] + [l - 2 for l in range(1, n + 1)] * 2)
+    return RationalFunction(
+        _poly_prod(_factor_power(k, r) for k, r in (num - den).items()),
+        _poly_prod(_factor_power(k, r) for k, r in (den - num).items()))
 
 
 def oracle_finiteN_F20(N):

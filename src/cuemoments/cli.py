@@ -17,8 +17,10 @@ quietly.
 """
 
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -70,9 +72,9 @@ MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # costs most at N = 1: 2e6 sweeps take 4.7 s and 190 MB there (0.6 s at N = 14)
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
-# The V closed form of leading-coeff reduces polynomials of degree about 2n;
-# at --eval-s 5/3 it takes 0.45 s at order 64, 1.4 s at 80, 4.1 s at 96 and
-# 56 s at 160
+# The V closed form of leading-coeff is built coprime, but its gcd check still
+# reduces two polynomials of degree about n: at --eval-s 5/3 it takes 0.1 s at
+# order 64, 0.3 s at 80, 0.9 s at 96 and 16 s at 160
 MAX_V_ORDER = 64
 # mc-estimate builds Xi_1..Xi_n from exact a_{n,l}(N), about n N^3 / 6 big
 # integer powers: 64 sweeps take 2.1 s at N = 100, n = 64 (0.58 s at n = 32,
@@ -239,11 +241,13 @@ def _emit(command, params, result, seeds, started, fmt):
     }
     doc = {"command": command, "result": result, "manifest": manifest}
     if fmt == "csv":
-        rows = [("key", "value")]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("key", "value"))
         for key, value in sorted(result.items()):
-            rows.append((key, _canonical_dumps(value)
-                         if isinstance(value, (dict, list)) else str(value)))
-        return _write_stdout("\n".join("%s,%s" % r for r in rows) + "\n")
+            writer.writerow((key, _canonical_dumps(value)
+                             if isinstance(value, (dict, list)) else str(value)))
+        return _write_stdout(out.getvalue())
     return _write_stdout(json.dumps(doc, indent=2) + "\n")
 
 

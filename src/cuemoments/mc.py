@@ -12,6 +12,7 @@ import numpy as np
 
 from .cauchy import domain
 from .symfunc import a_coeff
+from .sympoly import _max_exponent
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -217,10 +218,6 @@ def estimate_joint_moment(batch, spec):
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _sympoly_max_degree(P):
-    return max((max(e) for e in P.terms), default=0)
-
-
 def _eval_integrand(P, xs):
     """Integrand on the tensor grid whose i-th coordinate is xs[i], a 1-D
     node array reshaped onto axis i: a SymPoly term is a broadcast product
@@ -250,18 +247,20 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
     same integral with P = 1, after x_i = tan(u_i) (so the integrand becomes a
     trigonometric polynomial on the box (-pi/2, pi/2)^N when P is polynomial).
 
-    With check=True, recomputes at nodes_per_dim + nodes_per_dim // 2 nodes and
-    raises if the two values disagree beyond the 1e-10 relative target.
+    With check=True, recomputes at nodes_per_dim + max(1, nodes_per_dim // 2)
+    nodes, a different grid even at one node, and raises if the two values
+    disagree beyond the 1e-10 relative target.
     """
     if N > 3:
         raise ValueError("quadrature oracle supports N <= 3")
-    largest = nodes_per_dim + nodes_per_dim // 2 if check else nodes_per_dim
+    refined = nodes_per_dim + max(1, nodes_per_dim // 2)
+    largest = refined if check else nodes_per_dim
     if largest > MAX_QUAD_NODES or largest ** N > MAX_QUAD_POINTS:
         raise ValueError("%d nodes per dimension need a %d^%d-point grid, beyond "
                          "the bounds of %d nodes per dimension and %d points"
                          % (nodes_per_dim, largest, N, MAX_QUAD_NODES, MAX_QUAD_POINTS))
     if hasattr(integrand, "terms"):
-        d = _sympoly_max_degree(integrand)
+        d = _max_exponent(integrand)
         if not s > domain((d,)):
             raise ValueError("non-integrable combination: per-coordinate degree "
                              "%d needs s > %s" % (d, domain((d,))))
@@ -290,7 +289,7 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
     v1 = compute(nodes_per_dim)
     if not check:
         return v1
-    v2 = compute(nodes_per_dim + nodes_per_dim // 2)
+    v2 = compute(refined)
     scale = max(abs(v2), 1.0)
     if not abs(v1 - v2) / scale <= 1e-10:  # a NaN fails too
         raise ArithmeticError("quadrature did not converge to the 1e-10 target; "

@@ -128,4 +128,5 @@ class SymPoly:
 
 
 def _max_exponent(p):
-    return max(max(e, default=0) for e in p.terms)
+    """The largest exponent of any variable in p; 0 for the zero polynomial."""
+    return max((max(e, default=0) for e in p.terms), default=0)

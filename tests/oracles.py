@@ -7,7 +7,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from cuemoments.cauchy import _lin_factor
 from cuemoments.exact import Poly, RationalFunction, _mul_t
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_det,
                                hankel_det, mixed_derivative, partition_kq, theta)
@@ -73,8 +72,22 @@ def weight_moment(r, m):
     den = Poly.const(1)
     for j in range(1, p + 1):
         num *= 2 * j - 1
-        den = den * _lin_factor(j, m)
+        den = den * Poly((2 * m - 1 - 2 * j, 2))
     return RationalFunction(Poly.const(num), den)
+
+
+def second_moment_V_product(n):
+    """The V-variant second moment 2^{2n} (2s-1)/(2s-1+2n) *
+    prod_{l=1}^n ((l+s-1)/(l+2s-2))^2, multiplied out factor by factor: the
+    product reference for cauchy.oracle_second_moment_V."""
+    if n == 0:
+        return RationalFunction.const(1)
+    num = Poly.const(2 ** (2 * n)) * Poly((-1, 2))
+    den = Poly((2 * n - 1, 2))
+    for l in range(1, n + 1):
+        num = num * Poly((l - 1, 1)) * Poly((l - 1, 1))
+        den = den * Poly((l - 2, 2)) * Poly((l - 2, 2))
+    return RationalFunction(num, den)
 
 
 class CounterRNG:

@@ -23,7 +23,7 @@ from cuemoments.cauchy import (
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.sympoly import SymPoly
 from cuemoments.symfunc import vandermonde_squared
-from oracles import weight_moment
+from oracles import second_moment_V_product, weight_moment
 
 
 class TestWeightMoment:
@@ -129,6 +129,9 @@ class TestEvenOrbitContraction:
     @example((SymPoly(2, {(3, 0): 1}), 2))
     @example((SymPoly(3, {(2, 1, 0): Fraction(1, 6), (0, 1, 2): Fraction(-3, 10),
                           (1, 1, 1): 4}), 3))
+    # the most parts >= j, j = 1, 2, 3: (2, 2, 1) over the keys of P * Delta^2
+    # against (3, 1) over those of Delta^2, so neither bounds the other
+    @example((SymPoly(3, {(1, 0, 1): 2, (0, 0, 2): 1}), 3))
     @settings(max_examples=80, deadline=None)
     def test_equals_dense_route(self, case):
         P, m = case
@@ -243,6 +246,11 @@ class TestOracleV:
 
     def test_trivial_order_zero(self):
         assert oracle_second_moment_V(0) == RationalFunction.const(1)
+
+    # 64 is the CLI bound MAX_V_ORDER
+    @pytest.mark.parametrize("n", list(range(13)) + [64])
+    def test_equals_factor_product(self, n):
+        assert oracle_second_moment_V(n) == second_moment_V_product(n)
 
 
 class TestKeatingSnaith:

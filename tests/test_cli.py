@@ -2,6 +2,7 @@
 validation, exit codes, seeding, and manifest reproducibility."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -252,6 +253,9 @@ class TestQuadrature:
         ("-1", "--nodes must be >= 1"),
         ("1025", "1025 nodes per dimension need a 1537^1-point grid, beyond the "
                  "bounds of 1536 nodes per dimension and 4194304 points"),
+        # one node is checked against two, not against itself
+        ("1", "quadrature did not converge to the 1e-10 target with --nodes 1; "
+              "increase --nodes"),
     ])
     def test_nodes_out_of_range_exit_2(self, capsys, nodes, message):
         code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2",
@@ -267,6 +271,33 @@ class TestQuadrature:
         lines = captured.out.strip().splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("value,") for line in lines)
+
+    def test_one_node_of_a_constant_converges(self, capsys):
+        code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2",
+                               "--poly", "1", "--nodes", "1")
+        assert code == 0
+        assert doc["result"]["value"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("leading-coeff", "--orders", "2,1", "--exponents", "2,2", "--variant", "Z",
+         "--eval-s", "3"),
+        ("painleve", "--mode", "p3-limit", "--s", "2", "--series-order", "6"),
+        ("hankel-verify", "--N", "2", "--s", "2"),
+        ("quadrature", "--N", "1", "--s", "2", "--poly", "x1^2"),
+    ])
+    def test_csv_rows_parse_back(self, capsys, argv):
+        _, doc, _ = run_cli(capsys, *argv)
+        assert main(["--format", "csv", *argv]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert len(rows) == len(doc["result"]) + 1
+        for key, value in rows[1:]:
+            expected = doc["result"][key]
+            if isinstance(expected, (dict, list)):
+                assert json.loads(value) == expected
+            else:
+                assert value == str(expected)
 
 
 class TestPainleve:

@@ -48,6 +48,10 @@ class ChainConfig:
             raise ValueError("N >= 1 required")
         if self.chains < 1 or self.samples < 1:
             raise ValueError("chains >= 1 and samples >= 1 required")
+        if self.chains * self.samples < 2 * _BLOCKS:
+            raise ValueError("too few samples for block-mean standard errors: "
+                             "need chains * samples >= %d; got %d"
+                             % (2 * _BLOCKS, self.chains * self.samples))
         if self.thin < 1 or self.burn_in < 0:
             raise ValueError("thin >= 1 and burn_in >= 0 required")
         if not 0 < self.proposal_scale < math.inf:
@@ -203,7 +207,7 @@ def estimate_joint_moment(batch, spec):
     An integrand beyond the float range gives a non-finite result with no
     numpy warning; the caller checks for it."""
     N = batch.config.N
-    if spec.size not in (N, "limit", None):
+    if spec.size != N:
         raise ValueError("spec arity does not match batch arity")
     with np.errstate(over="ignore", invalid="ignore"):
         values = _integrand_values(batch.draws, spec, N)

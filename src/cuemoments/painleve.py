@@ -93,8 +93,9 @@ def tau_limit(s, K=DEFAULT_SERIES_ORDER):
 def _residual_poly(A, P, s, n2, sn):
     """P^6 times the residual (t tau'')^2 + 4t(tau')^3
     - (4s^2 + 4tau + n2 t^2)(tau')^2 - t(1 + sn - 2 n2 tau) tau'
-    + (1 + sn - n2 tau) tau of tau = A/P, for Polys A and P != 0 or
-    PowerSeries A and P = 1: P-V at n2 = 1/N^2 and sn = 2s/N, and
+    + (1 + sn - n2 tau) tau of tau = A/P, for Polys A and P != 0, or of
+    tau = A for a PowerSeries A and P = None, which stands for P = 1 and
+    leaves out every product by it: P-V at n2 = 1/N^2 and sn = 2s/N, and
     sigma-P-III' at n2 = sn = 0, its N -> infinity limit.
 
     With tau' = B/P^2 (B = A'P - AP') and tau'' = C/P^3 (C = B'P - 2BP'),
@@ -102,16 +103,23 @@ def _residual_poly(A, P, s, n2, sn):
     with no division; P != 0, so the result is zero exactly when the
     residual is.
     """
-    dP = P.derivative()
-    B = A.derivative() * P - A * dP
-    C = B.derivative() * P - 2 * B * dP
+    def times_P(f):
+        return f if P is None else f * P
+
+    if P is None:
+        B = A.derivative()
+        C = B.derivative()
+    else:
+        dP = P.derivative()
+        B = A.derivative() * P - A * dP
+        C = B.derivative() * P - 2 * B * dP
     B2 = B * B
-    k = (1 + sn) * P
+    k = times_P(1 + sn)
     tC = _mul_t(C)
     # the terms in P^4, P^3 and P nested, Horner-like, to save two products
-    inner = (k - n2 * A) * A * P - _mul_t((k - 2 * n2 * A) * B)
-    outer = inner * (P * P) - (4 * s * s * P + 4 * A + n2 * _mul_t(_mul_t(P))) * B2
-    return tC * tC + 4 * _mul_t(B2 * B) + outer * P
+    inner = times_P((k - n2 * A) * A) - _mul_t((k - 2 * n2 * A) * B)
+    outer = times_P(times_P(inner) - 4 * s * s * B2 - n2 * _mul_t(_mul_t(B2))) - 4 * A * B2
+    return tC * tC + 4 * _mul_t(B2 * B) + times_P(outer)
 
 
 def sigma_p3_residual(tau, s):
@@ -122,7 +130,7 @@ def sigma_p3_residual(tau, s):
     P^6 times the residual as a Poly.
     """
     if isinstance(tau, PowerSeries):
-        return _residual_poly(tau, PowerSeries.const(1, tau.order), s, 0, 0)
+        return _residual_poly(tau, None, s, 0, 0)
     return _residual_poly(tau.num, tau.den, s, 0, 0)
 
 

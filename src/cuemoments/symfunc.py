@@ -97,12 +97,8 @@ def v_variant_integrand(orders, exponents, N):
     |sum_{m=0}^{n} C(n,m) (-iN)^m Xi_{n-m}|^{2h} expanded via
     |z|^2 = (Re z)^2 + (Im z)^2, then multiplies over the spec entries.
     """
-    if len(orders) != len(exponents):
-        raise ValueError("orders and exponents must have equal length")
     out = SymPoly.const(N, 1)
     for n, two_h in zip(orders, exponents):
-        if two_h % 2:
-            raise ValueError("odd exponent unsupported in exact engine; use Monte Carlo")
         h = two_h // 2
         re = SymPoly(N)
         im = SymPoly(N)

@@ -182,6 +182,39 @@ class TestFiniteJointMoment:
         with pytest.raises(ValueError):
             finite_joint_moment(spec)
 
+    @pytest.mark.parametrize("e", [3, Fraction(3, 2)])
+    def test_one_exponent_rule_for_both_engines(self, e):
+        # the exact engines share one check and one message
+        message = "the exact engine needs positive even integer exponents"
+        with pytest.raises(ValueError, match=message):
+            limiting_moment((1,), (e,))
+        for variant in ("Z", "V"):
+            with pytest.raises(ValueError, match=message):
+                finite_joint_moment(MomentSpec((1,), (e,), variant, 2))
+
+    @pytest.mark.parametrize("spec,bound", [
+        (MomentSpec((1,), (66,), "Z", 1), "degree cap 64"),
+        (MomentSpec((2,), (20,), "Z", 4), "at most 100000 integrand monomials; got 100331"),
+        (MomentSpec((3, 2, 1), (6, 6, 6), "V", 5), "got 617728"),
+    ])
+    def test_size_bound_before_any_expansion(self, monkeypatch, spec, bound):
+        import cuemoments.cauchy as cauchy
+
+        def no_work(*args):
+            pytest.fail("an integrand was built for a spec above its size bound")
+
+        monkeypatch.setattr(cauchy, "xi_poly", no_work)
+        monkeypatch.setattr(cauchy, "v_variant_integrand", no_work)
+        with pytest.raises(ValueError, match=bound):
+            finite_joint_moment(spec)
+
+    def test_integral_fraction_exponents(self):
+        # the CLI passes the Fractions it parsed
+        for variant in ("Z", "V"):
+            assert finite_joint_moment(MomentSpec((2, 1), (Fraction(2), Fraction(2)), variant, 2)) \
+                == finite_joint_moment(MomentSpec((2, 1), (2, 2), variant, 2))
+        assert limiting_moment((2, 1), (Fraction(2), Fraction(2))) == limiting_moment((2, 1), (2, 2))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MomentSpec(orders=(1, 2), exponents=(2, 2), variant="Z", size=2)

@@ -465,6 +465,13 @@ _NEAR_POLE_LC = ["leading-coeff", "--orders", "1", "--exponents", "2", "--varian
      "--samples", "100"],
     ["leading-coeff", "--orders", "2,0", "--exponents", "2,2", "--variant", "Z"],
     ["leading-coeff", "--orders", "0", "--exponents", "2", "--variant", "V"],
+    # rules that the exact engine or MomentSpec checks, not the CLI
+    ["leading-coeff", "--orders", "1", "--exponents", "3/2", "--variant", "Z"],
+    ["leading-coeff", "--orders", "1", "--exponents", "0", "--variant", "Z"],
+    ["finite-moment", "--N", "2", "--orders", "1,0", "--exponents", "2,2", "--variant", "Z"],
+    ["finite-moment", "--N", "2", "--orders", "0", "--exponents", "_", "--variant", "Z"],
+    ["finite-moment", "--N", "1", "--orders", "1", "--exponents", "66", "--variant", "Z"],
+    ["finite-moment", "--N", "2", "--orders", "1", "--exponents", "-2", "--variant", "Z"],
 ])
 def test_meaningless_moment_query_exit_2(capsys, argv):
     code, doc, _ = run_cli(capsys, *argv)
@@ -516,6 +523,7 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (_MC + ["--orders", "65", "--exponents", "2"], "--orders <= 64; got 65"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
+    import cuemoments.cauchy as cauchy
     import cuemoments.cli as cli
     import cuemoments.hankel as hk
     import cuemoments.mc as mc
@@ -527,7 +535,8 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     monkeypatch.setattr(hk, "theta", no_work)
     monkeypatch.setattr(painleve, "_g_series", no_work)
     monkeypatch.setattr(mc, "_run_chain", no_work)
-    monkeypatch.setattr(cli, "finite_joint_moment", no_work)
+    monkeypatch.setattr(cauchy, "xi_poly", no_work)
+    monkeypatch.setattr(cauchy, "v_variant_integrand", no_work)
     monkeypatch.setattr(cli, "oracle_second_moment_V", no_work)
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
@@ -795,7 +804,7 @@ def test_integrand_monomials_bound_the_integrand(N, orders, exponents, variant):
     # own monomials are among them
     import itertools
 
-    from cuemoments.cli import _integrand_monomials
+    from cuemoments.cauchy import _integrand_monomials
     from cuemoments.symfunc import v_variant_integrand, xi_poly
     from cuemoments.sympoly import SymPoly
 

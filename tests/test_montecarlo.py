@@ -85,6 +85,12 @@ class TestSampler:
         with pytest.raises(ValueError):
             ChainConfig(N=1, s=2, burn_in=-5)
 
+    def test_config_needs_two_draws_per_block(self):
+        # the block-mean standard error needs chains * samples >= 2 * 32
+        with pytest.raises(ValueError, match="chains \\* samples >= 64; got 63"):
+            ChainConfig(N=1, s=2, chains=1, samples=63)
+        assert ChainConfig(N=1, s=2, chains=2, samples=32).samples == 32
+
     def test_second_moment_estimate(self):
         # E[x^2] at N = 1, s = 2 is 1/3 and (Xi_1/2)^2 = x^2/4; MC should
         # land within 4 sigma
@@ -238,6 +244,13 @@ class TestEstimator:
         cfg = ChainConfig(N=2, s=2, chains=1, burn_in=50, samples=100, seed=0)
         spec = MomentSpec(orders=(1,), exponents=(2,), variant="Z", size=3)
         with pytest.raises(ValueError):
+            estimate_joint_moment(sample_hp(cfg), spec)
+
+    def test_limit_size_rejected(self):
+        # draws at one N say nothing about the N -> infinity limit
+        cfg = ChainConfig(N=2, s=2, chains=1, burn_in=50, samples=100, seed=0)
+        spec = MomentSpec(orders=(1,), exponents=(2,), variant="Z", size="limit")
+        with pytest.raises(ValueError, match="spec arity does not match"):
             estimate_joint_moment(sample_hp(cfg), spec)
 
 

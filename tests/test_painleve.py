@@ -117,6 +117,27 @@ class TestTauLimit:
         if K == 20:
             assert any(got.coeffs) and any(ref.coeffs)
 
+    def test_series_residual_makes_no_product_by_one(self, monkeypatch):
+        # P = 1 of a series tau is left out, not multiplied by: the shared
+        # residual makes as many series products as the reference
+        import cuemoments.exact as exact
+
+        calls = []
+        mul = exact.PowerSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(exact.PowerSeries, "__mul__", counted)
+        tau = tau_limit(3, K=12)
+        calls.clear()
+        sigma_p3_residual(tau, 3)
+        got = len(calls)
+        calls.clear()
+        sigma_p3_series_residual(tau, 3)
+        assert got <= len(calls)
+
     def test_residual_detects_wrong_tau(self):
         # negative control: perturbing one series coefficient breaks the ODE
         tau = tau_limit(1, K=12)

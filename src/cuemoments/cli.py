@@ -130,15 +130,17 @@ def _parse_poly(text, arity):
     """Parse expressions like "x1^2 + 2*x1*x2 - 1/2*x2^4" into a SymPoly."""
     from .sympoly import SymPoly
 
-    cleaned = text.replace(" ", "").replace("-", "+-")
+    terms = text.replace(" ", "").replace("-", "+-").split("+")
+    if len(terms) > 1 and not terms[0]:
+        del terms[0]    # the empty term before a leading sign
     poly = SymPoly(arity)
-    for term in cleaned.split("+"):
-        if not term:
-            continue
+    for term in terms:
         coeff = Fraction(1)
         if term.startswith("-"):
             coeff = -coeff
             term = term[1:]
+        if not term:
+            raise ValueError("--poly has an empty term: %r" % text)
         expo = [0] * arity
         for factor in term.split("*"):
             m = _FACTOR_RE.match(factor)

@@ -5,6 +5,7 @@ SplitMix64 stream, a joint-moment estimator for arbitrary positive real
 exponents, and a tensor Gauss-Legendre quadrature oracle at tiny arity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,26 +223,75 @@ def estimate_joint_moment(batch, spec):
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _eval_integrand(P, xs):
-    """Integrand on the tensor grid whose i-th coordinate is xs[i], a 1-D
-    node array reshaped onto axis i: a SymPoly term is a broadcast product
-    of 1-D powers; a callable receives the (points, N) array of the grid."""
-    if hasattr(P, "terms"):
-        out = 0.0
-        for expo, coeff in P.terms.items():
-            term = float(coeff)
-            for xi, e in zip(xs, expo):
-                if e:
-                    term = term * xi ** e
-            out = out + term
-        return out
+@functools.lru_cache(maxsize=8)
+def _legendre_nodes(n):
+    """Read-only tan(u), w and cos(u) of the n-point Gauss-Legendre rule on
+    (-pi/2, pi/2). leggauss is looked up at call time, so a patched one sees
+    the first call for each n."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u = u * (math.pi / 2)
+    w = w * (math.pi / 2)
+    out = (np.tan(u), w, np.cos(u))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _contract(N, P, x, f):
+    """Grid sum of P * Delta^2 * prod f over the grid sum of Delta^2 * prod f.
+    A term's sum, sum_a prod_k f_k(x_{a_k}) prod_{i<j} D[a_i, a_j] with
+    D = (x_a - x_b)^2 and f_k = f x^{e_k}, is sum f_1 at N = 1, f_1' D f_2 at
+    N = 2 and f_1' [D o (D diag(f_3) D)] f_2 at N = 3, so no n^N array is
+    built."""
+    powers = {0: f}
+
+    def fx(k):
+        if k not in powers:
+            powers[k] = f * x ** k
+        return powers[k]
+
+    if N > 1:
+        D = np.subtract.outer(x, x)
+        D *= D
+
+    def grid_sum(e):
+        if N == 1:
+            return float(np.sum(fx(e[0])))
+        if N == 2:
+            return float(fx(e[0]) @ (D @ fx(e[1])))
+        M = (D * fx(e[2])) @ D
+        M *= D
+        return float(fx(e[0]) @ (M @ fx(e[1])))
+
+    num = sum(float(c) * grid_sum(e) for e, c in P.terms.items())
+    return num / grid_sum((0,) * N)
+
+
+def _grid(N, integrand, x, f):
+    """Sum of a callable integrand over the broadcast n^N grid, weighted by
+    Delta^2 * prod f, over the same sum with integrand 1."""
+    nodes = len(x)
+    axes = [(1,) * i + (nodes,) + (1,) * (N - 1 - i) for i in range(N)]
+    xs = [x.reshape(shape) for shape in axes]
+    # weight times Delta^2, one coordinate at a time, so that only the
+    # last factor spans the whole grid
+    wt = 1.0
+    for k, shape in enumerate(axes):
+        g = f.reshape(shape)
+        for i in range(k):
+            g = g * (xs[i] - xs[k]) ** 2
+        wt = wt * g
+    den = float(np.sum(wt))
     X = np.stack(np.broadcast_arrays(*xs), axis=-1)
-    return P(X.reshape(-1, len(xs))).reshape(X.shape[:-1])
+    num = np.sum(wt * integrand(X.reshape(-1, N)).reshape(X.shape[:-1]))
+    return num / den
 
 
-# Bounds on the largest grid a call builds (with check=True, the refined one
-# of 3/2 the nodes): leggauss(1536) takes 0.4 s, and a grid of 2^22 points
-# 0.2-0.3 s and up to 230 MB (2 cores, numpy 2.4).
+# Bounds on the largest grid a call sums over (with check=True, the refined
+# one of 3/2 the nodes). They size the (points, N) grid of a callable
+# integrand and the O(n^3) contraction of a SymPoly: leggauss(1536) takes
+# 0.4 s, and a callable grid of 2^22 points 0.2-0.3 s and up to 230 MB
+# (2 cores, numpy 2.4).
 MAX_QUAD_NODES = 1536
 MAX_QUAD_POINTS = 1 << 22
 
@@ -263,32 +313,18 @@ def quadrature_expectation(N, s, integrand, nodes_per_dim=64, check=True):
         raise ValueError("%d nodes per dimension need a %d^%d-point grid, beyond "
                          "the bounds of %d nodes per dimension and %d points"
                          % (nodes_per_dim, largest, N, MAX_QUAD_NODES, MAX_QUAD_POINTS))
+    ratio = _grid
     if hasattr(integrand, "terms"):
         d = _max_exponent(integrand)
         if not s > domain((d,)):
             raise ValueError("non-integrable combination: per-coordinate degree "
                              "%d needs s > %s" % (d, domain((d,))))
+        ratio = _contract
 
     def compute(nodes):
-        u, w = np.polynomial.legendre.leggauss(nodes)
-        u = u * (math.pi / 2)
-        w = w * (math.pi / 2)
-        axes = [(1,) * i + (nodes,) + (1,) * (N - 1 - i) for i in range(N)]
-        x = np.tan(u)
-        xs = [x.reshape(shape) for shape in axes]
+        x, w, c = _legendre_nodes(nodes)
         # (1 + tan^2 u)^{1-(s+N)} = cos(u)^{2(s+N-1)} per coordinate
-        f = w * np.cos(u) ** (2.0 * (s + N - 1))
-        # weight times Delta^2, one coordinate at a time, so that only the
-        # last factor spans the whole grid
-        wt = 1.0
-        for k, shape in enumerate(axes):
-            g = f.reshape(shape)
-            for i in range(k):
-                g = g * (xs[i] - xs[k]) ** 2
-            wt = wt * g
-        den = float(np.sum(wt))
-        num = np.sum(wt * _eval_integrand(integrand, xs))
-        return num / den
+        return ratio(N, integrand, x, w * c ** (2.0 * (s + N - 1)))
 
     v1 = compute(nodes_per_dim)
     if not check:

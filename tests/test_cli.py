@@ -263,6 +263,19 @@ class TestQuadrature:
         assert code == 2
         assert doc == {"error": message, "exit_code": 2}
 
+    @pytest.mark.parametrize("poly,value", [("-x1^2", -1 / 3), ("+x1^2", 1 / 3), ("0", 0.0)])
+    def test_leading_sign_and_zero_poly(self, capsys, poly, value):
+        # "--poly=" keeps argparse from reading "-x1^2" as an option
+        code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2", "--poly=" + poly)
+        assert code == 0
+        assert doc["result"]["value"] == pytest.approx(value, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("poly", ["", " ", "+", "-", "x1^2+", "x1^2-", "x1^2++x1"])
+    def test_empty_poly_term_names_option(self, capsys, poly):
+        code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2", "--poly=" + poly)
+        assert code == 2
+        assert doc["error"] == "--poly has an empty term: %r" % poly
+
     def test_csv_format(self, capsys):
         code = main(["--format", "csv", "quadrature", "--N", "1", "--s", "2",
                      "--poly", "x1^2"])
@@ -428,6 +441,11 @@ _NEAR_POLE_LC = ["leading-coeff", "--orders", "1", "--exponents", "2", "--varian
     _MC + ["--orders", "1", "--exponents", "-2"],
     ["quadrature", "--N", "0", "--s", "2", "--poly", "x1^2"],
     ["quadrature", "--N", "2", "--s", "2", "--poly", "x1^2", "--nodes", "4"],
+    # an empty term was dropped, so "" and "+" gave 0 and "x1^2+" gave x1^2
+    ["quadrature", "--N", "1", "--s", "2", "--poly", ""],
+    ["quadrature", "--N", "1", "--s", "2", "--poly", "+"],
+    ["quadrature", "--N", "1", "--s", "2", "--poly", "x1^2+"],
+    ["quadrature", "--N", "1", "--s", "2", "--poly", "x1^2++x1"],
     ["leading-coeff", "--orders", "2,-1", "--exponents", "2,2", "--variant", "Z"],
     ["leading-coeff", "--orders", "1,2", "--exponents", "2,2", "--variant", "Z"],
     ["leading-coeff", "--orders", "1,1", "--exponents", "2,4", "--variant", "Z"],

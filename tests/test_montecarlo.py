@@ -2,6 +2,7 @@
 joint-moment estimator, and the tensor quadrature oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from cuemoments.mc import (
     MAX_QUAD_POINTS,
     ChainConfig,
     _integrand_values,
+    _legendre_nodes,
     _run_chain,
     _uniforms,
     derive_chain_seed,
@@ -349,3 +351,47 @@ class TestQuadrature:
         assert quadrature_expectation(N, 3, P, nodes_per_dim=nodes) == \
             pytest.approx(float(exact), rel=1e-10)
 
+    def test_nodes_computed_once_per_count(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        _legendre_nodes.cache_clear()
+        try:
+            P = SymPoly(2, {(2, 0): 1})
+            for _ in range(3):
+                quadrature_expectation(2, 3, P)
+                quadrature_expectation(2, 3, lambda X: X[:, 0] ** 2)
+            assert sorted(calls) == [64, 96]
+            for a in _legendre_nodes(64):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        finally:
+            _legendre_nodes.cache_clear()
+
+    @staticmethod
+    def _peak_bytes(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            quadrature_expectation(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_polynomial_builds_no_cube(self):
+        # the refined 160^3 grid is 33 MB a float array; the contraction holds
+        # a few 160 x 160 matrices
+        P = SymPoly(3, {(2, 1, 0): 1, (0, 1, 3): 1, (0, 0, 0): -2})
+        assert self._peak_bytes(3, 3, P, nodes_per_dim=107) < 4 * 2 ** 20
+
+    def test_one_coordinate_builds_no_square(self):
+        # leggauss itself builds a companion matrix, so the nodes are cached
+        # first; a 1536 x 1536 float matrix would be 19 MB
+        P = SymPoly(1, {(2,): 1, (1,): 3})
+        quadrature_expectation(1, 3, P, nodes_per_dim=1024)
+        assert self._peak_bytes(1, 3, P, nodes_per_dim=1024) < 2 ** 20

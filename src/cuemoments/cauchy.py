@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, RationalFunction, _scaled_ints
+from .exact import Poly, RationalFunction, _convolve_into, _lowest, _scaled_ints
 from .sympoly import SymPoly
 from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
 
@@ -81,9 +81,9 @@ def _delta2_by_parity(m, bits):
     shifts = range(0, bits * m, bits)
     odd = _pack((1,) * m, shifts)
     groups = {}
-    for e, c in vandermonde_squared(m).terms.items():
+    for e, c in vandermonde_squared(m).num.items():
         k = _pack(e, shifts)
-        groups.setdefault(k & odd, []).append((k, c.numerator))
+        groups.setdefault(k & odd, []).append((k, c))
     return groups
 
 
@@ -97,9 +97,8 @@ def _even_moments(P, m):
     orbit pairs only with the Delta^2 terms of its own parity pattern: every
     other pair leaves an odd coordinate, whose weight moment is 0.
     """
-    ints, den = _scaled_ints(P.terms.values())
     orbits = {}
-    for e, a in zip(P.terms, ints):
+    for e, a in P.num.items():
         key = tuple(sorted(e, reverse=True))
         orbits[key] = orbits.get(key, 0) + a
     orbits = {e: a for e, a in orbits.items() if a}
@@ -126,7 +125,7 @@ def _even_moments(P, m):
         if v:
             key = tuple(sorted([(k >> (s + 1)) & half for s in shifts], reverse=True))
             moments[key] = moments.get(key, 0) + v
-    return {key: Fraction(v, den) for key, v in moments.items() if v}
+    return {key: Fraction(v, P.den) for key, v in moments.items() if v}
 
 
 def _numerators(aggs, m):
@@ -141,17 +140,29 @@ def _numerators(aggs, m):
     keys = {key for agg in aggs for key in agg}
     E = [max(sum(p >= j for p in key) for key in keys)
          for j in range(1, max((key[0] for key in keys), default=0) + 1)]
+    # the int coefficients of prod_j d_j^{r_j} for each factor-exponent
+    # vector r, shared between the aggs
+    factors = {}
     nums = []
     for agg in aggs:
-        num = Poly()
-        for key, coeff in agg.items():
-            term = Poly.const(coeff * math.prod(math.prod(range(1, 2 * p, 2)) for p in key))
-            for j, e in enumerate(E, 1):
-                r = e - sum(p >= j for p in key)
-                if r:
-                    term = term * _factor_power(2 * m - 1 - 2 * j, r)
-            num = num + term
-        nums.append(num)
+        ints, den = _scaled_ints(list(agg.values()))
+        num = []
+        for key, c in zip(agg, ints):
+            r = tuple(e - sum(p >= j for p in key) for j, e in enumerate(E, 1))
+            f = factors.get(r)
+            if f is None:
+                f = [1]
+                for j, rj in enumerate(r, 1):
+                    if rj:
+                        g = _factor_power(2 * m - 1 - 2 * j, rj).num
+                        f = _convolve_into([0] * (len(f) + len(g) - 1), f, g)
+                factors[r] = f
+            c *= math.prod(math.prod(range(1, 2 * p, 2)) for p in key)
+            if len(num) < len(f):
+                num += [0] * (len(f) - len(num))
+            for i, x in enumerate(f):
+                num[i] += c * x
+        nums.append(Poly._raw(*_lowest(num, den)))
     return nums
 
 

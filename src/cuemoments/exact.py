@@ -8,7 +8,9 @@ terms: gcd(den, *num) == 1, no trailing zero numerator, and zero is ((), 1).
 Equal values therefore have equal storage. Every operation works on the ints
 and reduces its result with one gcd (none when the denominator is 1, as on
 the integer theta matrices); `coeffs` is a Fraction view for serialisation
-and display. A RationalFunction is a pair of Polys reduced by their gcd.
+and display. `sympoly.SymPoly` shares the rule, with a dict of nonzero
+numerators keyed by exponent tuples in place of the tuple. A
+RationalFunction is a pair of Polys reduced by their gcd.
 """
 
 import math

@@ -263,7 +263,7 @@ def _contract(N, P, x, f):
         M *= D
         return float(fx(e[0]) @ (M @ fx(e[1])))
 
-    num = sum(float(c) * grid_sum(e) for e, c in P.terms.items())
+    num = sum(c / P.den * grid_sum(e) for e, c in P.num.items())
     return num / grid_sum((0,) * N)
 
 

@@ -116,9 +116,13 @@ def _residual_poly(A, P, s, n2, sn):
     B2 = B * B
     k = times_P(1 + sn)
     tC = _mul_t(C)
-    # the terms in P^4, P^3 and P nested, Horner-like, to save two products
-    inner = times_P((k - n2 * A) * A) - _mul_t((k - 2 * n2 * A) * B)
-    outer = times_P(times_P(inner) - 4 * s * s * B2 - n2 * _mul_t(_mul_t(B2))) - 4 * A * B2
+    # the terms in P^4, P^3 and P nested, Horner-like, to save two products;
+    # at n2 = 0 no n2 term is formed, and on a series k = 1 + sn only scales
+    kA, kB = (k - n2 * A, k - 2 * n2 * A) if n2 else (k, k)
+    inner = times_P(times_P(kA * A) - _mul_t(kB * B)) - 4 * s * s * B2
+    if n2:
+        inner = inner - n2 * _mul_t(_mul_t(B2))
+    outer = times_P(inner) - 4 * A * B2
     return tC * tC + 4 * _mul_t(B2 * B) + times_P(outer)
 
 

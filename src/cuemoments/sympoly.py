@@ -1,106 +1,132 @@
 """Sparse multivariate polynomials over exact rationals, keyed by dense
 exponent tuples of a fixed arity.
 
-Used as integrands over eigenvalue space; arity is capped at 8 by design.
+Stored as `exact.Poly` is: int numerators over one positive denominator in
+lowest terms, so equal values have equal storage. Used as integrands over
+eigenvalue space; arity is capped at 8 by design.
 """
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
 
-from .exact import _scaled_ints
+from .exact import _scaled_ints, _times
 
 MAX_ARITY = 8
 
 
 class SymPoly:
-    """Multivariate polynomial: dict mapping exponent tuple -> Fraction.
+    """Multivariate polynomial: `num` maps exponent tuples to nonzero int
+    numerators over the one denominator `den` > 0, with
+    gcd(den, *num.values()) == 1; zero is ({}, 1).
 
-    All keys share the same length (the arity); zero coefficients are never
-    stored. Instances are treated as immutable.
+    All keys share the same length (the arity). Instances are treated as
+    immutable. `terms` is a read-only view of the coefficients as Fractions.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "num", "den")
 
     def __init__(self, arity, terms=None):
         if arity > MAX_ARITY:
             raise ValueError("arity %d exceeds supported maximum %d" % (arity, MAX_ARITY))
-        self.arity = arity
         clean = {}
         if terms:
             for expo, coeff in terms.items():
                 if len(expo) != arity:
                     raise ValueError("exponent tuple %r does not have arity %d" % (expo, arity))
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
                 if c:
                     clean[tuple(expo)] = c
-        self.terms = clean
+        ints, den = _scaled_ints(list(clean.values()))
+        self.arity = arity
+        self.num, self.den = _reduced(dict(zip(clean, ints)), den)
+
+    @staticmethod
+    def _raw(arity, num, den):
+        """The SymPoly num/den for a dict of nonzero int numerators and an
+        int den > 0, reduced by one gcd (none when den is 1)."""
+        p = object.__new__(SymPoly)
+        p.arity = arity
+        p.num, p.den = _reduced(num, den)
+        return p
+
+    @property
+    def terms(self):
+        return _Terms(self.num, self.den)
 
     @staticmethod
     def const(arity, c):
-        return SymPoly(arity, {(0,) * arity: Fraction(c)})
+        return SymPoly(arity, {(0,) * arity: c})
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return self.arity == other.arity and self.num == other.num and self.den == other.den
 
     def __neg__(self):
-        return SymPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return SymPoly._raw(self.arity, {e: -c for e, c in self.num.items()}, self.den)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if not isinstance(other, SymPoly):
             other = SymPoly.const(self.arity, other)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
+        # over the lcm of the denominators, as exact._sum does
+        da, db = self.den, other.den
+        if da == db:
+            fa, fb, den = 1, sign, da
+        else:
+            g = math.gcd(da, db)
+            fa, fb, den = db // g, sign * (da // g), da // g * db
+        out = {e: c * fa for e, c in self.num.items()}
+        get = out.get
+        for e, c in other.num.items():
+            v = get(e, 0) + c * fb
+            if v:
                 out[e] = v
-        return SymPoly(self.arity, out)
+            else:
+                del out[e]
+        return SymPoly._raw(self.arity, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, SymPoly):
-            other = SymPoly.const(self.arity, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, SymPoly):
-            c = Fraction(other)
-            if c == 0:
-                return SymPoly(self.arity)
-            return SymPoly(self.arity, {e: v * c for e, v in self.terms.items()})
+            ints, den = _times(list(self.num.values()), self.den, other)
+            return SymPoly._raw(self.arity, dict(zip(self.num, ints)), den)
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return SymPoly(self.arity)
         # Kronecker substitution: the exponent tuple e becomes the int
         # sum(e[i] * base**i), and base exceeds every exponent of the
         # product, so keys add without carries.
         base = _max_exponent(self) + _max_exponent(other) + 1
         powers = [base ** i for i in range(self.arity)]
-        a, da = _scaled_ints(self.terms.values())
-        b, db = _scaled_ints(other.terms.values())
-        pairs = list(zip([sum(map(mul, e, powers)) for e in other.terms], b))
+        pairs = [(sum(map(mul, e, powers)), c) for e, c in other.num.items()]
         out = {}
         get = out.get
-        for k1, c1 in zip([sum(map(mul, e, powers)) for e in self.terms], a):
+        for e, c1 in self.num.items():
+            k1 = sum(map(mul, e, powers))
             for k2, c2 in pairs:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        den = da * db
-        return SymPoly(self.arity, {tuple([k // p % base for p in powers]): Fraction(v, den)
-                                    for k, v in out.items() if v})
+        return SymPoly._raw(self.arity, {tuple([k // p % base for p in powers]): v
+                                         for k, v in out.items() if v},
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -119,14 +145,48 @@ class SymPoly:
         return result
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "SymPoly(0)"
+        terms = self.terms
         parts = []
-        for e in sorted(self.terms):
-            parts.append("%s*x^%s" % (self.terms[e], list(e)))
+        for e in sorted(terms):
+            parts.append("%s*x^%s" % (terms[e], list(e)))
         return "SymPoly(" + " + ".join(parts) + ")"
+
+
+class _Terms(Mapping):
+    """The coefficients num/den of a SymPoly as a read-only mapping from
+    exponent tuples to Fractions, each made on lookup."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num, self._den = num, den
+
+    def __getitem__(self, expo):
+        return Fraction(self._num[expo], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _reduced(num, den):
+    """The storage (num, den) of a dict of nonzero int numerators over the
+    int den > 0: one gcd, none when den is 1; zero as ({}, 1)."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
 
 
 def _max_exponent(p):
     """The largest exponent of any variable in p; 0 for the zero polynomial."""
-    return max((max(e, default=0) for e in p.terms), default=0)
+    return max((max(e, default=0) for e in p.num), default=0)

@@ -6,8 +6,9 @@ of the paper that no command verifies.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
-from cuemoments.exact import Poly, RationalFunction, _mul_t
+from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_det,
                                hankel_det, mixed_derivative, partition_kq, theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
@@ -34,6 +35,41 @@ def sympoly_eval(p, point):
                 term *= x ** k
         total += term
     return total
+
+
+def fraction_dict_add(a, b):
+    """The sum of two polynomials given as {exponent tuple: Fraction} dicts,
+    one Fraction per term, with zero sums dropped: the reference for
+    SymPoly.__add__."""
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, Fraction(0)) + c
+        if v == 0:
+            out.pop(e, None)
+        else:
+            out[e] = v
+    return out
+
+
+def fraction_dict_mul(arity, a, b):
+    """The product of two polynomials of the given arity, given as
+    {exponent tuple: Fraction} dicts, by Kronecker substitution on their
+    coefficients scaled to ints and one Fraction per output term: the
+    reference for SymPoly.__mul__."""
+    if not a or not b:
+        return {}
+    base = max(max(e, default=0) for e in a) + max(max(e, default=0) for e in b) + 1
+    powers = [base ** i for i in range(arity)]
+    ia, da = _scaled_ints(list(a.values()))
+    ib, db = _scaled_ints(list(b.values()))
+    pairs = list(zip([sum(map(mul, e, powers)) for e in b], ib))
+    out = {}
+    for k1, c1 in zip([sum(map(mul, e, powers)) for e in a], ia):
+        for k2, c2 in pairs:
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    den = da * db
+    return {tuple([k // p % base for p in powers]): Fraction(v, den)
+            for k, v in out.items() if v}
 
 
 def a_coeff_bruteforce(n, l, N):
@@ -74,6 +110,27 @@ def weight_moment(r, m):
         num *= 2 * j - 1
         den = den * Poly((2 * m - 1 - 2 * j, 2))
     return RationalFunction(Poly.const(num), den)
+
+
+def numerators_poly(aggs, m):
+    """cauchy._numerators term by term on Polys: each key's coefficient
+    times prod_{p in key} (2p - 1)!! times prod_j d_j^{r_j}, with d_j the
+    Poly 2s + 2m - 1 - 2j and r_j = E_j - #(parts >= j), multiplied in
+    factor by factor and summed as Polys."""
+    keys = {key for agg in aggs for key in agg}
+    E = [max(sum(p >= j for p in key) for key in keys)
+         for j in range(1, max((key[0] for key in keys), default=0) + 1)]
+    nums = []
+    for agg in aggs:
+        num = Poly()
+        for key, coeff in agg.items():
+            term = Poly.const(coeff * math.prod(math.prod(range(1, 2 * p, 2)) for p in key))
+            for j, e in enumerate(E, 1):
+                for _ in range(e - sum(p >= j for p in key)):
+                    term = term * Poly((2 * m - 1 - 2 * j, 2))
+            num = num + term
+        nums.append(num)
+    return nums
 
 
 def second_moment_V_product(n):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from cuemoments.cauchy import (
     MomentSpec,
+    _delta2_moments,
     _even_moments,
+    _numerators,
     domain,
     finite_joint_moment,
     hp_expectation,
@@ -22,8 +24,8 @@ from cuemoments.cauchy import (
 )
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.sympoly import SymPoly
-from cuemoments.symfunc import vandermonde_squared
-from oracles import second_moment_V_product, weight_moment
+from cuemoments.symfunc import v_variant_integrand, vandermonde_squared, xi_poly
+from oracles import numerators_poly, second_moment_V_product, weight_moment
 
 
 class TestWeightMoment:
@@ -242,6 +244,30 @@ def _half_integer_poles(den):
             den = den.exact_div(Poly((-r, 1)))
             poles.append(r)
     return den, poles
+
+
+class TestNumerators:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", ["Z", "V"])
+    @pytest.mark.parametrize("orders,exponents", SHAPES)
+    def test_sweep_aggs_equal_poly_route(self, N, variant, orders, exponents):
+        # the integrand of finite_joint_moment, with the normalization's aggs
+        if variant == "Z":
+            P = SymPoly.const(N, 1)
+            for n, e in zip(orders, exponents):
+                P = P * xi_poly(n, N) ** e
+        else:
+            P = v_variant_integrand(orders, exponents, N)
+        aggs = (_even_moments(P, N), _delta2_moments(N))
+        assert _numerators(aggs, N) == numerators_poly(aggs, N)
+
+    def test_keys_sharing_no_factor_vector(self):
+        # E = (3, 1, 1); the keys' factor exponents r are (1, 0, 1),
+        # (0, 1, 1) and (2, 0, 0), so no product of factors is reused
+        agg = {(2, 1, 0): Fraction(3, 2), (1, 1, 1): Fraction(-2, 5), (3, 0, 0): Fraction(7)}
+        assert _numerators((agg,), 3) == numerators_poly((agg,), 3)
+        other = {(1, 0, 0): Fraction(1, 3)}
+        assert _numerators((agg, other, {}), 3) == numerators_poly((agg, other, {}), 3)
 
 
 class TestDomain:

@@ -118,8 +118,9 @@ class TestTauLimit:
             assert any(got.coeffs) and any(ref.coeffs)
 
     def test_series_residual_makes_no_product_by_one(self, monkeypatch):
-        # P = 1 of a series tau is left out, not multiplied by: the shared
-        # residual makes as many series products as the reference
+        # P = 1 of a series tau is left out, not multiplied by, and at
+        # n2 = 0 the factor 1 + sn only scales: the shared residual makes 4
+        # series products, fewer than the reference
         import cuemoments.exact as exact
 
         calls = []
@@ -136,7 +137,7 @@ class TestTauLimit:
         got = len(calls)
         calls.clear()
         sigma_p3_series_residual(tau, 3)
-        assert got <= len(calls)
+        assert got == 4 and got <= len(calls)
 
     def test_residual_detects_wrong_tau(self):
         # negative control: perturbing one series coefficient breaks the ODE

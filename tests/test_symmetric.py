@@ -18,7 +18,7 @@ from cuemoments.symfunc import (
     vandermonde_squared,
     xi_poly,
 )
-from oracles import a_coeff_bruteforce, variable
+from oracles import a_coeff_bruteforce, fraction_dict_add, fraction_dict_mul, variable
 
 
 # Mixed denominators and negatives; the +-1 and +-1/2 values make partial
@@ -95,6 +95,72 @@ class TestSymPoly:
         assert (p * q).terms == schoolbook_product(p, q)
         assert (p * q).terms[(9, 2, 9)] == Fraction(1, 5)
         assert 2 * x == x * 2 == SymPoly(2, {(1, 0): 2})
+
+
+def assert_canonical(p):
+    """The storage rule: nonzero int numerators over den > 0 with
+    gcd(den, *num) == 1, zero as ({}, 1), and the storage a fresh
+    construction from the Fraction terms gives."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if p.is_zero():
+        assert (p.num, p.den) == ({}, 1)
+    q = SymPoly(p.arity, p.terms)
+    assert (q.num, q.den) == (p.num, p.den)
+
+
+class TestStorage:
+    # 1/2 x1 + 1/3 x2 and 3/4 x1 x2 - 5/6: coprime non-unit denominators
+    p = SymPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    q = SymPoly(2, {(1, 1): Fraction(3, 4), (0, 0): Fraction(-5, 6)})
+
+    def test_over_one_denominator(self):
+        assert (self.p.num, self.p.den) == ({(1, 0): 3, (0, 1): 2}, 6)
+        assert self.p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}
+
+    def test_operations_keep_the_rule(self):
+        p, q = self.p, self.q
+        for r in (p + q, p - q, q - p, p * q, p ** 3, q ** 2, -p, p * 6, 6 * p,
+                  p * Fraction(3, 5), Fraction(-2, 9) * q, p * 0, p - p, p + 1, 1 - q,
+                  p * SymPoly(2), (p - p) * q):
+            assert_canonical(r)
+
+    def test_zero(self):
+        for z in (self.p - self.p, self.p * 0, self.q * SymPoly(2), SymPoly(2),
+                  SymPoly(2, {(1, 0): Fraction(0, 7)})):
+            assert z.is_zero() and (z.num, z.den) == ({}, 1)
+
+    def test_equal_values_equal_storage(self):
+        p = self.p
+        # the denominators cancel to an integer polynomial
+        six_p = SymPoly(2, {(1, 0): 3, (0, 1): 2})
+        assert p * 6 == six_p and (p * 6).den == 1
+        assert (p + p + p) * 2 == six_p
+        square = SymPoly(2, {(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 3),
+                             (0, 2): Fraction(1, 9)})
+        assert p * p == p ** 2 == square
+        assert ((p * p).num, (p * p).den) == (square.num, square.den)
+        # a sum whose denominator falls from 6 to 3
+        half = SymPoly(2, {(1, 0): Fraction(-1, 2)})
+        assert ((p + half).num, (p + half).den) == ({(0, 1): 1}, 3)
+
+    @given(sympoly_pairs(), st.integers(0, 3), kernel_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_dict_reference(self, pair, n, c):
+        p, q = pair
+        a, b = p.terms, q.terms
+        minus_b = {e: -v for e, v in b.items()}
+        power = {(0,) * p.arity: Fraction(1)}
+        for _ in range(n):
+            power = fraction_dict_mul(p.arity, power, a)
+        for got, want in ((p + q, fraction_dict_add(a, b)),
+                          (p - q, fraction_dict_add(a, minus_b)),
+                          (p * q, fraction_dict_mul(p.arity, a, b)),
+                          (p ** n, power),
+                          (p * c, {e: v * c for e, v in a.items() if c})):
+            assert got.terms == want
+            assert_canonical(got)
 
 
 class TestElementary:

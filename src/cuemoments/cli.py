@@ -66,18 +66,18 @@ MAX_P3_ORDER = 40
 # 4.7 s; one step past a bound takes 7.6 s at k = 6, 8.0 s at s = l = 14 and
 # 20 s at N = 5 (5.8 s at N = 6 even with s = 3, l = 4, k = 3)
 MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
-# mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.5 s
-# at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit
-# costs most at N = 1: 2e6 sweeps take 4.7 s and 190 MB there (0.6 s at N = 14)
+# mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.23
+# s at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit
+# costs most at N = 1: 2e6 sweeps take 3.1 s and 157 MB there (0.8 s at N = 14)
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
 # The V closed form of leading-coeff is built coprime, but its gcd check still
 # reduces two polynomials of degree about n: at --eval-s 5/3 it takes 0.1 s at
 # order 64, 0.3 s at 80, 0.9 s at 96 and 16 s at 160
 MAX_V_ORDER = 64
-# mc-estimate builds Xi_1..Xi_n from exact a_{n,l}(N), about n N^3 / 6 big
-# integer powers: 64 sweeps take 2.1 s at N = 100, n = 64 (0.58 s at n = 32,
-# 5.1 s at n = 100) and 0.47 s at N = 50, n = 64
+# mc-estimate builds Xi_1..Xi_n from exact a_{n,l}(N), N + 1 big integer
+# powers per entry: 64 sweeps take 0.39 s at N = 100, n = 64 (0.21 s at n = 32,
+# 0.5 s at n = 100) and 0.08 s at N = 50, n = 64
 MAX_MC_ORDER = 64
 
 

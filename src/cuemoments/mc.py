@@ -85,60 +85,72 @@ def _uniforms(seed, start, count):
 def _run_chain(N, s, burn_in, samples, thin, scale, seed):
     x = [math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5)) for i in range(N)]
     # log1p(x_i^2) and log|x_i - x_j| of the current state, updated on
-    # acceptance; |a - b| == |b - a| exactly, so the table is symmetric
+    # acceptance; |a - b| == |b - a| exactly, so the table is symmetric. The
+    # diagonal is never read: after row buffers are swapped it may hold a
+    # stale value.
     lp = [math.log1p(xi * xi) for xi in x]
     logd = [[math.log(abs(xi - xj)) if i != j else 0.0 for j, xj in enumerate(x)]
             for i, xi in enumerate(x)]
+    spare = [0.0] * N    # receives the logs of a proposal's row
     others = [[j for j in range(N) if j != i] for i in range(N)]
-    c = float(-(s + N))    # what Fraction * float converts a rational s to
+    # c is half of -(s + N) as a float (what Fraction * float converts a
+    # rational s to), and half = c * dlp + sum (log_j - row_j) is half the log
+    # density ratio. Multiplying by a power of two is exact and commutes with
+    # round-to-nearest in the normal range, so 2 * half equals the full ratio
+    # -(s + N) * dlp + sum 2 * (log_j - row_j) after every operation, and
+    # log(u) < 2 * half exactly when log(u) * 0.5 < half. Where the full
+    # product overflows to +-inf, half is still beyond +-2^1023, so no sum of
+    # pair logs changes its sign and the decision is the same. One product
+    # per pair is saved.
+    c = float(-(s + N)) * 0.5
     log_scale = math.log(scale)
+    step_scale = math.exp(log_scale)
     draws = np.empty((samples, N))
+    flat = draws.reshape(-1)
+    kept, filled = [], 0    # kept states not yet copied into draws
     accepted = 0
-    proposed = 0
     u, k, used = [], 0, 0    # block of uniforms, next index, counters consumed
     log, log1p, tan, pi = math.log, math.log1p, math.tan, math.pi
-    total_sweeps = burn_in + samples * thin
-    for sweep in range(total_sweeps):
+    for sweep in range(burn_in + samples * thin):
         if len(u) - k < 2 * N:
             used += k
             u, k = _uniforms(seed, used, 2 * N * _BLOCK), 0
-        step_scale = math.exp(log_scale)
+            flat[filled:filled + len(kept)] = kept
+            filled += len(kept)
+            kept = []
         sweep_acc = 0
         for i in range(N):
             xi_new = x[i] + step_scale * tan(pi * (u[k] - 0.5))
             k += 1
             lp_new = log1p(xi_new * xi_new)
-            # log density ratio for the single-coordinate update
-            delta = c * (lp_new - lp[i])
+            half = c * (lp_new - lp[i])
             row = logd[i]
-            new_row = [0.0] * N
             for j in others[i]:
                 d_new = abs(xi_new - x[j])
                 if d_new < 1e-300:
                     break
-                new_row[j] = log_j = log(d_new)
-                delta += 2.0 * (log_j - row[j])
+                spare[j] = log_j = log(d_new)
+                half += log_j - row[j]
             else:
-                accept = log(u[k]) < delta
+                accept = log(u[k]) * 0.5 < half
                 k += 1
                 if accept:
                     x[i] = xi_new
                     lp[i] = lp_new
-                    logd[i] = new_row
                     for j in others[i]:
-                        logd[j][i] = new_row[j]
+                        logd[j][i] = spare[j]
+                    logd[i], spare = spare, row
                     sweep_acc += 1
         if sweep < burn_in:
             # Robbins-Monro drift of the proposal scale toward 0.44 acceptance
-            rate = sweep_acc / N
-            log_scale += (rate - 0.44) / math.sqrt(sweep + 1.0)
+            log_scale += (sweep_acc / N - 0.44) / math.sqrt(sweep + 1.0)
+            step_scale = math.exp(log_scale)
         else:
             accepted += sweep_acc
-            proposed += N
-            m = sweep - burn_in
-            if (m + 1) % thin == 0:
-                draws[(m + 1) // thin - 1] = x
-    return draws, accepted / proposed
+            if (sweep - burn_in + 1) % thin == 0:
+                kept.extend(x)
+    flat[filled:] = kept
+    return draws, accepted / (N * samples * thin)
 
 
 def sample_hp(config):

@@ -47,17 +47,26 @@ def vandermonde_squared(m):
 
 
 @functools.lru_cache(maxsize=None)
+def _krawtchouk(l, N):
+    """K_r = sum_{j+k=r} (-1)^j C(l, j) C(N-l, k) for r = 0..N, the
+    coefficients of (1 - y)^l (1 + y)^{N-l}; memoised."""
+    return tuple(sum((-1) ** j * math.comb(l, j) * math.comb(N - l, r - j)
+                     for j in range(max(0, r - N + l), min(l, r) + 1))
+                 for r in range(N + 1))
+
+
+@functools.lru_cache(maxsize=None)
 def a_coeff(n, l, N):
     """a_{n,l}(N) = (-1)^{(n+l)/2} * n! * [z^n] sinh(z)^l cosh(z)^{N-l}, from
     sinh^l cosh^{N-l} = 2^{-N} (e^z - e^{-z})^l (e^z + e^{-z})^{N-l} expanded
-    in exponentials e^{(N-2j-2k)z}. Zero when n - l is odd; memoised."""
+    in exponentials e^{(N-2j-2k)z} and grouped by r = j + k: 2^{-N} sum_r
+    K_r (N - 2r)^n with the K_r of _krawtchouk, N + 1 powers per entry. Zero
+    when n - l is odd; memoised."""
     if N < 1 or not (0 <= l <= min(n, N)):
         raise ValueError("need N >= 1 and 0 <= l <= min(n, N)")
     if (n - l) % 2:
         return 0
-    total = sum((-1) ** j * math.comb(l, j) * math.comb(N - l, k)
-                * (N - 2 * j - 2 * k) ** n
-                for j in range(l + 1) for k in range(N - l + 1))
+    total = sum(K * (N - 2 * r) ** n for r, K in enumerate(_krawtchouk(l, N)))
     return (-1) ** ((n + l) // 2) * total // 2 ** N
 
 

@@ -96,6 +96,17 @@ def a_coeff_bruteforce(n, l, N):
     return (-1) ** ((n + l) // 2) * total
 
 
+def a_coeff_double_sum(n, l, N):
+    """a_{n,l}(N) from the double sum over the exponentials e^{(N-2j-2k)z} of
+    2^{-N} (e^z - e^{-z})^l (e^z + e^{-z})^{N-l}, one power per (j, k)."""
+    if (n - l) % 2:
+        return 0
+    total = sum((-1) ** j * math.comb(l, j) * math.comb(N - l, k)
+                * (N - 2 * j - 2 * k) ** n
+                for j in range(l + 1) for k in range(N - l + 1))
+    return (-1) ** ((n + l) // 2) * total // 2 ** N
+
+
 def weight_moment(r, m):
     """int x^r (1+x^2)^{-(s+m)} dx / int (1+x^2)^{-(s+m)} dx as a rational
     function of s: zero for odd r, and prod_{j=1}^{p} (2j-1)/(2s+2m-1-2j) at r = 2p."""

@@ -149,7 +149,8 @@ def _reference_run_chain(N, s, burn_in, samples, thin, scale, seed):
 class TestBulkSampler:
     """The block-RNG sampler reproduces the scalar loop bit for bit."""
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    # a larger N puts more row buffers in rotation through the spare-row swap
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 12])
     @pytest.mark.parametrize("thin", [1, 3])
     @pytest.mark.parametrize("burn_in", [0, _BLOCK + 44])
     @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0])
@@ -167,6 +168,25 @@ class TestBulkSampler:
         new = _run_chain(3, s, _BLOCK + 1, 80, 2, 1.0, 2**64 - 5)
         ref = _reference_run_chain(3, s, _BLOCK + 1, 80, 2, 1.0, 2**64 - 5)
         assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    @pytest.mark.parametrize("s", [1e300, 1.7e308])
+    def test_huge_s_matches_scalar_loop(self, N, s):
+        # -(s + N) * dlp overflows to -inf or +inf at these s (for every
+        # |dlp| > 1.06 at 1.7e308) where half of it may stay finite; every
+        # accept/reject decision must still be the same
+        new = _run_chain(N, s, 40, 80, 1, 1.0, 11)
+        ref = _reference_run_chain(N, s, 40, 80, 1, 1.0, 11)
+        assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+
+    def test_draws_flushed_past_a_block(self):
+        # the kept states are copied per uniform block and once at the end,
+        # so a count that is not a multiple of the block must fill every row
+        samples = _BLOCK + 7
+        new, rate = _run_chain(2, 2.5, 5, samples, 1, 1.0, 3)
+        assert new.dtype == np.float64 and new.shape == (samples, 2)
+        ref = _reference_run_chain(2, 2.5, 5, samples, 1, 1.0, 3)
+        assert np.array_equal(new, ref[0]) and rate == ref[1]
 
     def test_collision_guard_keeps_the_stream(self, monkeypatch):
         # After the N calls that place the initial state -t, 0, t, every step

@@ -18,7 +18,8 @@ from cuemoments.symfunc import (
     vandermonde_squared,
     xi_poly,
 )
-from oracles import a_coeff_bruteforce, fraction_dict_add, fraction_dict_mul, variable
+from oracles import (a_coeff_bruteforce, a_coeff_double_sum, fraction_dict_add,
+                     fraction_dict_mul, variable)
 
 
 # Mixed denominators and negatives; the +-1 and +-1/2 values make partial
@@ -205,6 +206,18 @@ class TestACoeff:
                 for l in range(0, min(n, N) + 1):
                     assert a_coeff(n, l, N) == a_coeff_bruteforce(n, l, N), \
                         (n, l, N)
+
+    def test_krawtchouk_form_matches_double_sum(self):
+        for N in range(1, 13):
+            for n in range(0, 25):
+                for l in range(0, min(n, N) + 1):
+                    assert a_coeff(n, l, N) == a_coeff_double_sum(n, l, N), \
+                        (n, l, N)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 64])
+    def test_krawtchouk_form_matches_double_sum_at_N100(self, n):
+        for l in range(0, n + 1):
+            assert a_coeff(n, l, 100) == a_coeff_double_sum(n, l, 100), (n, l)
 
     def test_diagonal(self):
         for n in range(0, 7):

@@ -54,13 +54,13 @@ MAX_CONSTANT_S = 16
 # 2.0 s at s = 6, 4.0 s at s = 8, 7.3 s at s = 10) and 3.6 s at N = 16, s = 1
 MAX_P5_N = 12
 MAX_P5_S = 6
-# painleve --mode p3-limit at the default --series-order 12 takes 0.03 s at
-# s = 7, 0.33 s at s = 10 (0.6 s at order 20), 0.65 s at s = 11 and 1.7 s at
-# s = 12: the s x s determinant has 2^s minors
-MAX_P3_S = 10
-# painleve --mode p3-limit at s = 10 takes 0.5 s at --series-order 16, 1.8 s
-# at 32, 2.9 s at 40 and 4.3 s at 48; at s = 1, 1.2 s at order 200 and
-# 4.9 s at 300
+# painleve --mode p3-limit at --series-order 40 takes 0.16 s at s = 10, 0.95 s
+# at s = 16, 1.3-1.7 s at s = 20, 1.5-2.1 s at s = 21 and 3.0 s at s = 24 (the
+# s x s determinant by elimination); at the default order 12, 0.17 s at s = 20
+MAX_P3_S = 20
+# painleve --mode p3-limit at s = 20 takes 0.33 s at --series-order 16, 0.87 s
+# at 32, 1.5 s at 40 and 2.4 s at 48; at s = 1, 0.7 s at order 200 and
+# 2.8 s at 300
 MAX_P3_ORDER = 40
 # hankel-verify at every bound at once (N = 4, s = 10, l = 10, k = 5) takes
 # 4.7 s; one step past a bound takes 7.6 s at k = 6, 8.0 s at s = l = 14 and

@@ -406,8 +406,8 @@ def _shifted_det(entry, cols, memo):
     """det[entry(i + c_j)] over rows i = 0..n-1 and the columns c_j of the
     tuple `cols`, over any commutative ring (only products, sums and
     differences). Expanded along the last row; every minor is memoised in
-    `memo` on its column tuple, so determinants that share columns share
-    their minors: 2^n minors in place of n! permutation terms."""
+    `memo` on its column tuple, so determinants that share columns (the
+    partitions of Psi_ms) share their minors: 2^n in place of n! terms."""
     det = memo.get(cols)
     if det is not None:
         return det

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 from .exact import (PowerSeries, RationalFunction, DEFAULT_SERIES_ORDER,
                     _mul_t, series_logderiv)
-from .hankel import _shifted_det, hankel_det
+from .hankel import hankel_det
 
 # zeta'(-1) and the Bernoulli numbers B_4, B_6, ..., B_14 of log_barnes_G
 _ZETA_PRIME_MINUS_1 = -0.16542114370045092921
 _BERNOULLI_4_TO_14 = (-1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-# phi_eval is within 1e-9 relative of the exact phi_s at t = 1, 5, 20 and 60
-# for s <= 4 (3.4e-10 at s = 4, t = 60); at t = 60 it is off by 1.3e-7 at s = 5
+# fractional_moment_q1 drops phi_s beyond t = 60: under 2e-10 of the moment for
+# s <= 4, but phi_5(60) = 1.6e-6 (phi_eval is within 1.7e-12 relative for s <= 4)
 MAX_FLOAT_PHI_S = 4
 
 
@@ -56,8 +56,18 @@ def _g_series(nu, order):
 
 def _phi(s, gs, exp_neg_t):
     """prefactor * det[g_{j+k+1}(t)] * e^{-t} from gs[nu - 1] = g_nu and e^{-t},
-    exact PowerSeries or floats, on the memoised minors of _shifted_det."""
-    det = _shifted_det(gs.__getitem__, tuple(range(s)), {})
+    exact PowerSeries or floats; det = the product of the elimination's pivots."""
+    # No row exchange is needed on series: g_nu(0) = 1/nu!, so pivot r has
+    # constant term D_{r+1}/D_r, D_r = det[1/(j+k+1)!]_{r x r} = (-1)^{r(r-1)/2}
+    # G(r+1)^2/G(2r+1) != 0 (phi_r(0) = 1), and every division is by a unit
+    rows = [gs[j:j + s] for j in range(s)]
+    det = 1
+    while rows:
+        top = rows.pop(0)
+        det = det * top[0]
+        for i, row in enumerate(rows):
+            f = row[0] / top[0]
+            rows[i] = [x - f * y for x, y in zip(row[1:], top[1:])]
     pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                     barnes_G_int(s + 1) ** 2)
     return pref * det * exp_neg_t
@@ -161,7 +171,7 @@ def painleve5_residual(tau, N, s):
 
 def phi_eval(s, t):
     """Float evaluation of phi_s at t >= 0 from float g-sums, accurate to
-    1e-9 relative for s <= MAX_FLOAT_PHI_S."""
+    1e-11 relative for s <= MAX_FLOAT_PHI_S."""
     if not 1 <= s <= MAX_FLOAT_PHI_S or t < 0:
         raise ValueError("1 <= s <= %d and t >= 0 required" % MAX_FLOAT_PHI_S)
 
@@ -196,7 +206,7 @@ def fractional_moment_q1(p, s):
         raise ValueError("p in (0,2) required")
     if not 1 <= s <= MAX_FLOAT_PHI_S:
         raise ValueError("1 <= s <= MAX_FLOAT_PHI_S = %d required: beyond it "
-                         "the float phi_s loses 1e-9 accuracy" % MAX_FLOAT_PHI_S)
+                         "the dropped tail phi_s(t > 60) counts" % MAX_FLOAT_PHI_S)
     C_p = cos_constant(p)
     # [0,1] via exact series coefficients of phi
     phi = phi_series(s, 40)

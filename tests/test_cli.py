@@ -332,6 +332,13 @@ class TestPainleve:
         assert doc["result"]["tau_leading_coefficient"] == "-1/12"
         assert all(c == "0/1" for c in doc["result"]["residual_coefficients"])
 
+    def test_p3_limit_past_the_old_minor_bound(self, capsys):
+        # s = 12 was beyond the bound while phi_s took 2^s minors
+        code, doc, _ = run_cli(capsys, "painleve", "--mode", "p3-limit",
+                               "--s", "12", "--series-order", "12")
+        assert code == 0
+        assert doc["result"]["residual_zero_through_order"] is True
+
     def test_bad_s_exit_2(self, capsys):
         code = main(["painleve", "--mode", "p3-limit", "--s", "0"])
         capsys.readouterr()
@@ -504,7 +511,7 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (["hankel-verify", "--l", "11"], "--l must be <= 10"),
     (["hankel-verify", "--k", "6"], "--k must be <= 5"),
     (["painleve", "--mode", "p5-finite", "--N", "1", "--s", "7"], "--s <= 6"),
-    (["painleve", "--mode", "p3-limit", "--s", "11"], "--s <= 10"),
+    (["painleve", "--mode", "p3-limit", "--s", "21"], "--s <= 20"),
     (["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "41"],
      "--series-order must be >= 0 and <= 40"),
     (_MC + ["--N", "101", "--orders", "1", "--exponents", "2", "--chains", "1",

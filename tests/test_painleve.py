@@ -58,11 +58,16 @@ class TestPhiSeries:
         series_val = sum(float(c) * t ** k for k, c in enumerate(p.coeffs))
         assert phi_eval(s, t) == pytest.approx(series_val, rel=1e-9)
 
-    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("s", range(1, 9))
     def test_minor_kernel_matches_permutation_expansion(self, s):
+        # the elimination of phi_series against the s! permutation terms for
+        # s <= 6, and against the memoised minors of _shifted_det beyond
         K = 10
-        det = det_perm([[_g_series(j + k + 1, K) for k in range(s)]
-                        for j in range(s)])
+        gs = [_g_series(nu, K) for nu in range(1, 2 * s)]
+        if s <= 6:
+            det = det_perm([gs[j:j + s] for j in range(s)])
+        else:
+            det = _shifted_det(gs.__getitem__, tuple(range(s)), {})
         pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                         barnes_G_int(s + 1) ** 2)
         exp_neg_t = PowerSeries([Fraction((-1) ** m, math.factorial(m))
@@ -70,6 +75,16 @@ class TestPhiSeries:
         ref = pref * det * exp_neg_t
         phi = phi_series(s, K)
         assert (phi.order, phi.coeffs) == (ref.order, ref.coeffs)
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_elimination_pivots_are_units(self, r):
+        # the constant terms of the leading r x r minors of [g_{j+k+1}] are
+        # D_r = det[1/(j+k+1)!] = (-1)^{r(r-1)/2} G(r+1)^2/G(2r+1) != 0, so
+        # every pivot of _phi's elimination has a nonzero constant term
+        D = _shifted_det(lambda nu: Fraction(1, math.factorial(nu + 1)),
+                         tuple(range(r)), {})
+        assert D == Fraction((-1) ** (r * (r - 1) // 2) * barnes_G_int(r + 1) ** 2,
+                             barnes_G_int(2 * r + 1))
 
     def test_float_route_rejects_s_below_one(self):
         with pytest.raises(ValueError):
@@ -85,7 +100,9 @@ class TestPhiSeries:
         pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                         barnes_G_int(s + 1) ** 2)
         exact = float(pref * _shifted_det(gs.__getitem__, tuple(range(s)), {}))
-        assert phi_eval(s, t) == pytest.approx(exact * math.exp(-t), rel=1e-9)
+        # abs=0: pytest.approx's default abs=1e-12 outweighs rel=1e-11 for
+        # every phi below 0.1, and phi_4(60) = 2.4e-8
+        assert phi_eval(s, t) == pytest.approx(exact * math.exp(-t), rel=1e-11, abs=0)
 
     def test_float_route_rejects_s_above_bound(self):
         with pytest.raises(ValueError, match="<= %d" % MAX_FLOAT_PHI_S):

@@ -81,7 +81,7 @@ def _times(num, den, c):
 
 def _convolve_into(out, a, b):
     """out[i + j] += a[i] * b[j] for all i + j < len(out), on ints: the one
-    product kernel of Poly, PowerSeries and hankel.MultiSeries."""
+    product kernel of Poly and PowerSeries."""
     n = len(out)
     for i, x in enumerate(a[:n]):
         if x:

@@ -5,12 +5,13 @@ and exact verification of the Section-4-style identity suite
 (derivative/three-term recurrences, alternating sums, initial conditions, the
 vector recursion, and the two characteristic-function relations).
 
-Everything here is exact: theta_m is e^{-t} times a polynomial with rational
-coefficients, so every determinant, derivative, trace, and residual is a known
-exponential e^{-ct} times a polynomial. Each function returns the Poly after
-that factor, and its docstring names c: 1 for theta, 1/N for theta(t/N), N for
-an N x N determinant. exp_derivative differentiates through the factor, and a
-MultiSeries carries one c for all its coefficients.
+Everything here is exact: theta_m is e^{-t} times an integer polynomial, so
+every determinant, derivative, trace, and residual is a known exponential
+e^{-ct} times a polynomial. Each function returns the Poly after that factor,
+and its docstring names c: 1 for theta, N for an N x N determinant of them.
+exp_derivative differentiates through the factor, and a MultiSeries carries
+one c for all its coefficients. The boldface series Psi_ms is a weighted sum
+of integer theta minors, by multilinearity in the columns: no series product.
 """
 
 import functools
@@ -19,7 +20,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import Poly, _convolve_into, _lowest
+from .exact import Poly, _lowest, _scale_arg
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +54,6 @@ def theta(m, N, s):
     return Poly(coeffs)
 
 
-@functools.lru_cache(maxsize=None)
-def theta_scaled(m, N, s):
-    """theta_m(t/N): the Poly after e^{-t/N}."""
-    return theta(m, N, s).scale_arg(Fraction(1, N))
-
-
 def theta_derivative_residual(m, N, s):
     """d theta_m/dt - (theta_m - 2 theta_{m+1}): the Poly after e^{-t};
     identically zero."""
@@ -83,8 +78,8 @@ def theta_three_term_residual(gamma, N, s):
 
 def det_perm(mat):
     """Determinant by signed permutation expansion, over any commutative ring
-    (Poly, MultiSeries, PowerSeries, Fraction, float): only products, sums
-    and a sign flip, so no division is needed."""
+    (Poly, PowerSeries, Fraction, float): only products, sums and a sign
+    flip, so no division is needed."""
     n = len(mat)
     total = None
     for perm in itertools.permutations(range(n)):
@@ -250,10 +245,10 @@ class MultiSeries:
     total degree the stored coefficients are valid.
 
     The polynomials are integer numerator lists (ascending, no trailing zero)
-    over one common denominator `den`: a product multiplies the denominators
-    and every linear combination (`lincomb`, behind +, - and `scal`) brings
-    its terms to their lcm, so no coefficient is normalised until it leaves
-    the class as a Poly through `terms`.
+    over one common denominator `den`: every linear combination (`lincomb`,
+    behind +, - and `scal`) brings its terms to their lcm, so no coefficient
+    is normalised until it leaves the class as a Poly through `terms`. There
+    is no series product: Psi_ms is built from theta minors (`_psi_cols`).
     """
 
     __slots__ = ("nv", "cap", "ord", "c", "num", "den")
@@ -317,28 +312,6 @@ class MultiSeries:
 
     def __sub__(self, other):
         return self.lincomb([(-1, other)])
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiSeries):
-            return self.scal(other)
-        self._check(other)
-        right = [(e, sum(e), v) for e, v in other.num.items()]
-        out = {}
-        for e1, u in self.num.items():
-            room = self.cap - sum(e1)
-            for e2, d2, v in right:
-                if d2 > room:
-                    continue
-                e = tuple(map(operator.add, e1, e2))
-                n = len(u) + len(v) - 1
-                acc = out.get(e)
-                if acc is None:
-                    acc = out[e] = [0] * n
-                elif len(acc) < n:
-                    acc.extend([0] * (n - len(acc)))
-                _convolve_into(acc, u, v)
-        return self._with(_nonzero(out), self.den * other.den,
-                          min(self.ord, other.ord), self.c + other.c)
 
     def scal(self, c):
         """Multiply by an int or a Fraction."""
@@ -406,8 +379,9 @@ def _shifted_det(entry, cols, memo):
     """det[entry(i + c_j)] over rows i = 0..n-1 and the columns c_j of the
     tuple `cols`, over any commutative ring (only products, sums and
     differences). Expanded along the last row; every minor is memoised in
-    `memo` on its column tuple, so determinants that share columns (the
-    partitions of Psi_ms) share their minors: 2^n in place of n! terms."""
+    `memo` on its column tuple, so determinants that share columns share
+    their minors: 2^n in place of n! terms. On the integer theta
+    (`_THETA_MINORS`) one memo serves every column tuple of Psi_ms."""
     det = memo.get(cols)
     if det is not None:
         return det
@@ -429,45 +403,73 @@ def _shifted_det(entry, cols, memo):
     return det
 
 
+# The minor memos of _shifted_det on the integer theta, one per (N, s), keyed
+# by increasing column tuples and shared by every partition, shift, k and cap
+_THETA_MINORS = {}
+
+
 @functools.lru_cache(maxsize=None)
-def psi_multiseries(N, s, gamma, k, cap):
-    """The rescaled building-block function as a MultiSeries with decay 1/N:
-    coefficient of prod t_l^{m_l} is theta_{gamma+sum l*m_l}(t_1/N)
-    / (N^{sum m_l} * prod m_l!)."""
-    nv = k - 1
+def _monomial_tuples(N, k, cap):
+    """{(M, w): weight} for the N-tuples of monomials (m_0..m_{N-1}) in
+    t_2..t_k that add up to an M of degree <= cap: w = (w(m_0)..w(m_{N-1}))
+    with w(m) = sum_q q m_q, and the integer weight is the sum of
+    prod_q M_q! / prod_j m_j! (a product of multinomials) over the tuples."""
+    monos = [(m, sum(m), sum(q * x for q, x in enumerate(m, 2)))
+             for m in itertools.product(range(cap + 1), repeat=k - 1) if sum(m) <= cap]
+    table = {((0,) * (k - 1), ()): 1}
+    for _ in range(N):
+        grown = {}
+        for (M, w), weight in table.items():
+            for m, size, shift in monos:
+                if size <= cap - sum(M):
+                    key = (tuple(map(operator.add, M, m)), w + (shift,))
+                    grown[key] = grown.get(key, 0) + weight * math.prod(
+                        map(math.comb, key[0], m))
+        table = grown
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_cols(N, s, k, cap, cols):
+    """det[psi(i + c_j)] for the column tuple `cols`, where
+    psi(g) = sum_m t^m theta_{g+w(m)}(t_1/N) / (N^{|m|} m!): a MultiSeries
+    with decay 1, built with no series product. By multilinearity in the
+    columns its t^M coefficient is the sum over _monomial_tuples of
+    weight * det[theta_{i + c_j + w_j}] / (N^{|M|} prod_q M_q!), in t_1/N;
+    each determinant is the theta minor at the sorted columns, signed by the
+    sort and zero when a column repeats."""
+    signed = {}
+    for (M, w), weight in _monomial_tuples(N, k, cap).items():
+        d = list(map(operator.add, cols, w))
+        if sum(a > b for i, a in enumerate(d) for b in d[i + 1:]) % 2:
+            weight = -weight
+        d.sort()
+        if not any(map(operator.eq, d, d[1:])):
+            minors = signed.setdefault(M, {})
+            minors[tuple(d)] = minors.get(tuple(d), 0) + weight
+    memo = _THETA_MINORS.setdefault((N, s), {})
     terms = {}
-    for expo in itertools.product(range(cap + 1), repeat=nv):
-        if sum(expo) > cap:
-            continue
-        shift = sum((l + 2) * m for l, m in enumerate(expo))
-        denom = N ** sum(expo)
-        for m in expo:
-            denom *= math.factorial(m)
-        terms[expo] = theta_scaled(gamma + shift, N, s) * Fraction(1, denom)
-    return MultiSeries(nv, cap, cap, terms, Fraction(1, N))
-
-
-@functools.lru_cache(maxsize=None)
-def _psi_minors(N, s, k, cap):
-    """The minor memo of _shifted_det, shared by every partition and shift
-    of one (N, s, k, cap)."""
-    return {}
-
-
-def _psi_det(N, s, k, cap, cols):
-    """det[psi_multiseries(i + c_j)] for the column tuple `cols`."""
-    return _shifted_det(lambda g: psi_multiseries(N, s, g, k, cap), cols,
-                        _psi_minors(N, s, k, cap))
+    for M, minors in signed.items():
+        acc = []
+        for d, weight in minors.items():
+            # integer theta, so every minor has denominator 1
+            num = _shifted_det(lambda g: theta(g, N, s), d, memo).num
+            acc.extend([0] * (len(num) - len(acc)))
+            for i, x in enumerate(num):
+                acc[i] += weight * x
+        den = N ** sum(M) * math.prod(map(math.factorial, M))
+        terms[M] = Poly._raw(*_lowest(*_scale_arg(acc, den, Fraction(1, N))))
+    return MultiSeries(k - 1, cap, cap, terms, 1)
 
 
 def Psi_ms(N, s, parts, k, cap):
     """Boldface (rescaled) shifted Hankel determinant as a MultiSeries with
-    decay 1, kept in the minor memo; zero for partitions with more than N
-    parts."""
+    decay 1: _psi_cols at the columns of the partition; zero for partitions
+    with more than N parts."""
     parts = tuple(parts)
     if len(parts) > N:
         return MultiSeries(k - 1, cap)
-    return _psi_det(N, s, k, cap, tuple(_columns(N, parts)))
+    return _psi_cols(N, s, k, cap, tuple(_columns(N, parts)))
 
 
 def initial_condition_residuals(N, s):

@@ -156,18 +156,14 @@ def _run_chain(N, s, burn_in, samples, thin, scale, seed):
 def sample_hp(config):
     """Sample the Hua-Pickrell eigenvalue density by Metropolis-within-Gibbs;
     deterministic function of the config (chains merged in index order)."""
-    all_draws = []
-    acc = 0.0
-    for c in range(config.chains):
-        seed_c = derive_chain_seed(config.seed, c)
-        draws, rate = _run_chain(config.N, config.s, config.burn_in,
-                                 config.samples, config.thin,
-                                 config.proposal_scale, seed_c)
-        all_draws.append(draws)
-        acc += rate
-    acc /= config.chains
+    chains = [_run_chain(config.N, config.s, config.burn_in, config.samples, config.thin,
+                         config.proposal_scale, derive_chain_seed(config.seed, c))
+              for c in range(config.chains)]
+    acc = sum(rate for _, rate in chains) / config.chains
     flagged = not (0.05 <= acc <= 0.95)
-    return SampleBatch(config, np.concatenate(all_draws, axis=0), acc, flagged)
+    # one chain's draws are returned as they are, with no copy
+    draws = chains[0][0] if len(chains) == 1 else np.concatenate([d for d, _ in chains])
+    return SampleBatch(config, draws, acc, flagged)
 
 
 _BLOCKS = 32

@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import mul
 
 from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
-from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_det,
+from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_cols,
                                hankel_det, mixed_derivative, partition_kq, theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
 from cuemoments.sympoly import SymPoly
@@ -210,8 +210,8 @@ def weighted_alternating_residual(N, s, l):
 
 def Psi_trace_ms(N, s, parts, h, k, cap):
     """Boldface Psi_{N,lambda,h} as a MultiSeries: the sum over j of the
-    determinant with column j shifted by h; the minors without that column
-    are those of Psi_ms."""
+    determinant with column j shifted by h, each in the column-tuple form of
+    Psi_ms, whose theta minors it shares."""
     parts = tuple(parts)
     total = MultiSeries(k - 1, cap)
     if len(parts) > N:
@@ -219,7 +219,7 @@ def Psi_trace_ms(N, s, parts, h, k, cap):
     cols = _columns(N, parts)
     for j in range(N):
         shifted = tuple(cols[:j] + [cols[j] + h] + cols[j + 1:])
-        total = total + _psi_det(N, s, k, cap, shifted)
+        total = total + _psi_cols(N, s, k, cap, shifted)
     return total
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, RationalFunction, _convolve_into, _lowest, _scaled_ints
+from .exact import RationalFunction, _divide_out, _scaled_ints, _times_factor
 from .sympoly import SymPoly
 from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
 
@@ -59,12 +59,6 @@ def domain(exponents):
     d = sum exponents in the integrand, and d + 2(N-1) (with Delta^2) must
     stay below 2(s+N) - 1 against the weight (1+x^2)^{-(s+N)}."""
     return (Fraction(sum(exponents)) - 1) / 2
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_power(k, r):
-    """(2s + k)^r, a power of a linear factor of the weight moments."""
-    return _factor_power(k, r - 1) * Poly((k, 2)) if r else Poly.const(1)
 
 
 def _pack(e, shifts):
@@ -128,60 +122,82 @@ def _even_moments(P, m):
     return {key: Fraction(v, P.den) for key, v in moments.items() if v}
 
 
-def _numerators(aggs, m):
-    """The numerators of <Q> for the even moments agg of each Q in aggs (as
-    `_even_moments` returns them) over one denominator prod_j d_j^{E_j}, where
-    d_j = 2s + 2m - 1 - 2j and E_j is the most parts >= j of any key.
+def _numerator(agg, m):
+    """<Q> for the even moments agg of Q (as `_even_moments` returns them) as
+    (num, c, counts): <Q> = c num(u) / prod_j d_j^{E_j}, with num the int
+    coefficients of a polynomial in u = 2s, d_j = u + 2m - 1 - 2j, E_j the
+    most parts >= j of any key, and counts {2m - 1 - 2j: E_j}.
 
     A monomial with halved exponents key factors into one-dimensional weight
     moments, prod_{p in key} prod_{j <= p} (2j - 1)/d_j, up to the
     normalization of the weight, which cancels in every ratio callers take.
     """
-    keys = {key for agg in aggs for key in agg}
-    E = [max(sum(p >= j for p in key) for key in keys)
-         for j in range(1, max((key[0] for key in keys), default=0) + 1)]
+    E = [max(sum(p >= j for p in key) for key in agg)
+         for j in range(1, max((key[0] for key in agg), default=0) + 1)]
+    ints, den = _scaled_ints(list(agg.values()))
     # the int coefficients of prod_j d_j^{r_j} for each factor-exponent
-    # vector r, shared between the aggs
+    # vector r, shared between the keys
     factors = {}
-    nums = []
-    for agg in aggs:
-        ints, den = _scaled_ints(list(agg.values()))
-        num = []
-        for key, c in zip(agg, ints):
-            r = tuple(e - sum(p >= j for p in key) for j, e in enumerate(E, 1))
-            f = factors.get(r)
-            if f is None:
-                f = [1]
-                for j, rj in enumerate(r, 1):
-                    if rj:
-                        g = _factor_power(2 * m - 1 - 2 * j, rj).num
-                        f = _convolve_into([0] * (len(f) + len(g) - 1), f, g)
-                factors[r] = f
-            c *= math.prod(math.prod(range(1, 2 * p, 2)) for p in key)
-            if len(num) < len(f):
-                num += [0] * (len(f) - len(num))
-            for i, x in enumerate(f):
-                num[i] += c * x
-        nums.append(Poly._raw(*_lowest(num, den)))
-    return nums
+    num = []
+    for key, c in zip(agg, ints):
+        r = tuple(e - sum(p >= j for p in key) for j, e in enumerate(E, 1))
+        f = factors.get(r)
+        if f is None:
+            f = [1]
+            for j, rj in enumerate(r, 1):
+                f = _times_factor(f, 2 * m - 1 - 2 * j, rj) if rj else f
+            factors[r] = f
+        c *= math.prod(math.prod(range(1, 2 * p, 2)) for p in key)
+        if len(num) < len(f):
+            num += [0] * (len(f) - len(num))
+        for i, x in enumerate(f):
+            num[i] += c * x
+    return num, Fraction(1, den), {2 * m - 1 - 2 * j: e for j, e in enumerate(E, 1)}
+
+
+def _linear_factors(num, ks):
+    """(c, roots) with num(u) = c prod_k (u + k)^roots[k] for an int list num
+    whose roots are all among the ints ks, found by root tests at u = -k;
+    ArithmeticError when a nonconstant quotient is left."""
+    roots = {}
+    for k in ks:
+        num, roots[k] = _divide_out(num, k, len(num))
+    if len(num) != 1 or not num[0]:
+        raise ArithmeticError("the numerator does not split into factors u + k, k in %s" % (ks,))
+    return num[0], {k: t for k, t in roots.items() if t}
+
+
+def _over(counts, other):
+    """The factor counts of a quotient: counts minus other, zeros dropped."""
+    out = {k: counts.get(k, 0) - other.get(k, 0) for k in counts.keys() | other.keys()}
+    return {k: e for k, e in out.items() if e}
 
 
 @functools.lru_cache(maxsize=None)
-def _delta2_moments(m):
-    """The even moments of Delta^2 in m variables, the normalization <Delta^2>."""
-    return _even_moments(SymPoly.const(m, 1), m)
+def _delta2_factors(m):
+    """<Delta^2> in m variables as (c, counts), <Delta^2> = c / prod_k (2s +
+    k)^counts[k], computed once per arity: its numerator over the d_j splits
+    into factors 2s + k with k in [-4m, 4m] (ROADMAP F5)."""
+    num, c, counts = _numerator(_even_moments(SymPoly.const(m, 1), m), m)
+    const, roots = _linear_factors(num, range(-4 * m, 4 * m + 1))
+    return c * const, _over(counts, roots)
 
 
-def hp_expectation(P, m):
-    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as an exact RationalFunction."""
+def _expectation(P, m):
+    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as a term (num, c, counts) of
+    RationalFunction.from_factors."""
     if m > MAX_EXACT_ARITY:
         raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
     if P.arity != m:
         raise ValueError("polynomial arity does not match m")
-    num, den = _numerators((_even_moments(P, m), _delta2_moments(m)), m)
-    if den.is_zero():
-        raise ZeroDivisionError("degenerate normalization")
-    return RationalFunction(num, den)
+    num, c, counts = _numerator(_even_moments(P, m), m)
+    c_delta, delta = _delta2_factors(m)
+    return num, c / c_delta, _over(counts, delta)
+
+
+def hp_expectation(P, m):
+    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as an exact RationalFunction."""
+    return RationalFunction.from_factors([_expectation(P, m)])
 
 
 def _exact_degree(spec):
@@ -216,14 +232,14 @@ def limiting_moment(orders, exponents):
     pref = Fraction(1, math.factorial(L))
     for n, e in zip(spec.orders, spec.exponents):
         pref *= Fraction(math.factorial(n)) ** e
-    total = RationalFunction(Poly())
+    terms = []
     for m in range(spec.orders[0], L + 1):
-        sign = (-1) ** (m + L)
         P = SymPoly.const(m, 1)
         for n, two_h in zip(spec.orders, spec.exponents):
             P = P * elementary(n, m) ** int(two_h)
-        total = total + (sign * math.comb(L, m)) * hp_expectation(P, m)
-    return RationalFunction.const(pref) * total
+        num, c, counts = _expectation(P, m)
+        terms.append((num, (-1) ** (m + L) * math.comb(L, m) * pref * c, counts))
+    return RationalFunction.from_factors(terms)
 
 
 def finite_joint_moment(spec):
@@ -251,42 +267,26 @@ def finite_joint_moment(spec):
             P = P * xi_poly(n, N) ** int(two_h)
     else:
         P = v_variant_integrand(spec.orders, spec.exponents, N)
-    return RationalFunction.const(Fraction(1, 2 ** L)) * hp_expectation(P, N)
-
-
-def _poly_prod(factors):
-    out = Poly.const(1)
-    for f in factors:
-        out = out * f
-    return out
+    # the 2^{-L} as a factor of the integrand's denominator
+    return hp_expectation(SymPoly._raw(N, P.num, P.den << L), N)
 
 
 def oracle_second_moment_Y(n):
-    """Closed-form second moment of Y_n: a double binomial sum with Gamma
-    ratios expanded as finite products of linear factors in s."""
+    """Closed-form second moment of Y_n: the double binomial sum over i, j of
+    C(n,i) C(n,j) (-2)^{i+j-2n} Gamma(s+i) Gamma(s+j) / Gamma(s)^2
+    prod_{l>i} (2s+l-2) prod_{l>j} (2s+l-2) / (2s-1+i+j), times
+    2^{2n} (2s-1) / prod_{l=1}^n (2s+l-2)^2. With s + l = (2s + 2l)/2 every
+    term is (-1)^{i+j} C(n,i) C(n,j) over factor counts of 2s + k."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    # prefactor 2^{2n} (2s-1) / prod_{l=1}^n (2s-2+l)^2
-    pref_num = Poly.const(2 ** (2 * n)) * Poly((-1, 2))
-    pref_den = _poly_prod([Poly((l - 2, 2)) for l in range(1, n + 1)] * 2)
-    total = RationalFunction(Poly())
+    terms = []
     for i in range(n + 1):
         for j in range(n + 1):
-            c = Fraction(math.comb(n, i) * math.comb(n, j), (-2) ** (2 * n - i - j))
-            num = Poly.const(c)
-            # Gamma(s+i)/Gamma(s) * Gamma(s+j)/Gamma(s)
-            for l in range(i):
-                num = num * Poly((l, 1))
-            for l in range(j):
-                num = num * Poly((l, 1))
-            # Gamma(2s-1+n+1)/Gamma(2s-1+i+1)-style tails as products
-            for l in range(i + 1, n + 1):
-                num = num * Poly((l - 2, 2))
-            for l in range(j + 1, n + 1):
-                num = num * Poly((l - 2, 2))
-            den = Poly((i + j - 1, 2))  # 2s-1+i+j
-            total = total + RationalFunction(num, den)
-    return RationalFunction(pref_num, pref_den) * total
+            counts = collections.Counter([i + j - 1] + [l - 2 for l in range(1, i + 1)]
+                                         + [l - 2 for l in range(1, j + 1)])
+            counts.subtract([-1] + [2 * l for l in range(i)] + [2 * l for l in range(j)])
+            terms.append(([1], (-1) ** (i + j) * math.comb(n, i) * math.comb(n, j), counts))
+    return RationalFunction.from_factors(terms)
 
 
 def oracle_second_moment_V(n):
@@ -294,31 +294,25 @@ def oracle_second_moment_V(n):
     2^{2n} (2s-1)/(2s-1+2n) * prod_{l=1}^n ((l+s-1)/(l+2s-2))^2.
 
     With (l+s-1)^2 = (2s+2l-2)^2/4 the constant is 1, and every factor is
-    some 2s + k: counting their exponents cancels the shared ones, so the
-    quotient is built coprime."""
+    some 2s + k, so the quotient is its net factor counts."""
     if n < 0:
         raise ValueError("n >= 0 required")
-    num = collections.Counter([-1] + [2 * l - 2 for l in range(1, n + 1)] * 2)
-    den = collections.Counter([2 * n - 1] + [l - 2 for l in range(1, n + 1)] * 2)
-    return RationalFunction(
-        _poly_prod(_factor_power(k, r) for k, r in (num - den).items()),
-        _poly_prod(_factor_power(k, r) for k, r in (den - num).items()))
+    counts = collections.Counter([2 * n - 1] + [l - 2 for l in range(1, n + 1)] * 2)
+    counts.subtract([-1] + [2 * l - 2 for l in range(1, n + 1)] * 2)
+    return RationalFunction.from_factors([([1], 1, counts)])
 
 
 def oracle_finiteN_F20(N):
     """Closed-form finite-size value of the second-derivative joint moment
-    ratio (quartic in N over linear factors of s), including the 1/16."""
+    ratio (quartic in N over linear factors of s), including the 1/16:
+    (N^4 + 4N^3 s)/(ab) + (4N^2 (2s^3 + s^2 - 1) - 8N s)/(abc) over 16, with
+    a = 2s + 3, b = 2s - 1, c = 2s + 1; in u = 2s the numerators are
+    N^4 + 2N^3 u and N^2 (u^3 + u^2 - 4) - 4N u."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    a = Poly((3, 2))   # 2s+3
-    b = Poly((-1, 2))  # 2s-1
-    c = Poly((1, 2))   # 2s+1
-    term1 = RationalFunction(Poly.const(N ** 4), a * b)
-    term2 = RationalFunction(Poly.const(4 * N ** 3) * Poly((0, 1)), a * b)
-    cubic = Poly((-1, 0, 1, 2))  # 2s^3 + s^2 - 1
-    term3 = RationalFunction(Poly.const(4 * N ** 2) * cubic, a * b * c)
-    term4 = RationalFunction(Poly.const(-8 * N) * Poly((0, 1)), a * b * c)
-    return RationalFunction.const(Fraction(1, 16)) * (term1 + term2 + term3 + term4)
+    return RationalFunction.from_factors([
+        ([N ** 4, 2 * N ** 3], Fraction(1, 16), {3: 1, -1: 1}),
+        ([-4 * N ** 2, -4 * N, N ** 2, N ** 2], Fraction(1, 16), {3: 1, -1: 1, 1: 1})])
 
 
 def keating_snaith_constant(s):

@@ -39,7 +39,7 @@ from .cauchy import (
     limiting_moment,
     oracle_second_moment_V,
 )
-from .exact import rat_to_str
+from .exact import _ratio, rat_to_str
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -72,10 +72,10 @@ MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # costs most at N = 1: 2e6 sweeps take 3.1 s and 157 MB there (0.8 s at N = 14)
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
-# The V closed form of leading-coeff is built coprime, but its gcd check still
-# reduces two polynomials of degree about n: at --eval-s 5/3 it takes 0.1 s at
-# order 64, 0.3 s at 80, 0.9 s at 96 and 16 s at 160
-MAX_V_ORDER = 64
+# The V closed form of leading-coeff is its net factor counts, with no gcd: at
+# --eval-s 5/3 it takes 0.01 s at order 160, 0.06 s at 320 (a 0.6 MB document)
+# and 0.18 s at 512 (1.6 MB); past about 550 that value leaves the float range
+MAX_V_ORDER = 320
 # mc-estimate builds Xi_1..Xi_n from exact a_{n,l}(N), N + 1 big integer
 # powers per entry: 64 sweeps take 0.39 s at N = 100, n = 64 (0.21 s at n = 32,
 # 0.5 s at n = 100) and 0.08 s at N = 50, n = 64
@@ -210,7 +210,8 @@ def _ratfun_json(rf):
 
 
 def _series_json(ps, through):
-    return [rat_to_str(c) for c in ps.coeffs[:through + 1]]
+    n = min(through, ps.order) + 1
+    return ["%d/%d" % _ratio(x, ps.den) for x in ps.num[:n]] + ["0/1"] * (n - len(ps.num))
 
 
 def _canonical_dumps(obj):

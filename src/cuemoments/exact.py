@@ -10,7 +10,9 @@ and reduces its result with one gcd (none when the denominator is 1, as on
 the integer theta matrices); `coeffs` is a Fraction view for serialisation
 and display. `sympoly.SymPoly` shares the rule, with a dict of nonzero
 numerators keyed by exponent tuples in place of the tuple. A
-RationalFunction is a pair of Polys reduced by their gcd.
+RationalFunction is a coprime pair of Polys with a monic denominator: a pair
+of unknown structure is reduced by its gcd, while `from_factors` builds a
+quotient over known linear factors 2s + k with no gcd.
 """
 
 import math
@@ -77,6 +79,33 @@ def _times(num, den, c):
         return tuple(x * (c // g) for x in num), den // g
     c = Fraction(c)
     return _lowest([x * c.numerator for x in num], den * c.denominator)
+
+
+def _ratio(x, den):
+    """(p, q): the int x over the positive int den in lowest terms."""
+    g = math.gcd(x, den)
+    return x // g, den // g
+
+
+def _times_factor(a, k, r):
+    """The int list a times (u + k)^r, u = 2s: a power of a linear factor of
+    the moment denominators."""
+    return _convolve_into([0] * (len(a) + r), a, [math.comb(r, i) * k ** (r - i)
+                                                 for i in range(r + 1)])
+
+
+def _divide_out(a, k, most):
+    """(quot, times): the int list a divided by u + k, synthetically, while
+    it vanishes at u = -k, at most `most` times."""
+    times = 0
+    while times < most and len(a) > 1:
+        quot, acc = [0] * (len(a) - 1), 0
+        for i in range(len(a) - 1, 0, -1):
+            quot[i - 1] = acc = a[i] - k * acc
+        if a[0] != k * acc:
+            break
+        a, times = quot, times + 1
+    return a, times
 
 
 def _convolve_into(out, a, b):
@@ -271,26 +300,24 @@ class Poly:
         return Poly._raw(*_lowest(*_scale_arg(self.num, self.den, a)))
 
     def to_json(self):
-        return [rat_to_str(c) for c in self.coeffs]
+        return ["%d/%d" % _ratio(x, self.den) for x in self.num]
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, x in enumerate(self.num):
+            if not x:
                 continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("%s*x" % c)
-            else:
-                parts.append("%s*x^%d" % (c, i))
+            p, q = _ratio(x, self.den)
+            c = "%d/%d" % (p, q) if q != 1 else "%d" % p
+            parts.append(c if i == 0 else c + "*x" if i == 1 else "%s*x^%d" % (c, i))
         return " + ".join(parts)
 
 
 class RationalFunction:
-    """Ratio of two Polys kept in canonical form: gcd-reduced, monic denominator."""
+    """Ratio of two Polys kept in canonical form: coprime, monic denominator.
+    The constructor reduces a pair by its gcd; `from_factors` needs none."""
 
     __slots__ = ("num", "den")
 
@@ -313,6 +340,40 @@ class RationalFunction:
             den = den.monic()
         self.num = num
         self.den = den
+
+    @staticmethod
+    def from_factors(terms):
+        """The sum of c num(2s) / prod_k (2s + k)^e over the terms (num, c,
+        counts) in canonical form: num the int coefficients of a polynomial
+        in u = 2s, c a rational, counts {k: e} with int e (a negative e
+        multiplies num). The terms are summed over the most of each factor,
+        and a factor is cancelled while the sum vanishes at u = -k; what is
+        left is coprime, so no gcd runs: the denominator is only expanded and
+        made monic."""
+        union = {}
+        for _, _, counts in terms:
+            for k, e in counts.items():
+                union[k] = max(union.get(k, 0), e)
+        weights, scale = _scaled_ints([c for _, c, _ in terms])
+        total = []
+        for (num, _, counts), w in zip(terms, weights):
+            for k, e in union.items():
+                if e != counts.get(k, 0):
+                    num = _times_factor(num, k, e - counts.get(k, 0))
+            total += [0] * (len(num) - len(total))
+            for i, x in enumerate(num):
+                total[i] += w * x
+        while total and not total[-1]:
+            total.pop()
+        den = [1]
+        for k, e in union.items() if total else ():
+            total, t = _divide_out(total, k, e)
+            den = _times_factor(den, k, e - t)
+        n = len(den) - 1
+        rf = object.__new__(RationalFunction)
+        rf.num = Poly._raw(*_lowest([x << i for i, x in enumerate(total)], scale << n))
+        rf.den = Poly._raw(*_lowest([x << i for i, x in enumerate(den)], 1 << n))
+        return rf
 
     @staticmethod
     def const(c):

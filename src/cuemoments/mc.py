@@ -75,8 +75,9 @@ _BLOCK = 256
 
 def _uniforms(seed, start, count):
     """The uniforms ((mix64(seed + c * GOLDEN mod 2^64) >> 11) + 0.5) / 2^53 in
-    (0, 1) of the stream of `seed` at counters c = start+1 .. start+count, as a
-    list of floats drawn in one array pass."""
+    (0, 1] of the stream of `seed` at counters c = start+1 .. start+count, as a
+    list of floats drawn in one array pass; 1.0 is reached, since
+    (2^53 - 1) + 0.5 rounds to 2^53."""
     z = _mix64(np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
                + (seed & _MASK))
     return (((z >> 11) + 0.5) / 9007199254740992.0).tolist()

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from cuemoments.cauchy import _even_moments
 from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_cols,
                                hankel_det, mixed_derivative, partition_kq, theta)
@@ -123,39 +124,54 @@ def weight_moment(r, m):
     return RationalFunction(Poly.const(num), den)
 
 
-def numerators_poly(aggs, m):
-    """cauchy._numerators term by term on Polys: each key's coefficient
-    times prod_{p in key} (2p - 1)!! times prod_j d_j^{r_j}, with d_j the
-    Poly 2s + 2m - 1 - 2j and r_j = E_j - #(parts >= j), multiplied in
-    factor by factor and summed as Polys."""
-    keys = {key for agg in aggs for key in agg}
-    E = [max(sum(p >= j for p in key) for key in keys)
-         for j in range(1, max((key[0] for key in keys), default=0) + 1)]
-    nums = []
-    for agg in aggs:
-        num = Poly()
-        for key, coeff in agg.items():
-            term = Poly.const(coeff * math.prod(math.prod(range(1, 2 * p, 2)) for p in key))
-            for j, e in enumerate(E, 1):
-                for _ in range(e - sum(p >= j for p in key)):
-                    term = term * Poly((2 * m - 1 - 2 * j, 2))
-            num = num + term
-        nums.append(num)
-    return nums
+def numerators_poly(agg, m):
+    """cauchy._numerator term by term on Polys in s: (num, den) with
+    <Q> = num/den up to the weight's normalization, den = prod_j d_j^{E_j}
+    for the Poly d_j = 2s + 2m - 1 - 2j, and each key's coefficient times
+    prod_{p in key} (2p - 1)!! times prod_j d_j^{r_j}, r_j = E_j - #(parts >=
+    j), multiplied in factor by factor and summed as Polys."""
+    E = [max(sum(p >= j for p in key) for key in agg)
+         for j in range(1, max((key[0] for key in agg), default=0) + 1)]
+    num = Poly()
+    for key, coeff in agg.items():
+        term = Poly.const(coeff * math.prod(math.prod(range(1, 2 * p, 2)) for p in key))
+        for j, e in enumerate(E, 1):
+            for _ in range(e - sum(p >= j for p in key)):
+                term = term * Poly((2 * m - 1 - 2 * j, 2))
+        num = num + term
+    den = Poly.const(1)
+    for j, e in enumerate(E, 1):
+        for _ in range(e):
+            den = den * Poly((2 * m - 1 - 2 * j, 2))
+    return num, den
 
 
-def second_moment_V_product(n):
+def hp_expectation_gcd(P, m):
+    """E_m[P] = <P Delta^2>/<Delta^2> by the gcd route: both numerators from
+    numerators_poly, and their quotient reduced by RationalFunction's gcd."""
+    num, den = numerators_poly(_even_moments(P, m), m)
+    num_d, den_d = numerators_poly(_even_moments(SymPoly.const(m, 1), m), m)
+    return RationalFunction(num * den_d, den * num_d)
+
+
+def second_moment_V_factors(n):
     """The V-variant second moment 2^{2n} (2s-1)/(2s-1+2n) *
-    prod_{l=1}^n ((l+s-1)/(l+2s-2))^2, multiplied out factor by factor: the
-    product reference for cauchy.oracle_second_moment_V."""
-    if n == 0:
-        return RationalFunction.const(1)
-    num = Poly.const(2 ** (2 * n)) * Poly((-1, 2))
+    prod_{l=1}^n ((l+s-1)/(l+2s-2))^2 as its numerator and denominator
+    Polys, multiplied out factor by factor and not reduced."""
+    num = Poly((-1, 2))
     den = Poly((2 * n - 1, 2))
     for l in range(1, n + 1):
         num = num * Poly((l - 1, 1)) * Poly((l - 1, 1))
         den = den * Poly((l - 2, 2)) * Poly((l - 2, 2))
-    return RationalFunction(num, den)
+    return num * 2 ** (2 * n), den
+
+
+def second_moment_V_product(n):
+    """second_moment_V_factors reduced by RationalFunction's gcd: the
+    product reference for cauchy.oracle_second_moment_V."""
+    if n == 0:
+        return RationalFunction.const(1)
+    return RationalFunction(*second_moment_V_factors(n))
 
 
 class CounterRNG:
@@ -172,7 +188,8 @@ class CounterRNG:
         return _mix64((self.seed + self.counter * _GOLDEN) & _MASK)
 
     def uniform(self):
-        """Uniform in (0, 1), 53-bit resolution, never exactly 0 or 1."""
+        """Uniform in (0, 1], 53-bit resolution: never 0, and exactly 1.0
+        when the top 53 bits are all set."""
         return ((self.next_u64() >> 11) + 0.5) / 9007199254740992.0
 
 

@@ -2,6 +2,7 @@
 weight moments, collected expectations, limiting and finite-size joint
 moments, and the independent closed-form oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from cuemoments.cauchy import (
     MomentSpec,
-    _delta2_moments,
+    _delta2_factors,
     _even_moments,
-    _numerators,
+    _linear_factors,
+    _numerator,
     domain,
     finite_joint_moment,
     hp_expectation,
@@ -22,10 +24,12 @@ from cuemoments.cauchy import (
     oracle_second_moment_V,
     oracle_second_moment_Y,
 )
+from cuemoments.cli import MAX_V_ORDER
 from cuemoments.exact import Poly, RationalFunction
 from cuemoments.sympoly import SymPoly
-from cuemoments.symfunc import v_variant_integrand, vandermonde_squared, xi_poly
-from oracles import numerators_poly, second_moment_V_product, weight_moment
+from cuemoments.symfunc import elementary, v_variant_integrand, vandermonde_squared, xi_poly
+from oracles import (hp_expectation_gcd, numerators_poly, second_moment_V_factors,
+                     second_moment_V_product, weight_moment)
 
 
 class TestWeightMoment:
@@ -246,28 +250,100 @@ def _half_integer_poles(den):
     return den, poles
 
 
+def _integrand(N, variant, orders, exponents):
+    """The integrand of finite_joint_moment, before its 2^{-L}."""
+    if variant == "V":
+        return v_variant_integrand(orders, exponents, N)
+    P = SymPoly.const(N, 1)
+    for n, e in zip(orders, exponents):
+        P = P * xi_poly(n, N) ** e
+    return P
+
+
+def _numerator_polys(agg, m):
+    """cauchy._numerator as Polys in s: num(2s) times its constant, and the
+    product of its factor counts."""
+    num, c, counts = _numerator(agg, m)
+    den = Poly.const(1)
+    for k, e in counts.items():
+        den = den * math.prod([Poly((k, 2))] * e)
+    return Poly(num).scale_arg(2) * c, den
+
+
 class TestNumerators:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", ["Z", "V"])
     @pytest.mark.parametrize("orders,exponents", SHAPES)
     def test_sweep_aggs_equal_poly_route(self, N, variant, orders, exponents):
-        # the integrand of finite_joint_moment, with the normalization's aggs
-        if variant == "Z":
-            P = SymPoly.const(N, 1)
-            for n, e in zip(orders, exponents):
-                P = P * xi_poly(n, N) ** e
-        else:
-            P = v_variant_integrand(orders, exponents, N)
-        aggs = (_even_moments(P, N), _delta2_moments(N))
-        assert _numerators(aggs, N) == numerators_poly(aggs, N)
+        # the integrand of finite_joint_moment, and the normalization
+        for P in (_integrand(N, variant, orders, exponents), SymPoly.const(N, 1)):
+            agg = _even_moments(P, N)
+            assert _numerator_polys(agg, N) == numerators_poly(agg, N)
 
     def test_keys_sharing_no_factor_vector(self):
         # E = (3, 1, 1); the keys' factor exponents r are (1, 0, 1),
         # (0, 1, 1) and (2, 0, 0), so no product of factors is reused
         agg = {(2, 1, 0): Fraction(3, 2), (1, 1, 1): Fraction(-2, 5), (3, 0, 0): Fraction(7)}
-        assert _numerators((agg,), 3) == numerators_poly((agg,), 3)
-        other = {(1, 0, 0): Fraction(1, 3)}
-        assert _numerators((agg, other, {}), 3) == numerators_poly((agg, other, {}), 3)
+        assert _numerator_polys(agg, 3) == numerators_poly(agg, 3)
+        for other in ({(1, 0, 0): Fraction(1, 3)}, {}):
+            assert _numerator_polys(other, 3) == numerators_poly(other, 3)
+
+
+class TestDelta2Factors:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_equals_numerator_ratio(self, m):
+        c, counts = _delta2_factors(m)
+        num, den = numerators_poly(_even_moments(SymPoly.const(m, 1), m), m)
+        assert RationalFunction.from_factors([([1], c, counts)]) == RationalFunction(num, den)
+
+    def test_split(self):
+        # 3(u + 2)^2 (u - 1) = 3u^3 + 9u^2 - 12
+        assert _linear_factors([-12, 0, 9, 3], range(-4, 5)) == (3, {-1: 1, 2: 2})
+        assert _linear_factors([5], range(-4, 5)) == (5, {})
+
+    @pytest.mark.parametrize("num", [
+        [1, 0, 1],     # u^2 + 1 has no real root
+        [-7, 1],       # u - 7: its root lies outside the candidates
+        [3, 2, 0, 2],  # 2u^3 + 2u + 3: no factor u + k at all
+        [],            # the zero numerator
+    ])
+    def test_no_split_raises(self, num):
+        with pytest.raises(ArithmeticError):
+            _linear_factors(num, range(-4, 5))
+
+
+# the finite specs of the benchmark's exact sweep
+FINITE_SPECS = tuple((N, v, o, e) for N in (1, 2, 3, 4) for v in ("Z", "V") for o, e in SHAPES) \
+    + ((5, "Z", (1,), (2,)), (5, "Z", (2,), (2,)), (5, "V", (1,), (2,)))
+
+
+def _limiting_gcd(orders, exponents):
+    """limiting_moment's alternating sum on gcd-reduced RationalFunctions."""
+    L = sum(n * e for n, e in zip(orders, exponents))
+    pref = Fraction(math.prod(math.factorial(n) ** e for n, e in zip(orders, exponents)),
+                    math.factorial(L))
+    total = RationalFunction(Poly())
+    for m in range(orders[0], L + 1):
+        P = SymPoly.const(m, 1)
+        for n, e in zip(orders, exponents):
+            P = P * elementary(n, m) ** e
+        total = total + (-1) ** (m + L) * math.comb(L, m) * hp_expectation_gcd(P, m)
+    return RationalFunction.const(pref) * total
+
+
+class TestFactorCountsEqualGcdRoute:
+    @pytest.mark.parametrize("N,variant,orders,exponents", FINITE_SPECS)
+    def test_finite(self, N, variant, orders, exponents):
+        L = sum(n * e for n, e in zip(orders, exponents))
+        expected = RationalFunction.const(Fraction(1, 2 ** L)) \
+            * hp_expectation_gcd(_integrand(N, variant, orders, exponents), N)
+        assert finite_joint_moment(MomentSpec(orders, exponents, variant, N)) == expected
+
+    # the Z leading specs of the exact sweep, and the two L = 6 moments
+    @pytest.mark.parametrize("orders,exponents", [
+        ((1,), (2,)), ((2,), (2,)), ((1,), (4,)), ((2, 1), (2, 2)), ((1,), (6,))])
+    def test_limiting(self, orders, exponents):
+        assert limiting_moment(orders, exponents) == _limiting_gcd(orders, exponents)
 
 
 class TestDomain:
@@ -306,10 +382,24 @@ class TestOracleV:
     def test_trivial_order_zero(self):
         assert oracle_second_moment_V(0) == RationalFunction.const(1)
 
-    # 64 is the CLI bound MAX_V_ORDER
+    # 64 was the CLI bound MAX_V_ORDER while the closed form ran a gcd
     @pytest.mark.parametrize("n", list(range(13)) + [64])
     def test_equals_factor_product(self, n):
         assert oracle_second_moment_V(n) == second_moment_V_product(n)
+
+    def test_at_cli_bound(self):
+        # the gcd reference would take minutes here: the product is reduced
+        # instead at its denominator's roots s = -k/2, while its numerator
+        # vanishes there too
+        n = MAX_V_ORDER
+        num, den = second_moment_V_factors(n)
+        for k in {2 * n - 1} | {l - 2 for l in range(1, n + 1)}:
+            root = Fraction(-k, 2)
+            f = Poly((-root, 1))
+            while den.eval(root) == 0 and num.eval(root) == 0:
+                num, den = num.exact_div(f), den.exact_div(f)
+        rf = oracle_second_moment_V(n)
+        assert (rf.num, rf.den) == (num * Fraction(den.den, den.num[-1]), den.monic())
 
 
 class TestKeatingSnaith:

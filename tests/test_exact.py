@@ -129,6 +129,17 @@ class TestPoly:
         assert p.to_json() == ["1/3", "-2/1"]
         assert Poly([Fraction(c) for c in p.to_json()]) == p
 
+    @given(kernel_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_text_matches_fraction_formatting(self, a):
+        # to_json and repr format the int numerators; the reference formats
+        # one Fraction per coefficient
+        p = Poly(a)
+        assert p.to_json() == [rat_to_str(c) for c in p.coeffs]
+        parts = ["%s%s" % (c, "" if i == 0 else "*x" if i == 1 else "*x^%d" % i)
+                 for i, c in enumerate(p.coeffs) if c]
+        assert repr(p) == (" + ".join(parts) if parts else "0")
+
     @given(kernel_coeffs, kernel_coeffs)
     @settings(max_examples=100, deadline=None)
     def test_product_matches_schoolbook(self, a, b):
@@ -246,6 +257,63 @@ class TestRationalFunction:
         assert x + y == y + x
         assert x + y - y == x
         assert x * y == y * x
+
+
+@st.composite
+def factor_terms(draw):
+    """A term (num, c, counts) of RationalFunction.from_factors: int
+    coefficients in u = 2s, often built to vanish at some u = -k of the
+    counts, and sometimes zero."""
+    counts = draw(st.dictionaries(st.integers(-12, 12), st.integers(-3, 3), max_size=5))
+    num = draw(st.lists(st.integers(-20, 20), max_size=5))
+    for k in draw(st.lists(st.sampled_from(sorted(counts)), max_size=4) if counts else st.just([])):
+        num = [a + k * b for a, b in zip(num + [0], [0] + num)]  # times u + k
+    c = draw(st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12,
+                       min_value=Fraction(-9), max_value=Fraction(9))))
+    return num, c, counts
+
+
+def _gcd_route(num, c, counts):
+    """A term of from_factors multiplied out as Polys in s and reduced by
+    RationalFunction's gcd."""
+    top = bottom = Poly.const(1)
+    for k, e in counts.items():
+        for _ in range(abs(e)):
+            if e > 0:
+                bottom = bottom * Poly((k, 2))
+            else:
+                top = top * Poly((k, 2))
+    return RationalFunction(Poly(num).scale_arg(2) * c * top, bottom)
+
+
+class TestFromFactors:
+    @given(factor_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_term_equals_gcd_route(self, term):
+        rf = RationalFunction.from_factors([term])
+        expected = _gcd_route(*term)
+        assert (rf.num, rf.den) == (expected.num, expected.den)
+        num, c, _ = term
+        if not any(num) or not c:
+            assert repr(rf) == "(0)"
+
+    @given(st.lists(factor_terms(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_equals_gcd_route(self, terms):
+        expected = RationalFunction(Poly())
+        for term in terms:
+            expected = expected + _gcd_route(*term)
+        rf = RationalFunction.from_factors(terms)
+        assert (rf.num, rf.den) == (expected.num, expected.den)
+
+    def test_cancels_only_vanishing_factors(self):
+        # (u + 1)(u + 3) / ((u + 1)^2 (u + 2)) = (2s + 3) / ((2s + 1)(2s + 2))
+        rf = RationalFunction.from_factors([([3, 4, 1], 1, {1: 2, 2: 1})])
+        assert rf == RationalFunction(Poly((3, 2)), Poly((1, 2)) * Poly((2, 2)))
+        # 1/(u + 1) - 1/(u + 1) and the zero numerator give (0)/(1)
+        for terms in ([([1], 1, {1: 1}), ([1], -1, {1: 1})], [([0, 0], 5, {1: 1})], []):
+            rf = RationalFunction.from_factors(terms)
+            assert (rf.num, rf.den) == (Poly(), Poly.const(1))
 
 
 class TestPowerSeries:

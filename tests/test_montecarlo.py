@@ -11,11 +11,14 @@ import pytest
 from cuemoments.cauchy import MomentSpec, hp_expectation
 from cuemoments.mc import (
     _BLOCK,
+    _GOLDEN,
+    _MASK,
     MAX_QUAD_NODES,
     MAX_QUAD_POINTS,
     ChainConfig,
     _integrand_values,
     _legendre_nodes,
+    _mix64,
     _run_chain,
     _uniforms,
     derive_chain_seed,
@@ -26,6 +29,19 @@ from cuemoments.mc import (
 from cuemoments.symfunc import v_variant_integrand, xi_poly
 from cuemoments.sympoly import SymPoly
 from oracles import CounterRNG, sympoly_eval
+
+
+def _unmix64(z):
+    """The inverse of mc._mix64: each xorshift and odd multiplier undone."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2 ** 64) & _MASK, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & _MASK, 30)
 
 
 class TestCounterRNG:
@@ -43,6 +59,15 @@ class TestCounterRNG:
         us = [r.uniform() for _ in range(1000)]
         assert all(0.0 < u < 1.0 for u in us)
         assert abs(sum(us) / len(us) - 0.5) < 0.05
+
+    def test_top_uniform_is_exactly_one(self):
+        # the seed whose first counter mixes to 2^64 - 1: its top 53 bits
+        # give 2^53 - 1, and (2^53 - 1) + 0.5 rounds to 2^53, so u = 1.0
+        seed = (_unmix64(_MASK) - _GOLDEN) & _MASK
+        assert _mix64(seed + _GOLDEN) == _MASK
+        assert _uniforms(seed, 0, 1) == [1.0] == [CounterRNG(seed).uniform()]
+        # at u = 1.0 the Metropolis test log(u)/2 < half reads 0 < half
+        assert math.log(1.0) * 0.5 == 0.0
 
     def test_chain_seed_derivation(self):
         seeds = {derive_chain_seed(5, c) for c in range(16)}

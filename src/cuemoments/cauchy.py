@@ -4,6 +4,11 @@ R^m, as rational functions of the parameter s.
 
 Provides the finite-sum limiting-moment formula, finite-size joint moments,
 and several independent closed-form oracles used for cross-validation.
+
+Every exact expectation is a flat list of terms (num, c, counts) of
+RationalFunction.from_factors, one per even orbit of P * Delta^2: each orbit
+is a product of one-dimensional weight moments, so no common denominator is
+built before from_factors sums the terms.
 """
 
 import collections
@@ -12,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RationalFunction, _divide_out, _scaled_ints, _times_factor
+from .exact import RationalFunction, _divide_out, _summed
 from .sympoly import SymPoly
 from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
 
@@ -82,9 +87,9 @@ def _delta2_by_parity(m, bits):
 
 
 def _even_moments(P, m):
-    """The sum of the coefficients of P * Delta^2 over its all-even
-    monomials, keyed by the non-increasing tuple of halved exponents; zero
-    sums are dropped.
+    """The sums of the int numerators of P * Delta^2 (over P.den, which the
+    caller carries) over its all-even monomials, keyed by the non-increasing
+    tuple of halved exponents; zero sums are dropped.
 
     The product is never formed. Delta^2 and the weight are symmetric, so a
     term of P enters only through its sorted exponent, for any P. Each such
@@ -119,40 +124,29 @@ def _even_moments(P, m):
         if v:
             key = tuple(sorted([(k >> (s + 1)) & half for s in shifts], reverse=True))
             moments[key] = moments.get(key, 0) + v
-    return {key: Fraction(v, P.den) for key, v in moments.items() if v}
+    return {key: v for key, v in moments.items() if v}
 
 
-def _numerator(agg, m):
-    """<Q> for the even moments agg of Q (as `_even_moments` returns them) as
-    (num, c, counts): <Q> = c num(u) / prod_j d_j^{E_j}, with num the int
-    coefficients of a polynomial in u = 2s, d_j = u + 2m - 1 - 2j, E_j the
-    most parts >= j of any key, and counts {2m - 1 - 2j: E_j}.
+def _orbit_terms(moments, m, c, minus):
+    """c times the even moments of `_even_moments` in m variables as terms
+    (num, c, counts) of RationalFunction.from_factors, one per orbit, with
+    the factor counts `minus` taken off each.
 
-    A monomial with halved exponents key factors into one-dimensional weight
-    moments, prod_{p in key} prod_{j <= p} (2j - 1)/d_j, up to the
+    The orbit with halved exponents key and sum v is a product of
+    one-dimensional weight moments, v prod_{p in key} prod_{j <= p} (2j - 1)
+    / d_j with d_j = 2s + 2m - 1 - 2j: the term [v prod_p (2p - 1)!!] over
+    the counts {2m - 1 - 2j: #(parts >= j)}. This holds up to the
     normalization of the weight, which cancels in every ratio callers take.
     """
-    E = [max(sum(p >= j for p in key) for key in agg)
-         for j in range(1, max((key[0] for key in agg), default=0) + 1)]
-    ints, den = _scaled_ints(list(agg.values()))
-    # the int coefficients of prod_j d_j^{r_j} for each factor-exponent
-    # vector r, shared between the keys
-    factors = {}
-    num = []
-    for key, c in zip(agg, ints):
-        r = tuple(e - sum(p >= j for p in key) for j, e in enumerate(E, 1))
-        f = factors.get(r)
-        if f is None:
-            f = [1]
-            for j, rj in enumerate(r, 1):
-                f = _times_factor(f, 2 * m - 1 - 2 * j, rj) if rj else f
-            factors[r] = f
-        c *= math.prod(math.prod(range(1, 2 * p, 2)) for p in key)
-        if len(num) < len(f):
-            num += [0] * (len(f) - len(num))
-        for i, x in enumerate(f):
-            num[i] += c * x
-    return num, Fraction(1, den), {2 * m - 1 - 2 * j: e for j, e in enumerate(E, 1)}
+    base = {k: -e for k, e in minus.items()}
+    terms = []
+    for key, v in moments.items():
+        counts = dict(base)
+        for p in key:
+            for k in range(2 * m - 3, 2 * m - 3 - 2 * p, -2):
+                counts[k] = counts.get(k, 0) + 1
+        terms.append(([v * math.prod(math.prod(range(1, 2 * p, 2)) for p in key)], c, counts))
+    return terms
 
 
 def _linear_factors(num, ks):
@@ -167,37 +161,33 @@ def _linear_factors(num, ks):
     return num[0], {k: t for k, t in roots.items() if t}
 
 
-def _over(counts, other):
-    """The factor counts of a quotient: counts minus other, zeros dropped."""
-    out = {k: counts.get(k, 0) - other.get(k, 0) for k in counts.keys() | other.keys()}
-    return {k: e for k, e in out.items() if e}
-
-
 @functools.lru_cache(maxsize=None)
 def _delta2_factors(m):
     """<Delta^2> in m variables as (c, counts), <Delta^2> = c / prod_k (2s +
-    k)^counts[k], computed once per arity: its numerator over the d_j splits
-    into factors 2s + k with k in [-4m, 4m] (ROADMAP F5)."""
-    num, c, counts = _numerator(_even_moments(SymPoly.const(m, 1), m), m)
-    const, roots = _linear_factors(num, range(-4 * m, 4 * m + 1))
-    return c * const, _over(counts, roots)
+    k)^counts[k], computed once per arity: the sum of its orbit terms has a
+    numerator that splits into factors 2s + k with k in [-4m, 4m] (ROADMAP
+    F5)."""
+    total, scale, union = _summed(_orbit_terms(_even_moments(SymPoly.const(m, 1), m), m, 1, {}))
+    const, roots = _linear_factors(total, range(-4 * m, 4 * m + 1))
+    counts = collections.Counter(union)
+    counts.subtract(roots)
+    return Fraction(const, scale), counts
 
 
-def _expectation(P, m):
-    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as a term (num, c, counts) of
-    RationalFunction.from_factors."""
+def _expectation(P, weight=1):
+    """weight * E_m^{(s)}[P] = weight <P * Delta^2> / <Delta^2>, m the arity
+    of P, as terms of RationalFunction.from_factors, one per even orbit."""
+    m = P.arity
     if m > MAX_EXACT_ARITY:
         raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
-    if P.arity != m:
-        raise ValueError("polynomial arity does not match m")
-    num, c, counts = _numerator(_even_moments(P, m), m)
-    c_delta, delta = _delta2_factors(m)
-    return num, c / c_delta, _over(counts, delta)
+    c, delta = _delta2_factors(m)
+    return _orbit_terms(_even_moments(P, m), m, Fraction(weight, P.den) / c, delta)
 
 
-def hp_expectation(P, m):
-    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2> as an exact RationalFunction."""
-    return RationalFunction.from_factors([_expectation(P, m)])
+def hp_expectation(P):
+    """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2>, m the arity of P, as an
+    exact RationalFunction."""
+    return RationalFunction.from_factors(_expectation(P))
 
 
 def _exact_degree(spec):
@@ -237,8 +227,7 @@ def limiting_moment(orders, exponents):
         P = SymPoly.const(m, 1)
         for n, two_h in zip(spec.orders, spec.exponents):
             P = P * elementary(n, m) ** int(two_h)
-        num, c, counts = _expectation(P, m)
-        terms.append((num, (-1) ** (m + L) * math.comb(L, m) * pref * c, counts))
+        terms += _expectation(P, (-1) ** (m + L) * math.comb(L, m) * pref)
     return RationalFunction.from_factors(terms)
 
 
@@ -268,7 +257,7 @@ def finite_joint_moment(spec):
     else:
         P = v_variant_integrand(spec.orders, spec.exponents, N)
     # the 2^{-L} as a factor of the integrand's denominator
-    return hp_expectation(SymPoly._raw(N, P.num, P.den << L), N)
+    return hp_expectation(SymPoly._raw(N, P.num, P.den << L))
 
 
 def oracle_second_moment_Y(n):

@@ -422,7 +422,7 @@ def cmd_quadrature(args):
     result = {"N": args.N, "s": args.s, "poly": args.poly,
               "nodes_per_dim": args.nodes, "value": value}
     try:
-        exact = hp_expectation(P, args.N).eval(Fraction(args.s))
+        exact = hp_expectation(P).eval(Fraction(args.s))
         result["exact"] = rat_to_str(exact)
         result["abs_error"] = abs(value - float(exact))
     except (ValueError, ZeroDivisionError):

@@ -12,7 +12,8 @@ and display. `sympoly.SymPoly` shares the rule, with a dict of nonzero
 numerators keyed by exponent tuples in place of the tuple. A
 RationalFunction is a coprime pair of Polys with a monic denominator: a pair
 of unknown structure is reduced by its gcd, while `from_factors` builds a
-quotient over known linear factors 2s + k with no gcd.
+quotient over known linear factors 2s + k with no gcd, from terms that
+`_summed` puts over the most of each factor.
 """
 
 import math
@@ -163,6 +164,32 @@ def _divide(a, b):
         quot[i - d] = c
         rem[i - d:i] = map(operator.sub, rem[i - d:i], [c * y for y in low])
     return quot, rem[:d], scale
+
+
+def _summed(terms):
+    """The terms (num, c, counts) of RationalFunction.from_factors summed over
+    the most of each factor: (total, scale, union) with the sum equal to
+    total(u) / (scale prod_k (u + k)^union[k]), u = 2s, for the int list
+    total (no trailing zero), the int scale > 0 and union[k] = max(0, e) over
+    every count e of k, so a term whose only count of k is negative still
+    multiplies its numerator."""
+    union = {}
+    for _, _, counts in terms:
+        for k, e in counts.items():
+            union[k] = max(union.get(k, 0), e)
+    weights, scale = _scaled_ints([c for _, c, _ in terms])
+    total = []
+    for (num, _, counts), w in zip(terms, weights):
+        for k, e in union.items():
+            e -= counts.get(k, 0)
+            if e:
+                num = _times_factor(num, k, e)
+        total += [0] * (len(num) - len(total))
+        for i, x in enumerate(num):
+            total[i] += w * x
+    while total and not total[-1]:
+        total.pop()
+    return total, scale, union
 
 
 def rat_to_str(q):
@@ -346,25 +373,10 @@ class RationalFunction:
         """The sum of c num(2s) / prod_k (2s + k)^e over the terms (num, c,
         counts) in canonical form: num the int coefficients of a polynomial
         in u = 2s, c a rational, counts {k: e} with int e (a negative e
-        multiplies num). The terms are summed over the most of each factor,
-        and a factor is cancelled while the sum vanishes at u = -k; what is
-        left is coprime, so no gcd runs: the denominator is only expanded and
-        made monic."""
-        union = {}
-        for _, _, counts in terms:
-            for k, e in counts.items():
-                union[k] = max(union.get(k, 0), e)
-        weights, scale = _scaled_ints([c for _, c, _ in terms])
-        total = []
-        for (num, _, counts), w in zip(terms, weights):
-            for k, e in union.items():
-                if e != counts.get(k, 0):
-                    num = _times_factor(num, k, e - counts.get(k, 0))
-            total += [0] * (len(num) - len(total))
-            for i, x in enumerate(num):
-                total[i] += w * x
-        while total and not total[-1]:
-            total.pop()
+        multiplies num). The terms are summed by `_summed`, and a factor is
+        cancelled while the sum vanishes at u = -k; what is left is coprime,
+        so no gcd runs: the denominator is only expanded and made monic."""
+        total, scale, union = _summed(terms)
         den = [1]
         for k, e in union.items() if total else ():
             total, t = _divide_out(total, k, e)

@@ -9,9 +9,10 @@ Everything here is exact: theta_m is e^{-t} times an integer polynomial, so
 every determinant, derivative, trace, and residual is a known exponential
 e^{-ct} times a polynomial. Each function returns the Poly after that factor,
 and its docstring names c: 1 for theta, N for an N x N determinant of them.
-exp_derivative differentiates through the factor, and a MultiSeries carries
-one c for all its coefficients. The boldface series Psi_ms is a weighted sum
-of integer theta minors, by multilinearity in the columns: no series product.
+exp_derivative differentiates through the factor; a MultiSeries (the
+boldface Psi_ms and its t-derivatives) always has c = 1. The boldface series
+Psi_ms is a weighted sum of integer theta minors, by multilinearity in the
+columns: no series product.
 """
 
 import functools
@@ -240,35 +241,34 @@ def cor_relation_residuals(N, s):
 
 class MultiSeries:
     """Formal power series in the auxiliary variables t_2..t_k, truncated at
-    total degree `cap`. Each coefficient is e^{-c t_1} times a polynomial in
-    t_1, with one decay `c` for the whole series. `ord` tracks through which
-    total degree the stored coefficients are valid.
+    total degree `cap`. Each coefficient is e^{-t_1} times a polynomial in
+    t_1: every series the package builds (the boldface Psi_ms) decays at
+    rate 1. `ord` tracks through which total degree the stored coefficients
+    are valid.
 
     The polynomials are integer numerator lists (ascending, no trailing zero)
     over one common denominator `den`: every linear combination (`lincomb`,
-    behind +, - and `scal`) brings its terms to their lcm, so no coefficient
-    is normalised until it leaves the class as a Poly through `terms`. There
-    is no series product: Psi_ms is built from theta minors (`_psi_cols`).
+    behind + and -) brings its terms to their lcm, so no coefficient is
+    normalised until it leaves the class as a Poly through `terms`. There is
+    no series product: Psi_ms is built from theta minors (`_psi_cols`).
     """
 
-    __slots__ = ("nv", "cap", "ord", "c", "num", "den")
+    __slots__ = ("nv", "cap", "ord", "num", "den")
 
-    def __init__(self, nv, cap, ord=None, terms=None, c=0):
+    def __init__(self, nv, cap, ord=None, terms=None):
         polys = {tuple(e): p for e, p in (terms or {}).items() if not p.is_zero()}
         self.den = math.lcm(*[p.den for p in polys.values()])
         self.num = {e: [x * (self.den // p.den) for x in p.num] for e, p in polys.items()}
         self.nv = nv
         self.cap = cap
         self.ord = cap if ord is None else ord
-        self.c = c
 
-    def _with(self, num, den=None, ord=None, c=None):
-        """A series of this shape with the given numerators; the denominator,
-        ord and decay default to this series'."""
+    def _with(self, num, den=None, ord=None):
+        """A series of this shape with the given numerators; the denominator
+        and ord default to this series'."""
         out = object.__new__(MultiSeries)
         out.nv, out.cap = self.nv, self.cap
         out.ord = self.ord if ord is None else ord
-        out.c = self.c if c is None else c
         out.num = num
         out.den = self.den if den is None else den
         return out
@@ -285,16 +285,11 @@ class MultiSeries:
     def lincomb(self, pairs):
         """self + sum of a * v over the (int or Fraction a, MultiSeries v)
         pairs, over one common denominator. Valid through the lowest ord of
-        self and of every v with a != 0; the nonempty series must share one
-        decay."""
+        self and of every v with a != 0."""
         pairs = [(a, v) for a, v in pairs if a]
         series = [v for _, v in pairs]
         for v in series:
             self._check(v)
-        live = [v for v in [self] + series if v.num]
-        c = live[0].c if live else self.c
-        if any(v.c != c for v in live):
-            raise ValueError("MultiSeries sum requires equal decay rates")
         den = math.lcm(self.den, *[a.denominator * v.den for a, v in pairs])
         f = den // self.den
         out = {e: [x * f for x in u] for e, u in self.num.items()}
@@ -305,17 +300,13 @@ class MultiSeries:
                 acc.extend([0] * (len(u) - len(acc)))
                 for i, y in enumerate(u):
                     acc[i] += y * f
-        return self._with(_nonzero(out), den, min([self.ord] + [v.ord for v in series]), c)
+        return self._with(_nonzero(out), den, min([self.ord] + [v.ord for v in series]))
 
     def __add__(self, other):
         return self.lincomb([(1, other)])
 
     def __sub__(self, other):
         return self.lincomb([(-1, other)])
-
-    def scal(self, c):
-        """Multiply by an int or a Fraction."""
-        return self._with({}).lincomb([(c, self)])
 
     def mul_t1(self, weight=1):
         """Multiply by weight * t_1 (an int weight): a shift of every
@@ -335,15 +326,14 @@ class MultiSeries:
         return self._with(_nonzero(out), ord=min(self.cap, self.ord + 1))
 
     def d_t1(self):
-        """d/dt_1 through the decay: each coefficient p becomes p' - c p."""
-        cn, cd = self.c.numerator, self.c.denominator
+        """d/dt_1 through the decay: each coefficient p becomes p' - p."""
         out = {}
         for e, v in self.num.items():
-            w = [-cn * x for x in v]
+            w = [-x for x in v]
             for i in range(1, len(v)):
-                w[i - 1] += cd * i * v[i]
+                w[i - 1] += i * v[i]
             out[e] = w
-        return self._with(_nonzero(out), self.den * cd)
+        return self._with(_nonzero(out))
 
     def d_tq(self, q):
         idx = q - 2
@@ -459,7 +449,7 @@ def _psi_cols(N, s, k, cap, cols):
                 acc[i] += weight * x
         den = N ** sum(M) * math.prod(map(math.factorial, M))
         terms[M] = Poly._raw(*_lowest(*_scale_arg(acc, den, Fraction(1, N))))
-    return MultiSeries(k - 1, cap, cap, terms, 1)
+    return MultiSeries(k - 1, cap, cap, terms)
 
 
 def Psi_ms(N, s, parts, k, cap):

@@ -125,9 +125,11 @@ def weight_moment(r, m):
 
 
 def numerators_poly(agg, m):
-    """cauchy._numerator term by term on Polys in s: (num, den) with
-    <Q> = num/den up to the weight's normalization, den = prod_j d_j^{E_j}
-    for the Poly d_j = 2s + 2m - 1 - 2j, and each key's coefficient times
+    """The orbit terms of cauchy._orbit_terms summed on Polys in s, for the
+    even moments agg of Q (int sums, as `_even_moments` returns them): (num,
+    den) with <Q> = num/den up to the weight's normalization and Q's
+    denominator, den = prod_j d_j^{E_j} for the Poly d_j = 2s + 2m - 1 - 2j
+    and E_j the most parts >= j of any key, and each key's sum times
     prod_{p in key} (2p - 1)!! times prod_j d_j^{r_j}, r_j = E_j - #(parts >=
     j), multiplied in factor by factor and summed as Polys."""
     E = [max(sum(p >= j for p in key) for key in agg)
@@ -146,12 +148,14 @@ def numerators_poly(agg, m):
     return num, den
 
 
-def hp_expectation_gcd(P, m):
-    """E_m[P] = <P Delta^2>/<Delta^2> by the gcd route: both numerators from
-    numerators_poly, and their quotient reduced by RationalFunction's gcd."""
+def hp_expectation_gcd(P):
+    """E_m[P] = <P Delta^2>/<Delta^2>, m the arity of P, by the gcd route:
+    both numerators from numerators_poly, and their quotient, with P's
+    denominator, reduced by RationalFunction's gcd."""
+    m = P.arity
     num, den = numerators_poly(_even_moments(P, m), m)
     num_d, den_d = numerators_poly(_even_moments(SymPoly.const(m, 1), m), m)
-    return RationalFunction(num * den_d, den * num_d)
+    return RationalFunction(num * den_d, den * num_d * P.den)
 
 
 def second_moment_V_factors(n):
@@ -243,15 +247,14 @@ def Psi_trace_ms(N, s, parts, h, k, cap):
 def lemma_dq_residual(N, s, parts, q, k=2, cap=2):
     """d Psi_{N,lambda}/dt_q - (1/N) Psi_{N,lambda,q}; zero."""
     lhs = Psi_ms(N, s, tuple(parts), k, cap).d_tq(q)
-    rhs = Psi_trace_ms(N, s, tuple(parts), q, k, cap).scal(Fraction(1, N))
-    return lhs - rhs
+    return lhs.lincomb([(Fraction(-1, N), Psi_trace_ms(N, s, tuple(parts), q, k, cap))])
 
 
 def lemma_t1_residual(N, s, parts, k=2, cap=2):
     """Psi_{N,lambda,1} + (N/2) d Psi/dt_1 - (N/2) Psi; zero."""
     P = Psi_ms(N, s, tuple(parts), k, cap)
     lhs = Psi_trace_ms(N, s, tuple(parts), 1, k, cap)
-    return lhs + P.d_t1().scal(Fraction(N, 2)) - P.scal(Fraction(N, 2))
+    return lhs.lincomb([(Fraction(N, 2), P.d_t1()), (Fraction(-N, 2), P)])
 
 
 def normalized_L(N, s, ell, t0):

@@ -206,7 +206,7 @@ def test_criterion_8_quadrature_matches_exact():
                     if parts[0] + 2 * (N - 1) >= 2 * (s + N) - 1:
                         continue
                     P = _monomial_symmetric(N, parts)
-                    exact = float(hp_expectation(P, N).eval(Fraction(s)))
+                    exact = float(hp_expectation(P).eval(Fraction(s)))
                     val = quadrature_expectation(N, s, P)
                     scale = max(abs(exact), 1e-3)
                     assert abs(val - exact) / scale < 1e-9, (N, s, parts)

@@ -14,7 +14,7 @@ from cuemoments.cauchy import (
     _delta2_factors,
     _even_moments,
     _linear_factors,
-    _numerator,
+    _orbit_terms,
     domain,
     finite_joint_moment,
     hp_expectation,
@@ -25,7 +25,7 @@ from cuemoments.cauchy import (
     oracle_second_moment_Y,
 )
 from cuemoments.cli import MAX_V_ORDER
-from cuemoments.exact import Poly, RationalFunction
+from cuemoments.exact import Poly, RationalFunction, _summed
 from cuemoments.sympoly import SymPoly
 from cuemoments.symfunc import elementary, v_variant_integrand, vandermonde_squared, xi_poly
 from oracles import (hp_expectation_gcd, numerators_poly, second_moment_V_factors,
@@ -52,23 +52,23 @@ class TestWeightMoment:
 class TestHpExpectation:
     def test_constant(self):
         for m in (1, 2, 3):
-            assert hp_expectation(SymPoly.const(m, 5), m) == RationalFunction.const(5)
+            assert hp_expectation(SymPoly.const(m, 5)) == RationalFunction.const(5)
 
     def test_single_variable_square(self):
-        assert hp_expectation(SymPoly(1, {(2,): 1}), 1) == weight_moment(2, 1)
+        assert hp_expectation(SymPoly(1, {(2,): 1})) == weight_moment(2, 1)
 
     def test_pair_sum_square(self):
         # E[(x1+x2)^2] = 3/(2s-1) - 1/(2s+1)
         e1 = SymPoly(2, {(1, 0): 1, (0, 1): 1})
         expected = RationalFunction(Poly((3,)), Poly((-1, 2))) \
             - RationalFunction(Poly((1,)), Poly((1, 2)))
-        assert hp_expectation(e1 * e1, 2) == expected
+        assert hp_expectation(e1 * e1) == expected
 
     def test_parity_invariance(self):
         # odd-degree monomial content integrates to zero
         P = SymPoly(2, {(1, 0): 1, (3, 2): 7, (1, 1): -2})
         flipped = SymPoly(2, {e: c * (-1) ** sum(e) for e, c in P.terms.items()})
-        assert hp_expectation(P, 2) == hp_expectation(flipped, 2)
+        assert hp_expectation(P) == hp_expectation(flipped)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                               st.integers(-3, 3)), max_size=4))
@@ -76,13 +76,13 @@ class TestHpExpectation:
     def test_linearity(self, terms):
         P = SymPoly(2, {(a, b): c for a, b, c in terms})
         Q = SymPoly(2, {(1, 1): 2})
-        lhs = hp_expectation(P + Q, 2)
-        rhs = hp_expectation(P, 2) + hp_expectation(Q, 2)
+        lhs = hp_expectation(P + Q)
+        rhs = hp_expectation(P) + hp_expectation(Q)
         assert lhs == rhs
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
-            hp_expectation(SymPoly.const(8, 1), 8)
+            hp_expectation(SymPoly.const(8, 1))
 
 
 def _dense_even_moments(Q):
@@ -141,8 +141,10 @@ class TestEvenOrbitContraction:
     @settings(max_examples=80, deadline=None)
     def test_equals_dense_route(self, case):
         P, m = case
-        assert _even_moments(P, m) == _dense_even_moments(P * vandermonde_squared(m))
-        assert hp_expectation(P, m) == _dense_expectation(P, m)
+        # int sums over P.den
+        assert {key: Fraction(v, P.den) for key, v in _even_moments(P, m).items()} \
+            == _dense_even_moments(P * vandermonde_squared(m))
+        assert hp_expectation(P) == _dense_expectation(P, m)
 
 
 class TestLimitingMoment:
@@ -260,14 +262,14 @@ def _integrand(N, variant, orders, exponents):
     return P
 
 
-def _numerator_polys(agg, m):
-    """cauchy._numerator as Polys in s: num(2s) times its constant, and the
-    product of its factor counts."""
-    num, c, counts = _numerator(agg, m)
+def _summed_polys(terms):
+    """exact._summed of the terms as Polys in s: total(2s) over its scale,
+    and the product of the union of factor counts."""
+    total, scale, union = _summed(terms)
     den = Poly.const(1)
-    for k, e in counts.items():
+    for k, e in union.items():
         den = den * math.prod([Poly((k, 2))] * e)
-    return Poly(num).scale_arg(2) * c, den
+    return Poly(total).scale_arg(2) * Fraction(1, scale), den
 
 
 class TestNumerators:
@@ -278,15 +280,33 @@ class TestNumerators:
         # the integrand of finite_joint_moment, and the normalization
         for P in (_integrand(N, variant, orders, exponents), SymPoly.const(N, 1)):
             agg = _even_moments(P, N)
-            assert _numerator_polys(agg, N) == numerators_poly(agg, N)
+            assert _summed_polys(_orbit_terms(agg, N, 1, {})) == numerators_poly(agg, N)
 
     def test_keys_sharing_no_factor_vector(self):
         # E = (3, 1, 1); the keys' factor exponents r are (1, 0, 1),
-        # (0, 1, 1) and (2, 0, 0), so no product of factors is reused
-        agg = {(2, 1, 0): Fraction(3, 2), (1, 1, 1): Fraction(-2, 5), (3, 0, 0): Fraction(7)}
-        assert _numerator_polys(agg, 3) == numerators_poly(agg, 3)
-        for other in ({(1, 0, 0): Fraction(1, 3)}, {}):
-            assert _numerator_polys(other, 3) == numerators_poly(other, 3)
+        # (0, 1, 1) and (2, 0, 0), so each key is multiplied by its own
+        # product of factors
+        agg = {(2, 1, 0): 3, (1, 1, 1): -2, (3, 0, 0): 7}
+        assert _summed_polys(_orbit_terms(agg, 3, 1, {})) == numerators_poly(agg, 3)
+        for other in ({(1, 0, 0): 1}, {}):
+            assert _summed_polys(_orbit_terms(other, 3, 1, {})) == numerators_poly(other, 3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_orbit_term_is_product_of_weight_moments(self, m):
+        # each orbit with halved exponents key and sum v is c v times the
+        # weight moments of its parts, with the counts minus taken off
+        P = _integrand(m, "V", (2, 1), (2, 2))
+        minus = {2 * m - 3: 1, 4: -2}
+        agg = _even_moments(P, m)
+        terms = _orbit_terms(agg, m, Fraction(-3, 7), minus)
+        assert len(terms) == len(agg)
+        for (key, v), term in zip(agg.items(), terms):
+            expected = RationalFunction.const(Fraction(-3, 7) * v)
+            for p in key:
+                expected = expected * weight_moment(2 * p, m)
+            # minus takes one 2s + 2m - 3 off the denominator and adds (2s + 4)^2
+            expected = expected * RationalFunction(Poly((2 * m - 3, 2)), Poly((4, 2)) * Poly((4, 2)))
+            assert RationalFunction.from_factors([term]) == expected
 
 
 class TestDelta2Factors:
@@ -327,7 +347,7 @@ def _limiting_gcd(orders, exponents):
         P = SymPoly.const(m, 1)
         for n, e in zip(orders, exponents):
             P = P * elementary(n, m) ** e
-        total = total + (-1) ** (m + L) * math.comb(L, m) * hp_expectation_gcd(P, m)
+        total = total + (-1) ** (m + L) * math.comb(L, m) * hp_expectation_gcd(P)
     return RationalFunction.const(pref) * total
 
 
@@ -336,7 +356,7 @@ class TestFactorCountsEqualGcdRoute:
     def test_finite(self, N, variant, orders, exponents):
         L = sum(n * e for n, e in zip(orders, exponents))
         expected = RationalFunction.const(Fraction(1, 2 ** L)) \
-            * hp_expectation_gcd(_integrand(N, variant, orders, exponents), N)
+            * hp_expectation_gcd(_integrand(N, variant, orders, exponents))
         assert finite_joint_moment(MomentSpec(orders, exponents, variant, N)) == expected
 
     # the Z leading specs of the exact sweep, and the two L = 6 moments

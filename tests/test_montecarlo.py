@@ -54,10 +54,12 @@ class TestCounterRNG:
     def test_seed_sensitivity(self):
         assert CounterRNG(1).next_u64() != CounterRNG(2).next_u64()
 
-    def test_uniform_in_open_interval(self):
+    def test_uniform_in_left_open_unit_interval(self):
+        # (0, 1]: 1.0 is reached (test_top_uniform_is_exactly_one), 0 is not
         r = CounterRNG(7)
         us = [r.uniform() for _ in range(1000)]
-        assert all(0.0 < u < 1.0 for u in us)
+        assert all(0.0 < u <= 1.0 for u in us)
+        assert us == _uniforms(7, 0, 1000)
         assert abs(sum(us) / len(us) - 0.5) < 0.05
 
     def test_top_uniform_is_exactly_one(self):
@@ -333,7 +335,7 @@ class TestQuadrature:
                                           (2, 3, (2, 2)), (3, 3, (2, 1, 1))])
     def test_matches_exact(self, N, s, expo):
         P = SymPoly(N, {expo: 1})
-        exact = hp_expectation(P, N).eval(Fraction(s))
+        exact = hp_expectation(P).eval(Fraction(s))
         val = quadrature_expectation(N, s, P)
         assert val == pytest.approx(float(exact), rel=1e-10, abs=1e-12)
 
@@ -392,7 +394,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("N,nodes", [(1, 1024), (3, 107)])
     def test_grid_bounds_admit_largest_valid_grid(self, N, nodes):
         P = SymPoly(N, {(2,) + (0,) * (N - 1): 1})
-        exact = hp_expectation(P, N).eval(Fraction(3))
+        exact = hp_expectation(P).eval(Fraction(3))
         assert quadrature_expectation(N, 3, P, nodes_per_dim=nodes) == \
             pytest.approx(float(exact), rel=1e-10)
 

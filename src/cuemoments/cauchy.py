@@ -2,26 +2,29 @@
 measure with density proportional to prod (1+x_i^2)^{-(s+m)} * Delta^2 on
 R^m, as rational functions of the parameter s.
 
-Provides the finite-sum limiting-moment formula, finite-size joint moments,
+Provides the limiting moments as one Schur sum, finite-size joint moments,
 and several independent closed-form oracles used for cross-validation.
 
-Every exact expectation is a flat list of terms (num, c, counts) of
-RationalFunction.from_factors, one per even orbit of P * Delta^2: each orbit
-is a product of one-dimensional weight moments, so no common denominator is
-built before from_factors sums the terms.
+Every exact moment is a flat list of terms (num, c, counts) of
+RationalFunction.from_factors, one per even orbit of P * Delta^2 or, in the
+limit, one per partition of the degree, so no common denominator is built
+before from_factors sums the terms.
 """
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RationalFunction, _divide_out, _summed
+from .exact import RationalFunction
 from .sympoly import SymPoly
-from .symfunc import elementary, vandermonde_squared, xi_poly, v_variant_integrand
+from .symfunc import vandermonde_squared, xi_poly, v_variant_integrand
 
 MAX_EXACT_ARITY = 7
+# degree cap of a limiting moment (L is even): each L <= 18 takes under 0.5 s
+MAX_LIMIT_DEGREE = 18
 # cap on the degree L = sum n_j e_j of a finite-size moment, so that an
 # exponent such as 1e400 is rejected instead of expanded without end
 MAX_EXACT_DEGREE = 64
@@ -149,45 +152,27 @@ def _orbit_terms(moments, m, c, minus):
     return terms
 
 
-def _linear_factors(num, ks):
-    """(c, roots) with num(u) = c prod_k (u + k)^roots[k] for an int list num
-    whose roots are all among the ints ks, found by root tests at u = -k;
-    ArithmeticError when a nonconstant quotient is left."""
-    roots = {}
-    for k in ks:
-        num, roots[k] = _divide_out(num, k, len(num))
-    if len(num) != 1 or not num[0]:
-        raise ArithmeticError("the numerator does not split into factors u + k, k in %s" % (ks,))
-    return num[0], {k: t for k, t in roots.items() if t}
-
-
-@functools.lru_cache(maxsize=None)
 def _delta2_factors(m):
     """<Delta^2> in m variables as (c, counts), <Delta^2> = c / prod_k (2s +
-    k)^counts[k], computed once per arity: the sum of its orbit terms has a
-    numerator that splits into factors 2s + k with k in [-4m, 4m] (ROADMAP
-    F5)."""
-    total, scale, union = _summed(_orbit_terms(_even_moments(SymPoly.const(m, 1), m), m, 1, {}))
-    const, roots = _linear_factors(total, range(-4 * m, 4 * m + 1))
-    counts = collections.Counter(union)
-    counts.subtract(roots)
-    return Fraction(const, scale), counts
-
-
-def _expectation(P, weight=1):
-    """weight * E_m^{(s)}[P] = weight <P * Delta^2> / <Delta^2>, m the arity
-    of P, as terms of RationalFunction.from_factors, one per even orbit."""
-    m = P.arity
-    if m > MAX_EXACT_ARITY:
-        raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
-    c, delta = _delta2_factors(m)
-    return _orbit_terms(_even_moments(P, m), m, Fraction(weight, P.den) / c, delta)
+    k)^counts[k], by Heine: m! det[mu_{i+j}] = m! prod_{i<m} b_i^{m-i} for the
+    recurrence coefficients b_i = i (u + 2m - i) / ((u + 2m - 2i - 1)(u + 2m -
+    2i + 1)), u = 2s, of the monic orthogonal polynomials of the weight."""
+    counts = collections.Counter()
+    for i in range(1, m):
+        counts.update({2 * m - 2 * i - 1: m - i, 2 * m - 2 * i + 1: m - i})
+        counts[2 * m - i] -= m - i
+    return math.factorial(m) * math.prod(i ** (m - i) for i in range(1, m)), counts
 
 
 def hp_expectation(P):
     """E_m^{(s)}[P] = <P * Delta^2> / <Delta^2>, m the arity of P, as an
-    exact RationalFunction."""
-    return RationalFunction.from_factors(_expectation(P))
+    exact RationalFunction, summed from one term per even orbit."""
+    m = P.arity
+    if m > MAX_EXACT_ARITY:
+        raise ValueError("arity %d exceeds exact-engine cap %d" % (m, MAX_EXACT_ARITY))
+    c, delta = _delta2_factors(m)
+    return RationalFunction.from_factors(
+        _orbit_terms(_even_moments(P, m), m, Fraction(1, P.den * c), delta))
 
 
 def _exact_degree(spec):
@@ -211,24 +196,69 @@ def _integrand_monomials(N, orders, exponents):
                for j in range(N + 1) if D >= j * (d + 1))
 
 
+def _times_e(state, n):
+    """The Schur expansion state {lambda: coeff} times e_n, by the dual Pieri
+    rule: add a vertical strip of n boxes, at most one per row, with no row
+    bound. Rows of equal length take boxes from the top down, so a strip is
+    one count per part size, the zero rows included, summing to n."""
+    out = collections.Counter()
+    for lam, c in state.items():
+        sizes = sorted(collections.Counter(lam).items(), reverse=True) + [(0, n)]
+        for ts in itertools.product(*[range(k + 1) for _, k in sizes]):
+            if sum(ts) == n:
+                out[tuple(q for (p, k), t in zip(sizes, ts)
+                          for q in [p + 1] * t + [p] * (k - t) if q)] += c
+    return out
+
+
+def _schur_limit(lam):
+    """a_lambda(s) / prod h, the N^L coefficient of E_N[s_lambda] (ROADMAP
+    F6), as (c, counts): +-1 over the even hooks, counts 1 - 2c on mu0 and
+    -1 - 2c on mu1, c the content, for the 2-quotient (mu0, mu1) of the even
+    and odd beta numbers; None when the 2-core is not empty. Removing a
+    vertical domino slides a bead past one of the other parity, so the sign
+    is the parity of the (odd < even) bead pairs, less those of {0..r-1}."""
+    r = len(lam) + len(lam) % 2
+    beta = [p + r - 1 - i for i, p in enumerate(lam + (0,) * (r - len(lam)))]
+    h = r // 2
+    runners = [[b // 2 for b in beta if b % 2 == q] for q in (0, 1)]
+    if len(runners[0]) != h:
+        return None
+    flips = sum(a < b for a in beta if a % 2 for b in beta if not b % 2) - h * (h - 1) // 2
+    counts = collections.Counter()
+    for k, beads in zip((1, -1), runners):
+        for i, b in enumerate(beads):
+            counts.update(k + 2 * i - 2 * j for j in range(b - h + 1 + i))
+    cols = [sum(p > j for p in lam) for j in range(lam[0])]
+    hooks = [p - j + cols[j] - i - 1 for i, p in enumerate(lam) for j in range(p)]
+    return Fraction((-1) ** (flips % 2), math.prod(x for x in hooks if x % 2 == 0)), counts
+
+
+def _limit_terms(parts):
+    """E[prod_{n in parts} Y_n] as terms of RationalFunction.from_factors:
+    prod n! e_n = sum K_lambda s_lambda by `_times_e`, and each lambda with
+    an empty 2-core adds K_lambda a_lambda(s) / prod h."""
+    state = {(): math.prod(math.factorial(n) for n in parts)}
+    for n in parts:
+        state = _times_e(state, n)
+    terms = []
+    for lam, K in state.items():
+        a = _schur_limit(lam)
+        if a:
+            terms.append(([1], K * a[0], a[1]))
+    return terms
+
+
 def limiting_moment(orders, exponents):
     """E[prod Y_{n_j}^{2h_j}] for the limiting elementary-symmetric variables,
-    via the finite alternating sum over arities n_1..L with L = sum 2h_j n_j.
-    """
+    one term per partition of L = sum 2h_j n_j in the Schur expansion of
+    prod e_{n_j}^{2h_j}."""
     spec = MomentSpec(tuple(orders), tuple(exponents), "Z", "limit")
     L = _exact_degree(spec)
-    if L > MAX_EXACT_ARITY:
-        raise ValueError("L = %d exceeds arity bound %d" % (L, MAX_EXACT_ARITY))
-    pref = Fraction(1, math.factorial(L))
-    for n, e in zip(spec.orders, spec.exponents):
-        pref *= Fraction(math.factorial(n)) ** e
-    terms = []
-    for m in range(spec.orders[0], L + 1):
-        P = SymPoly.const(m, 1)
-        for n, two_h in zip(spec.orders, spec.exponents):
-            P = P * elementary(n, m) ** int(two_h)
-        terms += _expectation(P, (-1) ** (m + L) * math.comb(L, m) * pref)
-    return RationalFunction.from_factors(terms)
+    if L > MAX_LIMIT_DEGREE:
+        raise ValueError("L = %d exceeds the limiting-moment degree cap %d" % (L, MAX_LIMIT_DEGREE))
+    return RationalFunction.from_factors(
+        _limit_terms([n for n, e in zip(spec.orders, spec.exponents) for _ in range(int(e))]))
 
 
 def finite_joint_moment(spec):

@@ -13,6 +13,7 @@ from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_cols,
                                hankel_det, mixed_derivative, partition_kq, theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
+from cuemoments.symfunc import elementary
 from cuemoments.sympoly import SymPoly
 
 
@@ -156,6 +157,22 @@ def hp_expectation_gcd(P):
     num, den = numerators_poly(_even_moments(P, m), m)
     num_d, den_d = numerators_poly(_even_moments(SymPoly.const(m, 1), m), m)
     return RationalFunction(num * den_d, den * num_d * P.den)
+
+
+def limiting_moment_gcd(orders, exponents):
+    """E[prod Y_{n_j}^{e_j}] by the alternating sum over the arities m =
+    max n_j..L (ROADMAP F3), on gcd-reduced RationalFunctions: the reference
+    for cauchy.limiting_moment, any positive int exponents."""
+    L = sum(n * e for n, e in zip(orders, exponents))
+    pref = Fraction(math.prod(math.factorial(n) ** e for n, e in zip(orders, exponents)),
+                    math.factorial(L))
+    total = RationalFunction(Poly())
+    for m in range(max(orders), L + 1):
+        P = SymPoly.const(m, 1)
+        for n, e in zip(orders, exponents):
+            P = P * elementary(n, m) ** e
+        total = total + (-1) ** (m + L) * math.comb(L, m) * hp_expectation_gcd(P)
+    return RationalFunction.const(pref) * total
 
 
 def second_moment_V_factors(n):

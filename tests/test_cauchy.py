@@ -13,8 +13,9 @@ from cuemoments.cauchy import (
     MomentSpec,
     _delta2_factors,
     _even_moments,
-    _linear_factors,
+    _limit_terms,
     _orbit_terms,
+    _schur_limit,
     domain,
     finite_joint_moment,
     hp_expectation,
@@ -26,10 +27,11 @@ from cuemoments.cauchy import (
 )
 from cuemoments.cli import MAX_V_ORDER
 from cuemoments.exact import Poly, RationalFunction, _summed
+from cuemoments.painleve import phi_series
 from cuemoments.sympoly import SymPoly
-from cuemoments.symfunc import elementary, v_variant_integrand, vandermonde_squared, xi_poly
-from oracles import (hp_expectation_gcd, numerators_poly, second_moment_V_factors,
-                     second_moment_V_product, weight_moment)
+from cuemoments.symfunc import v_variant_integrand, vandermonde_squared, xi_poly
+from oracles import (hp_expectation_gcd, limiting_moment_gcd, numerators_poly,
+                     second_moment_V_factors, second_moment_V_product, weight_moment)
 
 
 class TestWeightMoment:
@@ -157,8 +159,39 @@ class TestLimitingMoment:
         assert limiting_moment((1,), (2,)).eval(Fraction(1)) == Fraction(1, 3)
 
     def test_oracle_equivalence(self):
-        for n in (1, 2):
+        for n in range(1, 10):
             assert limiting_moment((n,), (2,)) == oracle_second_moment_Y(n)
+
+    @pytest.mark.parametrize("s", range(1, 10))
+    def test_characteristic_function(self, s):
+        # the limit analogue of F1: E[Y_1^{2k}] = (-1)^k (2k)! [t^{2k}] phi_s,
+        # for every k <= s, the moments that converge at integer s
+        K = min(2 * s, 18)
+        phi = phi_series(s, K)
+        for k in range(1, K // 2 + 1):
+            assert limiting_moment((1,), (2 * k,)).eval(Fraction(s)) \
+                == (-1) ** k * math.factorial(2 * k) * phi[2 * k]
+
+    # odd exponents, whose degree is even: Y_2 Y_1^2, Y_1 Y_2 Y_3, Y_2^3, Y_3 Y_1^3, ...
+    @pytest.mark.parametrize("orders,exponents", [
+        ((2, 1), (1, 2)), ((3, 2, 1), (1, 1, 1)), ((2,), (3,)), ((3, 1), (1, 3)),
+        ((4, 2), (1, 1)), ((5, 1), (1, 1)), ((2, 1), (1, 4)), ((3,), (1,)), ((1,), (3,))])
+    def test_odd_monomials_equal_alternating_sum(self, orders, exponents):
+        parts = [n for n, e in zip(orders, exponents) for _ in range(e)]
+        assert repr(RationalFunction.from_factors(_limit_terms(parts))) \
+            == repr(limiting_moment_gcd(orders, exponents))
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_conjugation_duality(self, size):
+        # a_{lambda'}(s) = a_lambda(-s); prod h is the same for both
+        for lam in _partitions(size):
+            conj = tuple(sum(p > j for p in lam) for j in range(lam[0]))
+            a, b = _schur_limit(lam), _schur_limit(conj)
+            assert (a is None) == (b is None)
+            if a is not None:
+                f, g = (RationalFunction.from_factors([([1], c, counts)]) for c, counts in (a, b))
+                for s in (Fraction(1, 3), Fraction(-2, 7), Fraction(11, 5)):
+                    assert g.eval(s) == f.eval(-s)
 
     def test_rejects_odd_exponent(self):
         with pytest.raises(ValueError):
@@ -316,39 +349,10 @@ class TestDelta2Factors:
         num, den = numerators_poly(_even_moments(SymPoly.const(m, 1), m), m)
         assert RationalFunction.from_factors([([1], c, counts)]) == RationalFunction(num, den)
 
-    def test_split(self):
-        # 3(u + 2)^2 (u - 1) = 3u^3 + 9u^2 - 12
-        assert _linear_factors([-12, 0, 9, 3], range(-4, 5)) == (3, {-1: 1, 2: 2})
-        assert _linear_factors([5], range(-4, 5)) == (5, {})
-
-    @pytest.mark.parametrize("num", [
-        [1, 0, 1],     # u^2 + 1 has no real root
-        [-7, 1],       # u - 7: its root lies outside the candidates
-        [3, 2, 0, 2],  # 2u^3 + 2u + 3: no factor u + k at all
-        [],            # the zero numerator
-    ])
-    def test_no_split_raises(self, num):
-        with pytest.raises(ArithmeticError):
-            _linear_factors(num, range(-4, 5))
-
 
 # the finite specs of the benchmark's exact sweep
 FINITE_SPECS = tuple((N, v, o, e) for N in (1, 2, 3, 4) for v in ("Z", "V") for o, e in SHAPES) \
     + ((5, "Z", (1,), (2,)), (5, "Z", (2,), (2,)), (5, "V", (1,), (2,)))
-
-
-def _limiting_gcd(orders, exponents):
-    """limiting_moment's alternating sum on gcd-reduced RationalFunctions."""
-    L = sum(n * e for n, e in zip(orders, exponents))
-    pref = Fraction(math.prod(math.factorial(n) ** e for n, e in zip(orders, exponents)),
-                    math.factorial(L))
-    total = RationalFunction(Poly())
-    for m in range(orders[0], L + 1):
-        P = SymPoly.const(m, 1)
-        for n, e in zip(orders, exponents):
-            P = P * elementary(n, m) ** e
-        total = total + (-1) ** (m + L) * math.comb(L, m) * hp_expectation_gcd(P)
-    return RationalFunction.const(pref) * total
 
 
 class TestFactorCountsEqualGcdRoute:
@@ -359,11 +363,19 @@ class TestFactorCountsEqualGcdRoute:
             * hp_expectation_gcd(_integrand(N, variant, orders, exponents))
         assert finite_joint_moment(MomentSpec(orders, exponents, variant, N)) == expected
 
-    # the Z leading specs of the exact sweep, and the two L = 6 moments
+    # every even spec with L <= 6: the Z leading specs of the exact sweep,
+    # the two L = 6 moments and (3),(2)
     @pytest.mark.parametrize("orders,exponents", [
-        ((1,), (2,)), ((2,), (2,)), ((1,), (4,)), ((2, 1), (2, 2)), ((1,), (6,))])
+        ((1,), (2,)), ((2,), (2,)), ((1,), (4,)), ((2, 1), (2, 2)), ((1,), (6,)), ((3,), (2,))])
     def test_limiting(self, orders, exponents):
-        assert limiting_moment(orders, exponents) == _limiting_gcd(orders, exponents)
+        assert repr(limiting_moment(orders, exponents)) == repr(limiting_moment_gcd(orders, exponents))
+
+
+def _partitions(n, most=None):
+    """Every partition of n into parts <= most, as non-increasing tuples."""
+    if n == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(n, most or n), 0, -1) for rest in _partitions(n - p, p)]
 
 
 class TestDomain:

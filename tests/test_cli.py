@@ -87,8 +87,8 @@ class TestLeadingCoeff:
         assert code == 2
         assert "error" in json.loads(captured.out)
 
-    # L = 6, the largest arity; recorded while hp_expectation expanded
-    # P * Delta^2 monomial by monomial
+    # L = 6; recorded while limiting_moment summed hp_expectation over the
+    # arities, each expanding P * Delta^2 monomial by monomial
     @pytest.mark.parametrize("orders,exponents,digest", [
         ("2,1", "2,2", "b47b5813da51563eb56b5d205e36c7ecd1561b6c6437e52f6ed40e810d6fddd3"),
         ("1", "6", "f85494b5139c70bc92e38b0756967ecfb1e4bdb1266c5d1a31ca25fddfb85478"),
@@ -107,6 +107,16 @@ class TestLeadingCoeff:
         assert code == 0
         assert doc["manifest"]["output_digest"] == \
             "373e74cd5c577f8b2ec566ea2a58053f99f9eab3e0c4d8d76fef0a2a8e332b8e"
+
+    def test_second_moment_at_degree_cap(self, capsys):
+        # L = 18: the Schur sum against the closed-form double binomial sum
+        from cuemoments.cauchy import oracle_second_moment_Y
+        from cuemoments.cli import _ratfun_json
+
+        code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", "9", "--exponents", "2",
+                               "--variant", "Z")
+        assert code == 0
+        assert doc["result"]["rational"] == _ratfun_json(oracle_second_moment_Y(9))
 
 
 class TestFiniteMoment:
@@ -546,6 +556,9 @@ def test_meaningless_moment_query_exit_2(capsys, argv):
     (["mc-estimate", "--N", "1", "--s", "3", "--orders", "99999999999999999999",
       "--exponents", "1", "--samples", "100"], "--orders <= 64; got 99999999999999999999"),
     (_MC + ["--orders", "65", "--exponents", "2"], "--orders <= 64; got 65"),
+    # just above the limiting-moment degree cap (every L <= 18 takes under 0.5 s)
+    (["leading-coeff", "--orders", "1", "--exponents", "20", "--variant", "Z"],
+     "L = 20 exceeds the limiting-moment degree cap 18"),
 ])
 def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     import cuemoments.cauchy as cauchy
@@ -562,6 +575,7 @@ def test_size_bound_named_before_any_work(capsys, monkeypatch, argv, bound):
     monkeypatch.setattr(mc, "_run_chain", no_work)
     monkeypatch.setattr(cauchy, "xi_poly", no_work)
     monkeypatch.setattr(cauchy, "v_variant_integrand", no_work)
+    monkeypatch.setattr(cauchy, "_times_e", no_work)
     monkeypatch.setattr(cli, "oracle_second_moment_V", no_work)
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2

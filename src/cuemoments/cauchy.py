@@ -13,7 +13,6 @@ before from_factors sums the terms.
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,18 +195,29 @@ def _integrand_monomials(N, orders, exponents):
                for j in range(N + 1) if D >= j * (d + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _compositions(n, bounds):
+    """Every tuple t of n split into len(bounds) parts with
+    0 <= t_i <= bounds[i]."""
+    if not bounds:
+        return ((),) if n == 0 else ()
+    room = sum(bounds[1:])
+    return tuple((t,) + rest for t in range(max(0, n - room), min(n, bounds[0]) + 1)
+                 for rest in _compositions(n - t, bounds[1:]))
+
+
 def _times_e(state, n):
     """The Schur expansion state {lambda: coeff} times e_n, by the dual Pieri
     rule: add a vertical strip of n boxes, at most one per row, with no row
     bound. Rows of equal length take boxes from the top down, so a strip is
-    one count per part size, the zero rows included, summing to n."""
+    one count per part size, the zero rows included, summing to n: a
+    composition of n bounded by the multiplicities."""
     out = collections.Counter()
     for lam, c in state.items():
         sizes = sorted(collections.Counter(lam).items(), reverse=True) + [(0, n)]
-        for ts in itertools.product(*[range(k + 1) for _, k in sizes]):
-            if sum(ts) == n:
-                out[tuple(q for (p, k), t in zip(sizes, ts)
-                          for q in [p + 1] * t + [p] * (k - t) if q)] += c
+        for ts in _compositions(n, tuple(k for _, k in sizes)):
+            out[tuple(q for (p, k), t in zip(sizes, ts)
+                      for q in [p + 1] * t + [p] * (k - t) if q)] += c
     return out
 
 
@@ -237,16 +247,17 @@ def _schur_limit(lam):
 def _limit_terms(parts):
     """E[prod_{n in parts} Y_n] as terms of RationalFunction.from_factors:
     prod n! e_n = sum K_lambda s_lambda by `_times_e`, and each lambda with
-    an empty 2-core adds K_lambda a_lambda(s) / prod h."""
+    an empty 2-core adds K_lambda a_lambda(s) / prod h, one term per
+    distinct factor counts."""
     state = {(): math.prod(math.factorial(n) for n in parts)}
     for n in parts:
         state = _times_e(state, n)
-    terms = []
+    merged = collections.Counter()
     for lam, K in state.items():
         a = _schur_limit(lam)
         if a:
-            terms.append(([1], K * a[0], a[1]))
-    return terms
+            merged[frozenset(a[1].items())] += K * a[0]
+    return [([1], c, dict(counts)) for counts, c in merged.items() if c]
 
 
 def limiting_moment(orders, exponents):

@@ -63,9 +63,9 @@ MAX_P3_S = 20
 # 2.8 s at 300
 MAX_P3_ORDER = 40
 # hankel-verify at every bound at once (N = 4, s = 10, l = 10, k = 5) takes
-# 1.2-1.6 s; one step past a bound takes 1.7-1.9 s at k = 6, 2.3 s at
-# s = l = 14 and 5.2-6.0 s at N = 5 (2.9-3.4 s at N = 6 even with s = 3, l = 4,
-# k = 3, nearly all of it the permutation expansions of trace_adjugate)
+# 0.9-1.2 s; one step past a bound takes 1.5 s at k = 6, 1.9 s at s = l = 14
+# and 4.4 s at N = 5 (2.7 s at N = 6 even with s = 3, l = 4, k = 3, nearly all
+# of it the permutation expansions of trace_adjugate)
 MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.23
 # s at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit

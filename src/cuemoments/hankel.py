@@ -21,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact import Poly, _lowest, _scale_arg
+from .exact import Poly, _convolve_into, _lowest, _scale_arg
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,48 @@ def _column_sum(A, B):
     return total
 
 
+# The integer theta minors of _theta_minor, one memo per (N, s), keyed by
+# increasing column tuples and shared by every partition, shift, k and cap
+_THETA_MINORS = {}
+
+
+def _theta_minor(N, s, cols):
+    """det[theta_{i + c_j}] over rows i = 0..n-1 and the columns c_j of the
+    tuple `cols`: the int tuple of the Poly after e^{-nt} (theta is an
+    integer Poly, so no minor has a denominator). Expanded along the last
+    row, with every minor memoised in _THETA_MINORS[(N, s)] on its column
+    tuple, so determinants that share columns share their minors: 2^n in
+    place of n! terms."""
+    memo = _THETA_MINORS.setdefault((N, s), {})
+    det = memo.get(cols)
+    if det is not None:
+        return det
+    n = len(cols)
+    if n == 1:
+        det = theta(cols[0], N, s).num
+    else:
+        # every theta has degree N + s - 1
+        acc = [0] * (n * (N + s - 1) + 1)
+        # the cofactor sign (-1)^{n-1+j} is + at the last column j = n-1
+        for j in range(n - 1, -1, -1):
+            row = theta(n - 1 + cols[j], N, s).num
+            if (n - 1 - j) % 2:
+                row = [-x for x in row]
+            _convolve_into(acc, row, _theta_minor(N, s, cols[:j] + cols[j + 1:]))
+        while acc and not acc[-1]:
+            acc.pop()
+        det = tuple(acc)
+    memo[cols] = det
+    return det
+
+
 def hankel_det(N, s, parts):
-    """Psi_{N,lambda} at t_2 = ... = t_k = 0: the Poly after e^{-Nt}."""
+    """Psi_{N,lambda} at t_2 = ... = t_k = 0: the Poly after e^{-Nt}, the
+    theta minor at the columns of the partition."""
     parts = tuple(parts)
     if len(parts) > N:
         return Poly()
-    return det_poly_bareiss(_matrix(lambda g: theta(g, N, s), N, parts))
+    return Poly._raw(_theta_minor(N, s, tuple(_columns(N, parts))), 1)
 
 
 def trace_adjugate(N, s, parts, h):
@@ -196,12 +232,12 @@ def mixed_derivative(N, s, ell):
         raise ValueError("derivative variables start at t_2")
     k = max(ell, default=1)
     cap = sum(ell.values())
-    coeff = Psi_ms(N, s, (), k, cap).terms.get(
-        tuple(ell.get(q, 0) for q in range(2, k + 1)), Poly())
+    P = Psi_ms(N, s, (), k, cap)
+    num = P.num.get(tuple(ell.get(q, 0) for q in range(2, k + 1)), ())
     scale = N ** cap
     for c in ell.values():
         scale *= math.factorial(c)
-    return (scale * coeff).scale_arg(N)
+    return Poly._raw(*_lowest(*_scale_arg([scale * x for x in num], P.den, N)))
 
 
 def cor_relation_residuals(N, s):
@@ -365,39 +401,6 @@ def _nonzero(num):
     return {e: v for e, v in num.items() if v}
 
 
-def _shifted_det(entry, cols, memo):
-    """det[entry(i + c_j)] over rows i = 0..n-1 and the columns c_j of the
-    tuple `cols`, over any commutative ring (only products, sums and
-    differences). Expanded along the last row; every minor is memoised in
-    `memo` on its column tuple, so determinants that share columns share
-    their minors: 2^n in place of n! terms. On the integer theta
-    (`_THETA_MINORS`) one memo serves every column tuple of Psi_ms."""
-    det = memo.get(cols)
-    if det is not None:
-        return det
-    n = len(cols)
-    if n == 1:
-        det = entry(cols[0])
-    else:
-        # the cofactor sign (-1)^{n-1+j} is + at the last column j = n-1
-        for j in range(n - 1, -1, -1):
-            term = entry(n - 1 + cols[j]) * _shifted_det(
-                entry, cols[:j] + cols[j + 1:], memo)
-            if j == n - 1:
-                det = term
-            elif (n - 1 - j) % 2:
-                det = det - term
-            else:
-                det = det + term
-    memo[cols] = det
-    return det
-
-
-# The minor memos of _shifted_det on the integer theta, one per (N, s), keyed
-# by increasing column tuples and shared by every partition, shift, k and cap
-_THETA_MINORS = {}
-
-
 @functools.lru_cache(maxsize=None)
 def _monomial_tuples(N, k, cap):
     """{(M, w): weight} for the N-tuples of monomials (m_0..m_{N-1}) in
@@ -437,19 +440,32 @@ def _psi_cols(N, s, k, cap, cols):
         if not any(map(operator.eq, d, d[1:])):
             minors = signed.setdefault(M, {})
             minors[tuple(d)] = minors.get(tuple(d), 0) + weight
-    memo = _THETA_MINORS.setdefault((N, s), {})
-    terms = {}
+    sums = {}
     for M, minors in signed.items():
-        acc = []
+        acc = sums[M] = []
         for d, weight in minors.items():
-            # integer theta, so every minor has denominator 1
-            num = _shifted_det(lambda g: theta(g, N, s), d, memo).num
+            num = _theta_minor(N, s, d)
             acc.extend([0] * (len(num) - len(acc)))
             for i, x in enumerate(num):
                 acc[i] += weight * x
-        den = N ** sum(M) * math.prod(map(math.factorial, M))
-        terms[M] = Poly._raw(*_lowest(*_scale_arg(acc, den, Fraction(1, N))))
-    return MultiSeries(k - 1, cap, cap, terms)
+    # in t_1/N the t_1^i t^M coefficient is acc_i / (N^{|M|+i} prod_q M_q!):
+    # every one over den = N^top lcm_M(prod_q M_q!), reduced by one gcd
+    sums = _nonzero(sums)
+    facts = {M: math.prod(map(math.factorial, M)) for M in sums}
+    lcm = math.lcm(*facts.values())
+    top = max([sum(M) + len(acc) - 1 for M, acc in sums.items()], default=0)
+    num = {}
+    for M, acc in sums.items():
+        f = lcm // facts[M] * N ** (top - sum(M) - len(acc) + 1)
+        out = num[M] = [0] * len(acc)
+        for i in range(len(acc) - 1, -1, -1):
+            out[i] = acc[i] * f
+            f *= N
+    den = lcm * N ** top
+    g = math.gcd(den, *[x for v in num.values() for x in v])
+    if g != 1:
+        num = {M: [x // g for x in v] for M, v in num.items()}
+    return MultiSeries(k - 1, cap)._with(num, den // g)
 
 
 def Psi_ms(N, s, parts, k, cap):

@@ -11,7 +11,8 @@ from operator import mul
 from cuemoments.cauchy import _even_moments
 from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_cols,
-                               hankel_det, mixed_derivative, partition_kq, theta)
+                               det_poly_bareiss, hankel_det, mixed_derivative, partition_kq,
+                               theta)
 from cuemoments.mc import _GOLDEN, _MASK, _mix64
 from cuemoments.symfunc import elementary
 from cuemoments.sympoly import SymPoly
@@ -223,6 +224,41 @@ def sigma_p3_series_residual(tau, s):
     td2 = _mul_t(d2)
     return (td2 * td2 + _mul_t(d1 * d1 * d1) * 4
             - (4 * s * s + 4 * tau) * d1 * d1 - _mul_t(d1) + tau)
+
+
+def shifted_det(entry, cols, memo):
+    """det[entry(i + c_j)] over rows i = 0..n-1 and the columns c_j of the
+    tuple `cols`, over any commutative ring (only products, sums and
+    differences): the ring-generic form of hankel._theta_minor. Expanded
+    along the last row; every minor is memoised in `memo` on its column
+    tuple, so determinants that share columns share their minors."""
+    det = memo.get(cols)
+    if det is not None:
+        return det
+    n = len(cols)
+    if n == 1:
+        det = entry(cols[0])
+    else:
+        # the cofactor sign (-1)^{n-1+j} is + at the last column j = n-1
+        for j in range(n - 1, -1, -1):
+            term = entry(n - 1 + cols[j]) * shifted_det(entry, cols[:j] + cols[j + 1:], memo)
+            if j == n - 1:
+                det = term
+            elif (n - 1 - j) % 2:
+                det = det - term
+            else:
+                det = det + term
+    memo[cols] = det
+    return det
+
+
+def hankel_det_bareiss(N, s, parts):
+    """hankel_det by Bareiss elimination on the Poly matrix of theta: the
+    reference for its memoised integer theta minors."""
+    parts = tuple(parts)
+    if len(parts) > N:
+        return Poly()
+    return det_poly_bareiss(_matrix(lambda g: theta(g, N, s), N, parts))
 
 
 def hankel_derivative_column_rule(N, s, parts):

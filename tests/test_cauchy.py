@@ -2,6 +2,7 @@
 weight moments, collected expectations, limiting and finite-size joint
 moments, and the independent closed-form oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cuemoments.cauchy import (
     MomentSpec,
+    _compositions,
     _delta2_factors,
     _even_moments,
     _limit_terms,
@@ -180,6 +182,19 @@ class TestLimitingMoment:
         parts = [n for n, e in zip(orders, exponents) for _ in range(e)]
         assert repr(RationalFunction.from_factors(_limit_terms(parts))) \
             == repr(limiting_moment_gcd(orders, exponents))
+
+    @pytest.mark.parametrize("n,bounds", [
+        (0, ()), (1, ()), (0, (2, 0)), (3, (1, 2, 3)), (4, (2, 1, 4)), (5, (1, 1, 1)), (6, (3, 0, 2, 6))])
+    def test_strips_are_the_bounded_compositions(self, n, bounds):
+        ref = [t for t in itertools.product(*[range(b + 1) for b in bounds]) if sum(t) == n]
+        assert list(_compositions(n, bounds)) == ref
+
+    @pytest.mark.parametrize("parts", [[1] * 8, [2, 2, 1, 1, 1, 1], [3, 3, 2, 2]])
+    def test_limit_terms_one_per_factor_counts(self, parts):
+        terms = _limit_terms(parts)
+        keys = [frozenset(counts.items()) for _, _, counts in terms]
+        assert len(set(keys)) == len(keys)
+        assert all(c for _, c, _ in terms)
 
     @pytest.mark.parametrize("size", range(1, 13))
     def test_conjugation_duality(self, size):

@@ -35,7 +35,7 @@ from cuemoments.hankel import (
     verify_vector_recursion,
 )
 from oracles import (Psi_trace_ms, expansion_bruteforce, expansion_coeff,
-                     expansion_coeff_multinomial, hankel_derivative_column_rule,
+                     expansion_coeff_multinomial, hankel_derivative_column_rule, hankel_det_bareiss,
                      lemma_dq_residual, lemma_t1_residual, normalized_L,
                      weighted_alternating_residual)
 
@@ -79,6 +79,39 @@ class TestDeterminants:
 
     def test_too_many_parts_is_zero(self):
         assert hankel_det(2, 1, (1, 1, 1)).is_zero()
+
+    @pytest.mark.parametrize("N,s", [(N, s) for N in range(1, 5) for s in range(1, 4)])
+    def test_theta_minor_matches_permutation_expansion(self, N, s):
+        # every partition of at most 5 boxes with at most N parts, at the
+        # column shifts h = 0, 1, 2
+        for n in range(6):
+            for parts in [p for p in partitions(n) if len(p) <= N]:
+                for h in range(3):
+                    ref = det_perm(hk._matrix(lambda g: theta(g, N, s), N, parts, h))
+                    minor = hk._theta_minor(N, s, tuple(hk._columns(N, parts, h)))
+                    assert (minor, 1) == (ref.num, ref.den)
+
+    @pytest.mark.parametrize("N,s", [(N, s) for N in range(1, 5) for s in range(1, 4)])
+    def test_hankel_det_matches_bareiss_reference(self, N, s):
+        for n in range(7):
+            for parts in partitions(n):
+                assert hankel_det(N, s, parts) == hankel_det_bareiss(N, s, parts)
+
+    def test_too_many_parts_adds_no_memo_entry(self):
+        before = {key: dict(memo) for key, memo in hk._THETA_MINORS.items()}
+        assert hankel_det(3, 2, (2, 1, 1, 1)).is_zero()
+        assert hankel_det(97, 5, (1,) * 98).is_zero()
+        assert hk._THETA_MINORS == before
+
+    def test_memo_values_are_int_tuples(self):
+        hankel_det(3, 2, (2, 1))
+        Psi_ms(3, 2, (1,), 3, 2)
+        memo = hk._THETA_MINORS[3, 2]
+        assert memo
+        for cols, minor in memo.items():
+            assert list(cols) == sorted(set(cols))
+            assert type(minor) is tuple
+            assert all(type(x) is int for x in minor)
 
     def test_column_rule_equals_direct_derivative(self):
         for N, s, parts in [(1, 1, ()), (2, 2, ()), (2, 2, (2,)), (3, 1, (1, 1))]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cuemoments.painleve as painleve
 from cuemoments.exact import Poly, PowerSeries, RationalFunction
-from cuemoments.hankel import _shifted_det, det_perm
+from cuemoments.hankel import det_perm
 from cuemoments.painleve import (
     MAX_FLOAT_PHI_S,
     _g_series,
@@ -27,7 +27,7 @@ from cuemoments.painleve import (
     tau_finiteN,
     tau_limit,
 )
-from oracles import sigma_p3_series_residual
+from oracles import shifted_det, sigma_p3_series_residual
 
 
 class TestPhiSeries:
@@ -61,13 +61,13 @@ class TestPhiSeries:
     @pytest.mark.parametrize("s", range(1, 9))
     def test_minor_kernel_matches_permutation_expansion(self, s):
         # the elimination of phi_series against the s! permutation terms for
-        # s <= 6, and against the memoised minors of _shifted_det beyond
+        # s <= 6, and against the memoised minors of shifted_det beyond
         K = 10
         gs = [_g_series(nu, K) for nu in range(1, 2 * s)]
         if s <= 6:
             det = det_perm([gs[j:j + s] for j in range(s)])
         else:
-            det = _shifted_det(gs.__getitem__, tuple(range(s)), {})
+            det = shifted_det(gs.__getitem__, tuple(range(s)), {})
         pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                         barnes_G_int(s + 1) ** 2)
         exp_neg_t = PowerSeries([Fraction((-1) ** m, math.factorial(m))
@@ -81,8 +81,8 @@ class TestPhiSeries:
         # the constant terms of the leading r x r minors of [g_{j+k+1}] are
         # D_r = det[1/(j+k+1)!] = (-1)^{r(r-1)/2} G(r+1)^2/G(2r+1) != 0, so
         # every pivot of _phi's elimination has a nonzero constant term
-        D = _shifted_det(lambda nu: Fraction(1, math.factorial(nu + 1)),
-                         tuple(range(r)), {})
+        D = shifted_det(lambda nu: Fraction(1, math.factorial(nu + 1)),
+                        tuple(range(r)), {})
         assert D == Fraction((-1) ** (r * (r - 1) // 2) * barnes_G_int(r + 1) ** 2,
                              barnes_G_int(2 * r + 1))
 
@@ -99,7 +99,7 @@ class TestPhiSeries:
                   for m in range(200)) for nu in range(1, 2 * s)]
         pref = Fraction((-1) ** (s * (s - 1) // 2) * barnes_G_int(2 * s + 1),
                         barnes_G_int(s + 1) ** 2)
-        exact = float(pref * _shifted_det(gs.__getitem__, tuple(range(s)), {}))
+        exact = float(pref * shifted_det(gs.__getitem__, tuple(range(s)), {}))
         # abs=0: pytest.approx's default abs=1e-12 outweighs rel=1e-11 for
         # every phi below 0.1, and phi_4(60) = 2.4e-8
         assert phi_eval(s, t) == pytest.approx(exact * math.exp(-t), rel=1e-11, abs=0)

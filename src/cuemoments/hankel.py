@@ -10,18 +10,19 @@ every determinant, derivative, trace, and residual is a known exponential
 e^{-ct} times a polynomial. Each function returns the Poly after that factor,
 and its docstring names c: 1 for theta, N for an N x N determinant of them.
 exp_derivative differentiates through the factor; a MultiSeries (the
-boldface Psi_ms and its t-derivatives) always has c = 1. The boldface series
-Psi_ms is a weighted sum of integer theta minors, by multilinearity in the
-columns: no series product.
+boldface Psi_ms and its t-derivatives) always has c = 1. The mixed
+t_q-derivatives and the boldface series Psi_ms are one integer sum of theta
+minors (_minor_sums), by multilinearity in the columns: no series product.
 """
 
+import bisect
 import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 
-from .exact import Poly, _convolve_into, _lowest, _scale_arg
+from .exact import Poly, _convolve_into, _lowest
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +224,13 @@ def alternating_sum_residual(N, s, l):
 
 def mixed_derivative(N, s, ell):
     """The mixed derivative prod_q (d/dt_q)^{ell_q} of the full Hankel
-    determinant, evaluated at t_2 = ... = 0: the Poly in t_1 after e^{-Nt}.
-
-    Read from the boldface series Psi_ms, whose prod t_q^{ell_q} coefficient
-    is the derivative / (prod ell_q! N^{sum ell_q}) in the variable t_1/N.
-    """
+    determinant, evaluated at t_2 = ... = 0: the Poly in t_1 after e^{-Nt},
+    the _minor_sums entry at ell."""
     if any(q < 2 for q in ell):
         raise ValueError("derivative variables start at t_2")
     k = max(ell, default=1)
-    cap = sum(ell.values())
-    P = Psi_ms(N, s, (), k, cap)
-    num = P.num.get(tuple(ell.get(q, 0) for q in range(2, k + 1)), ())
-    scale = N ** cap
-    for c in ell.values():
-        scale *= math.factorial(c)
-    return Poly._raw(*_lowest(*_scale_arg([scale * x for x in num], P.den, N)))
+    sums = _minor_sums(N, s, k, sum(ell.values()), tuple(range(N)))
+    return Poly._raw(*_lowest(sums[tuple(ell.get(q, 0) for q in range(2, k + 1))], 1))
 
 
 def cor_relation_residuals(N, s):
@@ -402,55 +395,53 @@ def _nonzero(num):
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_tuples(N, k, cap):
-    """{(M, w): weight} for the N-tuples of monomials (m_0..m_{N-1}) in
-    t_2..t_k that add up to an M of degree <= cap: w = (w(m_0)..w(m_{N-1}))
-    with w(m) = sum_q q m_q, and the integer weight is the sum of
-    prod_q M_q! / prod_j m_j! (a product of multinomials) over the tuples."""
-    monos = [(m, sum(m), sum(q * x for q, x in enumerate(m, 2)))
-             for m in itertools.product(range(cap + 1), repeat=k - 1) if sum(m) <= cap]
+def _monomials(k, cap):
+    """The monomials t^m in t_2..t_k of degree <= cap, as pairs (m, w(m))
+    with w(m) = sum_q q m_q."""
+    return [(m, sum(q * x for q, x in enumerate(m, 2)))
+            for m in itertools.product(range(cap + 1), repeat=k - 1) if sum(m) <= cap]
+
+
+def _minor_sums(N, s, k, cap, cols):
+    """{M: int list} for every M of degree <= cap: the t^M coefficient,
+    times prod_q M_q!, of det[sum_m t^m theta_{i + c_j + w(m)} / m!] over
+    the column tuple `cols`; that is the mixed derivative
+    prod_q (d/dt_q)^{M_q} of det[theta_{i + c_j}] at t_2 = ... = 0, the Poly
+    after e^{-Nt}. By multilinearity the determinant is expanded one column
+    at a time into {(M, D): weight}, D the sorted columns so far: inserting
+    column c_j + w(m) at position i of D signs the weight by (-1)^{len(D)-i}
+    and multiplies it by prod_q C(M_q + m_q, m_q), and a repeated column
+    gives zero. Each D then adds weight * _theta_minor(N, s, D)."""
     table = {((0,) * (k - 1), ()): 1}
-    for _ in range(N):
+    for c in cols:
         grown = {}
-        for (M, w), weight in table.items():
-            for m, size, shift in monos:
-                if size <= cap - sum(M):
-                    key = (tuple(map(operator.add, M, m)), w + (shift,))
-                    grown[key] = grown.get(key, 0) + weight * math.prod(
-                        map(math.comb, key[0], m))
+        for (M, D), weight in table.items():
+            for m, w in _monomials(k, cap - sum(M)):
+                i = bisect.bisect_left(D, c + w)
+                if D[i:i + 1] != (c + w,):
+                    key = (tuple(map(operator.add, M, m)), D[:i] + (c + w,) + D[i:])
+                    f = (-1) ** (len(D) - i) * weight * math.prod(map(math.comb, key[0], m))
+                    grown[key] = grown.get(key, 0) + f
         table = grown
-    return table
+    # keyed by the cached monomial tuples, which every series then shares
+    sums = {m: [] for m, _ in _monomials(k, cap)}
+    for (M, D), weight in table.items():
+        acc = sums[M]
+        num = _theta_minor(N, s, D)
+        acc.extend([0] * (len(num) - len(acc)))
+        _convolve_into(acc, (weight,), num)
+    return sums
 
 
 @functools.lru_cache(maxsize=None)
 def _psi_cols(N, s, k, cap, cols):
     """det[psi(i + c_j)] for the column tuple `cols`, where
     psi(g) = sum_m t^m theta_{g+w(m)}(t_1/N) / (N^{|m|} m!): a MultiSeries
-    with decay 1, built with no series product. By multilinearity in the
-    columns its t^M coefficient is the sum over _monomial_tuples of
-    weight * det[theta_{i + c_j + w_j}] / (N^{|M|} prod_q M_q!), in t_1/N;
-    each determinant is the theta minor at the sorted columns, signed by the
-    sort and zero when a column repeats."""
-    signed = {}
-    for (M, w), weight in _monomial_tuples(N, k, cap).items():
-        d = list(map(operator.add, cols, w))
-        if sum(a > b for i, a in enumerate(d) for b in d[i + 1:]) % 2:
-            weight = -weight
-        d.sort()
-        if not any(map(operator.eq, d, d[1:])):
-            minors = signed.setdefault(M, {})
-            minors[tuple(d)] = minors.get(tuple(d), 0) + weight
-    sums = {}
-    for M, minors in signed.items():
-        acc = sums[M] = []
-        for d, weight in minors.items():
-            num = _theta_minor(N, s, d)
-            acc.extend([0] * (len(num) - len(acc)))
-            for i, x in enumerate(num):
-                acc[i] += weight * x
+    with decay 1, built with no series product. Its t^M coefficient is the
+    _minor_sums entry at M over N^{|M|} prod_q M_q!, in t_1/N."""
     # in t_1/N the t_1^i t^M coefficient is acc_i / (N^{|M|+i} prod_q M_q!):
     # every one over den = N^top lcm_M(prod_q M_q!), reduced by one gcd
-    sums = _nonzero(sums)
+    sums = _nonzero(_minor_sums(N, s, k, cap, cols))
     facts = {M: math.prod(map(math.factorial, M)) for M in sums}
     lcm = math.lcm(*facts.values())
     top = max([sum(M) + len(acc) - 1 for M, acc in sums.items()], default=0)
@@ -478,6 +469,11 @@ def Psi_ms(N, s, parts, k, cap):
     return _psi_cols(N, s, k, cap, tuple(_columns(N, parts)))
 
 
+def _d1m1(ms):
+    """(d/dt_1 - 1) ms."""
+    return ms.d_t1() - ms
+
+
 def initial_condition_residuals(N, s):
     """The two second-shift initial conditions at t_rest = 0:
     Psi_{lambda_{2,1}} = (N^2/8)Psi'' - (N^2/4)Psi' + (N^2/8)Psi + (N/2)dPsi/dt2
@@ -485,9 +481,8 @@ def initial_condition_residuals(N, s):
     Returns the pair of residual MultiSeries, in t_2 through order 2."""
     k = cap = 2
     P = Psi_ms(N, s, (), k, cap)
-    d = P.d_t1() - P
     # the right sides are (N^2/8)(d/dt_1 - 1)^2 Psi +/- (N/2) dPsi/dt2
-    base = [(Fraction(-N * N, 8), d.d_t1() - d)]
+    base = [(Fraction(-N * N, 8), _d1m1(_d1m1(P)))]
     dt2 = P.d_tq(2)
     r1 = Psi_ms(N, s, (2,), k, cap).lincomb(base + [(Fraction(-N, 2), dt2)])
     r2 = Psi_ms(N, s, (1, 1), k, cap).lincomb(base + [(Fraction(N, 2), dt2)])
@@ -588,11 +583,6 @@ def appendix_matrices(l, k, N, s):
 # ---------------------------------------------------------------------------
 # vector recursion
 # ---------------------------------------------------------------------------
-
-def _d1m1(ms):
-    """(d/dt_1 - 1) ms."""
-    return ms.d_t1() - ms
-
 
 def _mul_2t12(ms):
     """Multiply by 2(t_1 + t_2)."""

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,17 @@ class TestMixedDerivativeAndRatio:
         # at N = 1 every derivative d/dt_q shifts the one theta index by q
         S = sum(q * c for q, c in ell.items())
         assert mixed_derivative(1, s, ell) == theta(S, 1, s)
+
+    @pytest.mark.parametrize("ell", [{3: 1}, {4: 1}, {2: 1, 3: 2}])
+    @pytest.mark.parametrize("N,s", [(2, 1), (2, 3), (3, 2)])
+    def test_matches_reference_series(self, N, s, ell):
+        # the derivative is N^{|ell|} prod_q ell_q! times the t^ell
+        # coefficient of the reference determinant, taken with t_1 -> N t_1
+        k, cap = max(ell), sum(ell.values())
+        ref = det_perm(hk._matrix(lambda g: ref_psi_multiseries(N, s, g, k, cap), N, ()))
+        coeff = ref.terms[tuple(ell.get(q, 0) for q in range(2, k + 1))]
+        scale = N ** cap * math.prod(map(math.factorial, ell.values()))
+        assert mixed_derivative(N, s, ell) == coeff.scale_arg(N) * scale
 
     def test_normalized_ratio_closed_form(self):
         # N = s = 1, one second-order insertion: value is -4t/(1+t)
@@ -486,6 +498,20 @@ class TestIntegerMultiSeries:
             assert (hk._psi_cols(N, s, k, cap, swapped) + P).is_zero_through_ord()
         ref = det_perm(hk._matrix(lambda g: ref_psi_multiseries(N, s, g, k, cap), N, (), 1))
         assert same_series(hk._psi_cols(N, s, k, cap, tuple(hk._columns(N, (), 1))), ref)
+
+    def test_random_column_tuples(self):
+        # seeded column tuples, unsorted and repeated ones among them, against
+        # det_perm of the reference series at exactly those columns
+        rng = random.Random(20261021)
+        entry = functools.lru_cache(None)(ref_psi_multiseries)
+        kinds = set()
+        for _ in range(200):
+            N, s, k, cap = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3), rng.randint(0, 2)
+            cols = tuple(rng.randint(0, 6) for _ in range(N))
+            kinds.add((list(cols) == sorted(cols), len(set(cols)) == N))
+            ref = det_perm([[entry(N, s, i + c, k, cap) for c in cols] for i in range(N)])
+            assert same_series(hk._psi_cols(N, s, k, cap, cols), ref), (N, s, k, cap, cols)
+        assert kinds == {(True, True), (False, True), (True, False), (False, False)}
 
 
 class TestMultiSeries:

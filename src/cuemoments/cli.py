@@ -313,6 +313,8 @@ def cmd_finite_moment(args):
         raise ValueError("--N must be >= 1")
     orders = _parse_int_list(args.orders)
     exponents = _parse_exponent_list(args.exponents)
+    if len(orders) != len(exponents):
+        raise ValueError("orders and exponents must have equal length")
     # '_' marks the exponent of the 0-th derivative, the power of the
     # polynomial itself: it is absorbed into the weight parameter s, so the
     # pair is dropped from the integrand

@@ -482,11 +482,11 @@ class PowerSeries:
         return PowerSeries([c], order)
 
     def __getitem__(self, k):
-        if k > self.order:
-            raise IndexError("coefficient %d beyond truncation order %d" % (k, self.order))
-        if 0 <= k < len(self.num):
+        if not 0 <= k <= self.order:
+            raise IndexError("coefficient %d outside 0..%d, the truncation order" % (k, self.order))
+        if k < len(self.num):
             return Fraction(self.num[k], self.den)
-        return self.coeffs[k]
+        return Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):

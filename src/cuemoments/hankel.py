@@ -13,6 +13,9 @@ exp_derivative differentiates through the factor; a MultiSeries (the
 boldface Psi_ms and its t-derivatives) always has c = 1. The mixed
 t_q-derivatives and the boldface series Psi_ms are one integer sum of theta
 minors (_minor_sums), by multilinearity in the columns: no series product.
+Every operator of the recursions acts on them in one pass, as a product by a
+linear form in the times (MultiSeries.times), as d/dt_1 - 1 through the
+decay (d1m1) or as d/dt_q (d_tq), and each residual is one lincomb.
 """
 
 import bisect
@@ -276,10 +279,12 @@ class MultiSeries:
     are valid.
 
     The polynomials are integer numerator lists (ascending, no trailing zero)
-    over one common denominator `den`: every linear combination (`lincomb`,
-    behind + and -) brings its terms to their lcm, so no coefficient is
-    normalised until it leaves the class as a Poly through `terms`. There is
-    no series product: Psi_ms is built from theta minors (`_psi_cols`).
+    over one common denominator `den`: the one sum, `lincomb`, brings its
+    terms to their lcm, so no coefficient is normalised until it leaves the
+    class as a Poly through `terms`. Each other operator is one pass over the
+    numerators: `times` multiplies by a linear form in t_1..t_k, `d1m1` is
+    d/dt_1 - 1 and `d_tq` is d/dt_q. There is no series product: Psi_ms is
+    built from theta minors (`_psi_cols`).
     """
 
     __slots__ = ("nv", "cap", "ord", "num", "den")
@@ -331,38 +336,35 @@ class MultiSeries:
                     acc[i] += y * f
         return self._with(_nonzero(out), den, min([self.ord] + [v.ord for v in series]))
 
-    def __add__(self, other):
-        return self.lincomb([(1, other)])
-
-    def __sub__(self, other):
-        return self.lincomb([(-1, other)])
-
-    def mul_t1(self, weight=1):
-        """Multiply by weight * t_1 (an int weight): a shift of every
-        coefficient."""
-        return self._with(_nonzero({e: [0] + [x * weight for x in v]
-                                    for e, v in self.num.items()}))
-
-    def mul_tq(self, q, weight=1):
-        """Multiply by weight * t_q."""
-        idx = q - 2
+    def times(self, form):
+        """Multiply by the linear form sum_q w_q t_q, form = {q: int w_q}, in
+        one pass: t_1 shifts every coefficient, and a t_q term past cap is
+        dropped. Valid through ord if t_1 is in the form, else through
+        min(cap, ord + 1)."""
         out = {}
         for e, v in self.num.items():
-            if sum(e) < self.cap:
-                ee = list(e)
-                ee[idx] += 1
-                out[tuple(ee)] = [x * weight for x in v]
-        return self._with(_nonzero(out), ord=min(self.cap, self.ord + 1))
+            for q, w in form.items():
+                if q == 1:
+                    key, shift = e, 1
+                elif sum(e) < self.cap:
+                    key, shift = e[:q - 2] + (e[q - 2] + 1,) + e[q - 1:], 0
+                else:
+                    continue
+                acc = out.setdefault(key, [])
+                acc.extend([0] * (len(v) + shift - len(acc)))
+                for i, x in enumerate(v, shift):
+                    acc[i] += w * x
+        return self._with(_nonzero(out), ord=self.ord if 1 in form else min(self.cap, self.ord + 1))
 
-    def d_t1(self):
-        """d/dt_1 through the decay: each coefficient p becomes p' - p."""
+    def d1m1(self):
+        """(d/dt_1 - 1) through the decay: each coefficient p becomes p' - 2p
+        (its leading term -2x is never zero)."""
         out = {}
         for e, v in self.num.items():
-            w = [-x for x in v]
+            w = out[e] = [-2 * x for x in v]
             for i in range(1, len(v)):
                 w[i - 1] += i * v[i]
-            out[e] = w
-        return self._with(_nonzero(out))
+        return self._with(out)
 
     def d_tq(self, q):
         idx = q - 2
@@ -469,11 +471,6 @@ def Psi_ms(N, s, parts, k, cap):
     return _psi_cols(N, s, k, cap, tuple(_columns(N, parts)))
 
 
-def _d1m1(ms):
-    """(d/dt_1 - 1) ms."""
-    return ms.d_t1() - ms
-
-
 def initial_condition_residuals(N, s):
     """The two second-shift initial conditions at t_rest = 0:
     Psi_{lambda_{2,1}} = (N^2/8)Psi'' - (N^2/4)Psi' + (N^2/8)Psi + (N/2)dPsi/dt2
@@ -482,7 +479,7 @@ def initial_condition_residuals(N, s):
     k = cap = 2
     P = Psi_ms(N, s, (), k, cap)
     # the right sides are (N^2/8)(d/dt_1 - 1)^2 Psi +/- (N/2) dPsi/dt2
-    base = [(Fraction(-N * N, 8), _d1m1(_d1m1(P)))]
+    base = [(Fraction(-N * N, 8), P.d1m1().d1m1())]
     dt2 = P.d_tq(2)
     r1 = Psi_ms(N, s, (2,), k, cap).lincomb(base + [(Fraction(-N, 2), dt2)])
     r2 = Psi_ms(N, s, (1, 1), k, cap).lincomb(base + [(Fraction(N, 2), dt2)])
@@ -584,16 +581,6 @@ def appendix_matrices(l, k, N, s):
 # vector recursion
 # ---------------------------------------------------------------------------
 
-def _mul_2t12(ms):
-    """Multiply by 2(t_1 + t_2)."""
-    return ms.mul_t1(2) + ms.mul_tq(2, 2)
-
-
-def _diffmul(ms, p, q):
-    """Multiply by diff_{p,q} = p t_p - q t_q, for p, q >= 2."""
-    return ms.mul_tq(p, p) - ms.mul_tq(q, q)
-
-
 def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
     """Exact residual of the vector recursion for Psi^{(0)}[l;1], with the
     identity multiplied through by 2(t_1+t_2) to clear denominators.
@@ -628,22 +615,22 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
 
     terms = []
     # T1: k t_k (-1)^{k+1} B (-N/2 d1 + N/2) Psi^{(0)}[l+k-2;k]
-    terms.append((k * (-1) ** k * half, B, [_d1m1(e).mul_tq(k) for e in vec(l + k - 2, k)]))
+    terms.append((k * (-1) ** k * half, B, [e.d1m1().times({k: 1}) for e in vec(l + k - 2, k)]))
 
     # T2: B [2(t1+t2)(N/2 d1 - N/2) + N(sum diff_{m-1,m} d_{t_{m-1}} + k t_k d_{t_k})]
     v = vec(l - 1, 1)
-    terms.append((half, B, [_mul_2t12(_d1m1(e)) for e in v]))
+    terms.append((half, B, [e.d1m1().times({1: 2, 2: 2}) for e in v]))
     for m in range(3, k + 1):
-        terms.append((N, B, [_diffmul(e.d_tq(m - 1), m - 1, m) for e in v]))
-    terms.append((N * k, B, [e.d_tq(k).mul_tq(k) for e in v]))
+        terms.append((N, B, [e.d_tq(m - 1).times({m - 1: m - 1, m: -m}) for e in v]))
+    terms.append((N * k, B, [e.d_tq(k).times({k: 1}) for e in v]))
 
     # T3: sum_{m=1}^{k-2} diff_{m+1,m+2} (-1)^m Q_{m+2} Psi^{(0)}[l+m;1]
     for m in range(1, k - 1):
         terms.append(((-1) ** m, mats["Q%d" % (m + 2)],
-                      [_diffmul(e, m + 1, m + 2) for e in vec(l + m, 1)]))
+                      [e.times({m + 1: m + 1, m + 2: -m - 2}) for e in vec(l + m, 1)]))
 
     # T4: (2 t_1 Q_1 + N Q_0) Psi^{(0)}[l-1;1]
-    terms.append((2, mats["Q1"], [e.mul_t1() for e in v]))
+    terms.append((2, mats["Q1"], [e.times({1: 1}) for e in v]))
     terms.append((N, mats["Q0"], v))
 
     # T5: N Q_2 Psi^{(0)}[l-2;1]
@@ -652,26 +639,28 @@ def verify_vector_recursion(l, k, N, s, t0=Fraction(1), perturb=False):
     # T6: - sum_{m=0}^{k-3} diff_{m+2,m+3} (-1)^m B (-N/2 d1 + N/2) Psi^{(0)}[l+m;m+2]
     for m in range(0, k - 2):
         terms.append(((-1) ** m * half, B,
-                      [_diffmul(_d1m1(e), m + 2, m + 3) for e in vec(l + m, m + 2)]))
+                      [e.d1m1().times({m + 2: m + 2, m + 3: -m - 3})
+                       for e in vec(l + m, m + 2)]))
 
     # T7: (-1)^{k-1} k t_k Q_{k+1} Psi^{(0)}[l+k-1;1]
     terms.append(((-1) ** (k - 1) * k, mats["Q%d" % (k + 1)],
-                  [e.mul_tq(k) for e in vec(l + k - 1, 1)]))
+                  [e.times({k: 1}) for e in vec(l + k - 1, 1)]))
 
     # T8: B N k t_k sum_{h=2}^{k-1} (-1)^{k+h} d_{t_h} Psi^{(1)}[l+k-1-h;k+1-h]
     for h in range(2, k):
         terms.append((N * k * (-1) ** (k + h), B,
-                      [e.d_tq(h).mul_tq(k) for e in vec(l + k - 1 - h, k + 1 - h)]))
+                      [e.d_tq(h).times({k: 1}) for e in vec(l + k - 1 - h, k + 1 - h)]))
 
     # T9: B N sum_{m=4}^k (-1)^{m-1} diff_{m-1,m} sum_{h=2}^{m-2} (-1)^h d_{t_h}
     #     Psi^{(1)}[l+m-2-h;m-h]
     for m in range(4, k + 1):
         for h in range(2, m - 1):
             terms.append((N * (-1) ** (m - 1 + h), B,
-                          [_diffmul(e.d_tq(h), m - 1, m) for e in vec(l + m - 2 - h, m - h)]))
+                          [e.d_tq(h).times({m - 1: m - 1, m: -m})
+                           for e in vec(l + m - 2 - h, m - h)]))
 
-    residual = [_mul_2t12(e).lincomb([(-c * M[i][j], w_j) for c, M, w in terms
-                                      for j, w_j in enumerate(w)])
+    residual = [e.times({1: 2, 2: 2}).lincomb([(-c * M[i][j], w_j) for c, M, w in terms
+                                               for j, w_j in enumerate(w)])
                 for i, e in enumerate(vec(l, 1))]
     if all(r.is_zero_through_ord() for r in residual):
         return Fraction(0)

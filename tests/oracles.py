@@ -287,14 +287,12 @@ def Psi_trace_ms(N, s, parts, h, k, cap):
     determinant with column j shifted by h, each in the column-tuple form of
     Psi_ms, whose theta minors it shares."""
     parts = tuple(parts)
-    total = MultiSeries(k - 1, cap)
     if len(parts) > N:
-        return total
+        return MultiSeries(k - 1, cap)
     cols = _columns(N, parts)
-    for j in range(N):
-        shifted = tuple(cols[:j] + [cols[j] + h] + cols[j + 1:])
-        total = total + _psi_cols(N, s, k, cap, shifted)
-    return total
+    return MultiSeries(k - 1, cap).lincomb(
+        [(1, _psi_cols(N, s, k, cap, tuple(cols[:j] + [cols[j] + h] + cols[j + 1:])))
+         for j in range(N)])
 
 
 def lemma_dq_residual(N, s, parts, q, k=2, cap=2):
@@ -304,10 +302,11 @@ def lemma_dq_residual(N, s, parts, q, k=2, cap=2):
 
 
 def lemma_t1_residual(N, s, parts, k=2, cap=2):
-    """Psi_{N,lambda,1} + (N/2) d Psi/dt_1 - (N/2) Psi; zero."""
+    """Psi_{N,lambda,1} + (N/2) d Psi/dt_1 - (N/2) Psi, which is one
+    lincomb of (d/dt_1 - 1) Psi; zero."""
     P = Psi_ms(N, s, tuple(parts), k, cap)
     lhs = Psi_trace_ms(N, s, tuple(parts), 1, k, cap)
-    return lhs.lincomb([(Fraction(N, 2), P.d_t1()), (Fraction(-N, 2), P)])
+    return lhs.lincomb([(Fraction(N, 2), P.d1m1())])
 
 
 def normalized_L(N, s, ell, t0):

@@ -142,6 +142,14 @@ class TestFiniteMoment:
         assert code == 2
         assert doc == {"error": "pole at s = 1/2", "exit_code": 2}
 
+    @pytest.mark.parametrize("orders,exponents", [("1", "2,_"), ("1,0", "_")])
+    def test_unequal_lengths_exit_2(self, capsys, orders, exponents):
+        # the lengths are the fault, not the '_' slot
+        code, doc, _ = run_cli(capsys, "finite-moment", "--N", "1", "--orders", orders,
+                               "--exponents", exponents, "--variant", "Z")
+        assert code == 2
+        assert doc == {"error": "orders and exponents must have equal length", "exit_code": 2}
+
 
 class TestMcEstimate:
     def test_reproducible_digest(self, capsys, schema):
@@ -505,6 +513,7 @@ _NEAR_POLE_LC = ["leading-coeff", "--orders", "1", "--exponents", "2", "--varian
     ["leading-coeff", "--orders", "1", "--exponents", "0", "--variant", "Z"],
     ["finite-moment", "--N", "2", "--orders", "1,0", "--exponents", "2,2", "--variant", "Z"],
     ["finite-moment", "--N", "2", "--orders", "0", "--exponents", "_", "--variant", "Z"],
+    ["finite-moment", "--N", "1", "--orders", "1", "--exponents", "2,_", "--variant", "Z"],
     ["finite-moment", "--N", "1", "--orders", "1", "--exponents", "66", "--variant", "Z"],
     ["finite-moment", "--N", "2", "--orders", "1", "--exponents", "-2", "--variant", "Z"],
 ])

@@ -322,6 +322,15 @@ class TestPowerSeries:
         g = one / (one - PowerSeries([0, 1], 10))
         assert all(g[k] == 1 for k in range(10))
 
+    def test_index_outside_order_raises(self):
+        # c_0..c_K are the only coefficients: a negative index does not
+        # count from the end
+        f = PowerSeries([1, 2, 3], order=5)
+        assert [f[k] for k in range(6)] == [1, 2, 3, 0, 0, 0]
+        for k in (-1, -6, -7, 6):
+            with pytest.raises(IndexError, match="outside 0..5"):
+                f[k]
+
     def test_logderiv(self):
         # f = e^t from its 1/k! coefficients: t f'/f = t
         f = PowerSeries([Fraction(1, math.factorial(k)) for k in range(13)], 12)

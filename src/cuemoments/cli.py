@@ -69,7 +69,10 @@ MAX_P3_ORDER = 40
 MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # mc-estimate keeps an N x N table per chain; one chain of 64 sweeps takes 0.23
 # s at N = 100. Of the work chains * (burn-in + samples * thin) * N^2, a unit
-# costs most at N = 1: 2e6 sweeps take 3.1 s and 157 MB there (0.8 s at N = 14)
+# costs most at N = 1: 2e6 sweeps take 2.0-2.4 s and 126 MB there. The bounds
+# hold on one CPU: sample_hp runs the chains in parallel only on the CPUs the
+# process may use, so 4 chains of 2500 sweeps at N = 14 take 0.4 s under
+# `taskset -c 0` and 0.23 s on 2 CPUs
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
 # The V closed form of leading-coeff is its net factor counts, with no gcd: at

@@ -297,15 +297,20 @@ class MultiSeries:
         self.cap = cap
         self.ord = cap if ord is None else ord
 
+    @staticmethod
+    def _raw(nv, cap, num, den=1, ord=None):
+        """A series from numerators already over `den`, with no lcm; ord
+        defaults to cap."""
+        out = object.__new__(MultiSeries)
+        out.nv, out.cap, out.num, out.den = nv, cap, num, den
+        out.ord = cap if ord is None else ord
+        return out
+
     def _with(self, num, den=None, ord=None):
         """A series of this shape with the given numerators; the denominator
         and ord default to this series'."""
-        out = object.__new__(MultiSeries)
-        out.nv, out.cap = self.nv, self.cap
-        out.ord = self.ord if ord is None else ord
-        out.num = num
-        out.den = self.den if den is None else den
-        return out
+        return MultiSeries._raw(self.nv, self.cap, num, self.den if den is None else den,
+                                self.ord if ord is None else ord)
 
     @property
     def terms(self):
@@ -458,7 +463,7 @@ def _psi_cols(N, s, k, cap, cols):
     g = math.gcd(den, *[x for v in num.values() for x in v])
     if g != 1:
         num = {M: [x // g for x in v] for M, v in num.items()}
-    return MultiSeries(k - 1, cap)._with(num, den // g)
+    return MultiSeries._raw(k - 1, cap, num, den // g)
 
 
 def Psi_ms(N, s, parts, k, cap):
@@ -467,7 +472,7 @@ def Psi_ms(N, s, parts, k, cap):
     with more than N parts."""
     parts = tuple(parts)
     if len(parts) > N:
-        return MultiSeries(k - 1, cap)
+        return MultiSeries._raw(k - 1, cap, {})
     return _psi_cols(N, s, k, cap, tuple(_columns(N, parts)))
 
 

@@ -3,10 +3,22 @@ ensemble: Metropolis-within-Gibbs sampling of the density proportional to
 prod (1+x_i^2)^{-(s+N)} * prod_{i<j}(x_i-x_j)^2 driven by a counter-based
 SplitMix64 stream, a joint-moment estimator for arbitrary positive real
 exponents, and a tensor Gauss-Legendre quadrature oracle at tiny arity.
+
+The independent chains of one sample run in up to one process per CPU the
+process may run on: `sample_hp` forks a worker for each share of the chains
+beyond its own, once a share's work reaches MIN_FORK_WORK, and reads each
+worker's draws through a pipe straight into the merged array. A worker runs
+only the Python sampler loop and numpy's elementwise integer ops, never BLAS,
+so the BLAS threads numpy may have started in the parent do not matter to it
+(Python >= 3.12 still warns on fork in a threaded process, with a
+DeprecationWarning). The draws are bit for bit those of one process.
 """
 
 import functools
 import math
+import os
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +95,9 @@ def _uniforms(seed, start, count):
     return (((z >> 11) + 0.5) / 9007199254740992.0).tolist()
 
 
-def _run_chain(N, s, burn_in, samples, thin, scale, seed):
+def _run_chain(N, s, burn_in, samples, thin, scale, seed, out=None):
+    """One chain's (samples, N) draws, written into `out` when given, and its
+    acceptance rate after burn-in."""
     x = [math.tan(math.pi * ((i + 1.0) / (N + 1.0) - 0.5)) for i in range(N)]
     # log1p(x_i^2) and log|x_i - x_j| of the current state, updated on
     # acceptance; |a - b| == |b - a| exactly, so the table is symmetric. The
@@ -106,7 +120,7 @@ def _run_chain(N, s, burn_in, samples, thin, scale, seed):
     c = float(-(s + N)) * 0.5
     log_scale = math.log(scale)
     step_scale = math.exp(log_scale)
-    draws = np.empty((samples, N))
+    draws = np.empty((samples, N)) if out is None else out
     flat = draws.reshape(-1)
     kept, filled = [], 0    # kept states not yet copied into draws
     accepted = 0
@@ -154,16 +168,124 @@ def _run_chain(N, s, burn_in, samples, thin, scale, seed):
     return draws, accepted / (N * samples * thin)
 
 
+# A worker's share of the work, the sum over its chains of
+# (burn-in + samples * thin) * N^2, below which sample_hp forks no worker. A
+# fork from a 34 MB process (numpy and the package loaded) costs 3-4 ms with
+# its pipe, copy-on-write faults and reaping; a unit of work takes 0.9 us at
+# N = 1, 0.23 us at N = 6 and 0.18-0.21 us at N = 14..100, so a share of
+# 20,000 pays for its fork at every N (2 cores, Python 3.11, numpy 2.4).
+MIN_FORK_WORK = 20_000
+
+
+def _workers(config):
+    """How many processes share the chains: one per CPU this process may run
+    on, at most one per chain, and 1 where there is no fork or CPU set or
+    where a worker's share of the work is under MIN_FORK_WORK."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    w = min(config.chains, len(os.sched_getaffinity(0)))
+    chain_work = (config.burn_in + config.samples * config.thin) * config.N ** 2
+    return w if config.chains // w * chain_work >= MIN_FORK_WORK else 1
+
+
+def _send(fd, run, mine, draws, rates, samples):
+    """The body of a forked worker: run its chains, write their draws and
+    then their rates to the pipe's write end fd, and leave the process,
+    never returning."""
+    code = 1
+    try:
+        for c in mine:
+            run(c)
+        with open(fd, "wb") as f:
+            for c in mine:
+                f.write(draws[c * samples:(c + 1) * samples])
+            f.write(struct.pack("%dd" % len(mine), *[rates[c] for c in mine]))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe, mine, draws, rates, samples):
+    """Read a worker's draws straight into their rows of the merged array,
+    then its rates, which are set only if no data is missing."""
+    for c in mine:
+        rows = draws[c * samples:(c + 1) * samples]
+        if pipe.readinto(rows) != rows.nbytes:
+            return
+    data = pipe.read(8 * len(mine))
+    if len(data) == 8 * len(mine):
+        for c, rate in zip(mine, struct.unpack("%dd" % len(mine), data)):
+            rates[c] = rate
+
+
 def sample_hp(config):
     """Sample the Hua-Pickrell eigenvalue density by Metropolis-within-Gibbs;
-    deterministic function of the config (chains merged in index order)."""
-    chains = [_run_chain(config.N, config.s, config.burn_in, config.samples, config.thin,
-                         config.proposal_scale, derive_chain_seed(config.seed, c))
-              for c in range(config.chains)]
-    acc = sum(rate for _, rate in chains) / config.chains
+    deterministic function of the config (chains merged in index order).
+
+    The chains are dealt round-robin over w = _workers(config) processes:
+    this one runs chains 0, w, 2w, ..., and each of w - 1 forked workers runs
+    chains i, i + w, ... and sends their draws through a pipe, read straight
+    into the merged array. A worker that exits non-zero or sends short data
+    has its chains rerun here, so the draws, the rate and any exception are
+    those of one process running the chains in order. Every worker is reaped
+    before the call returns or raises, and killed first unless its data all
+    came."""
+    N, samples, chains = config.N, config.samples, config.chains
+    seeds = [derive_chain_seed(config.seed, c) for c in range(chains)]
+    draws = np.empty((chains * samples, N))
+    rates = [None] * chains
+
+    def run(c):
+        rates[c] = _run_chain(N, config.s, config.burn_in, samples, config.thin,
+                              config.proposal_scale, seeds[c],
+                              out=draws[c * samples:(c + 1) * samples])[1]
+
+    w = _workers(config)
+    workers = []    # (pid, read end, chains) of each forked worker
+    failed = None   # (chain, exception) of the first chain here that raised
+    try:
+        for i in range(1, w):
+            mine = range(i, chains, w)
+            try:
+                r, wr = os.pipe()
+            except OSError:
+                break
+            pipe = open(r, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(wr)
+                break    # this share and the later ones run here
+            if pid == 0:
+                _send(wr, run, mine, draws, rates, samples)
+            workers.append((pid, pipe, mine))
+            # closed before the next fork, so that no later worker holds it
+            # and this worker's exit ends the pipe
+            os.close(wr)
+        for c in range(0, chains, w):
+            try:
+                run(c)
+            except Exception as exc:
+                failed = c, exc
+                break
+        for _, pipe, mine in workers:
+            _receive(pipe, mine, draws, rates, samples)
+    finally:
+        for pid, pipe, mine in workers:
+            pipe.close()
+            if rates[mine[0]] is None:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1]:
+                for c in mine:
+                    rates[c] = None
+    for c in range(chains):
+        if failed is not None and c == failed[0]:
+            raise failed[1]
+        if rates[c] is None:
+            run(c)
+    acc = sum(rates) / chains
     flagged = not (0.05 <= acc <= 0.95)
-    # one chain's draws are returned as they are, with no copy
-    draws = chains[0][0] if len(chains) == 1 else np.concatenate([d for d, _ in chains])
     return SampleBatch(config, draws, acc, flagged)
 
 
@@ -195,18 +317,31 @@ def _integrand_values(batch_draws, spec, N):
         e[1:i + 2] += x[:, i] * e[:i + 1]
     n_max = max(spec.orders) if spec.orders else 0
     pref = 2.0 ** (-float(sum(n * h for n, h in zip(spec.orders, spec.exponents))))
-    xi = [np.ones(len(x))]
+    # sums and products accumulate in place, with one term at a time built
+    # beside its sum; Xi_0 = 1 is the row e_0, which is never written
+    xi = [e[0]]
     for n in range(1, n_max + 1):
-        xi.append(sum(float(a_coeff(n, l, N)) * e[l] for l in range(min(n, N) + 1)))
+        xi.append(_dot([float(a_coeff(n, l, N)) for l in range(min(n, N) + 1)], e))
     v = np.ones(len(x))
     for n, two_h in zip(spec.orders, spec.exponents):
         if spec.variant == "Z":
             base = np.abs(xi[n])
         else:
-            base = np.abs(sum(math.comb(n, m) * (-1j * N) ** m * xi[n - m]
-                              for m in range(n + 1)))
-        v *= base ** float(two_h)
-    return pref * v
+            base = np.abs(_dot([math.comb(n, m) * (-1j * N) ** m for m in range(n + 1)],
+                               xi[n::-1]))
+        base **= float(two_h)
+        v *= base
+    v *= pref
+    return v
+
+
+def _dot(coeffs, rows):
+    """sum(c * row for c, row in zip(coeffs, rows)), added left to right into
+    one array of the coefficients' type."""
+    acc = np.zeros(len(rows[0]), dtype=type(coeffs[0]))
+    for c, row in zip(coeffs, rows):
+        acc += c * row
+    return acc
 
 
 def estimate_joint_moment(batch, spec):

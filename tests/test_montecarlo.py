@@ -1,13 +1,17 @@
 """Tests for the Monte Carlo sampler, the counter-based RNG, the
 joint-moment estimator, and the tensor quadrature oracle."""
 
+import faulthandler
 import math
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cuemoments import cli, mc
 from cuemoments.cauchy import MomentSpec, hp_expectation
 from cuemoments.mc import (
     _BLOCK,
@@ -21,12 +25,13 @@ from cuemoments.mc import (
     _mix64,
     _run_chain,
     _uniforms,
+    _workers,
     derive_chain_seed,
     estimate_joint_moment,
     quadrature_expectation,
     sample_hp,
 )
-from cuemoments.symfunc import v_variant_integrand, xi_poly
+from cuemoments.symfunc import a_coeff, v_variant_integrand, xi_poly
 from cuemoments.sympoly import SymPoly
 from oracles import CounterRNG, sympoly_eval
 
@@ -244,6 +249,254 @@ class TestBulkSampler:
         assert len(used) < 2 * 3 * 2 * _BLOCK
 
 
+def _chain_by_chain(cfg):
+    """The draws and rate of the chains run one after another in order."""
+    runs = [_run_chain(cfg.N, cfg.s, cfg.burn_in, cfg.samples, cfg.thin,
+                       cfg.proposal_scale, derive_chain_seed(cfg.seed, c))
+            for c in range(cfg.chains)]
+    return np.concatenate([d for d, _ in runs]), sum(r for _, r in runs) / cfg.chains
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelChains:
+    """sample_hp's forked workers give the draws of one process, bit for bit,
+    and none outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # sample_hp waits for its workers: a hang ends the run with tracebacks
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the CPU count sample_hp sees; returns the list of fork pids."""
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def set_cpus(k):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+            return forks
+
+        return set_cpus
+
+    @pytest.mark.parametrize("chains", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("N", [1, 2, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("at_cutoff", [True, False])
+    def test_matches_chain_by_chain(self, monkeypatch, cpus, chains, N, k, at_cutoff):
+        cfg = ChainConfig(N=N, s=2.5, chains=chains, burn_in=7, samples=64, thin=2,
+                          seed=chains * 10 + N)
+        w = min(chains, k)
+        share = chains // w * (7 + 64 * 2) * N * N
+        # the smallest share just at the cutoff forks, one unit short does not
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", share if at_cutoff else share + 1)
+        forks = cpus(k)
+        batch = sample_hp(cfg)
+        _assert_no_child_left()
+        assert len(forks) == (w - 1 if at_cutoff else 0)
+        draws, rate = _chain_by_chain(cfg)
+        assert batch.draws.tobytes() == draws.tobytes()
+        assert batch.acceptance_rate == rate
+
+    def test_cutoff_as_measured(self, cpus):
+        # 2 chains of 600 sweeps at N = 6: a share of 21,600 forks; with 3
+        # chains on 2 CPUs the smallest share is 1 chain as well
+        forks = cpus(2)
+        for chains, samples, expect in [(2, 600, 1), (3, 600, 1), (2, 500, 0), (1, 5000, 0)]:
+            cfg = ChainConfig(N=6, s=3, chains=chains, burn_in=0, samples=samples, seed=4)
+            assert _workers(cfg) == expect + 1
+            del forks[:]
+            batch = sample_hp(cfg)
+            _assert_no_child_left()
+            assert len(forks) == expect
+            draws, rate = _chain_by_chain(cfg)
+            assert np.array_equal(batch.draws, draws) and batch.acceptance_rate == rate
+        assert 21_600 >= mc.MIN_FORK_WORK > 18_000
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_rates_summed_in_chain_order(self, monkeypatch, cpus, k):
+        # rates whose float sum moves when two of them, or all, change places
+        fake = [1e16, -1e16, 1.0, 0.5, 3.0]
+        assert sum(fake) == 4.5 != sum(sorted(fake))
+        by_seed = {derive_chain_seed(6, c): r for c, r in enumerate(fake)}
+        run = mc._run_chain
+
+        def faked(*args, **kwargs):
+            return run(*args, **kwargs)[0], by_seed[args[6]]
+
+        monkeypatch.setattr(mc, "_run_chain", faked)
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        cpus(k)
+        batch = sample_hp(ChainConfig(N=1, s=3, chains=5, burn_in=2, samples=20, seed=6))
+        _assert_no_child_left()
+        assert batch.acceptance_rate == 4.5 / 5
+
+    def test_no_fork_without_fork_or_cpu_set(self, monkeypatch):
+        cfg = ChainConfig(N=6, s=3, chains=4, burn_in=0, samples=2000, seed=4)
+        assert _workers(cfg) == min(4, len(os.sched_getaffinity(0)))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers(cfg) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert _workers(cfg) == 1
+
+    @staticmethod
+    def _failing(monkeypatch, failures):
+        """_run_chain raising ValueError(message) for the chains named."""
+        run = mc._run_chain
+        seeds = {derive_chain_seed(3, c): msg for c, msg in failures.items()}
+
+        def failing(*args, **kwargs):
+            if args[6] in seeds:
+                raise ValueError(seeds[args[6]])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_run_chain", failing)
+
+    # chains 1 and 3 are a worker's on 2 CPUs, 0 and 2 this process's
+    @pytest.mark.parametrize("failures,message", [
+        ({3: "chain 3"}, "chain 3"),
+        ({1: "chain 1"}, "chain 1"),
+        ({2: "chain 2", 3: "chain 3"}, "chain 2"),
+        ({1: "chain 1", 2: "chain 2"}, "chain 1"),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chain_error_is_the_sequential_one(self, monkeypatch, cpus, failures,
+                                               message, k):
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        self._failing(monkeypatch, failures)
+        cpus(k)
+        cfg = ChainConfig(N=2, s=3, chains=4, burn_in=5, samples=40, seed=3)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            sample_hp(cfg)
+        _assert_no_child_left()
+
+    def test_chain_error_document_is_the_sequential_one(self, monkeypatch, cpus, capsys):
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        self._failing(monkeypatch, {3: "chain 3 failed"})
+        argv = ["mc-estimate", "--N", "2", "--s", "3", "--orders", "1", "--exponents",
+                "2", "--chains", "4", "--samples", "40", "--burn-in", "5", "--seed", "3"]
+        docs = []
+        for k in (1, 2, 4):
+            cpus(k)
+            code = cli.main(argv)
+            _assert_no_child_left()
+            docs.append((code, capsys.readouterr().out))
+        assert docs[0][0] == 2 and '"chain 3 failed"' in docs[0][1]
+        assert docs == [docs[0]] * 3
+
+    def test_failed_worker_chains_rerun_here(self, monkeypatch, cpus):
+        # every worker dies before it sends a byte; this process reruns its
+        # chains and the draws are unchanged
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        here, run = os.getpid(), mc._run_chain
+
+        def dying(*args, **kwargs):
+            if os.getpid() != here:
+                os._exit(3)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_run_chain", dying)
+        forks = cpus(3)
+        cfg = ChainConfig(N=2, s=3, chains=5, burn_in=5, samples=40, seed=8)
+        batch = sample_hp(cfg)
+        _assert_no_child_left()
+        assert len(forks) == 2
+        draws, rate = _chain_by_chain(cfg)
+        assert np.array_equal(batch.draws, draws) and batch.acceptance_rate == rate
+
+    def test_worker_exiting_nonzero_after_its_data_is_rerun(self, monkeypatch, cpus):
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        here, run, leave = os.getpid(), mc._run_chain, os._exit
+        ran_here = []
+
+        def counted(*args, **kwargs):
+            if os.getpid() == here:
+                ran_here.append(args[6])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_run_chain", counted)
+        monkeypatch.setattr(os, "_exit", lambda code: leave(code or 5))
+        cpus(2)
+        cfg = ChainConfig(N=2, s=3, chains=4, burn_in=5, samples=40, seed=8)
+        batch = sample_hp(cfg)
+        _assert_no_child_left()
+        seeds = [derive_chain_seed(8, c) for c in range(4)]
+        assert ran_here == [seeds[0], seeds[2], seeds[1], seeds[3]]
+        draws, rate = _chain_by_chain(cfg)
+        assert np.array_equal(batch.draws, draws) and batch.acceptance_rate == rate
+
+    def test_interrupt_here_kills_the_workers(self, monkeypatch, cpus):
+        # a worker stuck in its chain is killed when this process leaves
+        monkeypatch.setattr(mc, "MIN_FORK_WORK", 0)
+        here = os.getpid()
+
+        class Interrupt(BaseException):
+            pass
+
+        def stuck(*args, **kwargs):
+            if os.getpid() != here:
+                time.sleep(600)
+            raise Interrupt
+
+        monkeypatch.setattr(mc, "_run_chain", stuck)
+        forks = cpus(4)
+        cfg = ChainConfig(N=2, s=3, chains=4, burn_in=5, samples=40, seed=8)
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            sample_hp(cfg)
+        assert time.monotonic() - start < 60
+        _assert_no_child_left()
+        assert len(forks) == 3
+
+    def test_one_chain_is_written_in_place(self, monkeypatch):
+        # the merged array is the one chain's output array, with no copy
+        outs = []
+        run = mc._run_chain
+
+        def recording(*args, out=None):
+            outs.append(out)
+            return run(*args, out=out)
+
+        monkeypatch.setattr(mc, "_run_chain", recording)
+        batch = sample_hp(ChainConfig(N=2, s=3, chains=1, burn_in=5, samples=64, seed=1))
+        assert outs[0].base is batch.draws
+
+
+def _reference_integrand_values(x, spec, N):
+    """The integrand with every sum and product building a new array."""
+    e = np.zeros((N + 1, len(x)))
+    e[0] = 1.0
+    for i in range(N):
+        e[1:i + 2] += x[:, i] * e[:i + 1]
+    pref = 2.0 ** (-float(sum(n * h for n, h in zip(spec.orders, spec.exponents))))
+    xi = [np.ones(len(x))]
+    for n in range(1, max(spec.orders) + 1):
+        xi.append(sum(float(a_coeff(n, l, N)) * e[l] for l in range(min(n, N) + 1)))
+    v = np.ones(len(x))
+    for n, two_h in zip(spec.orders, spec.exponents):
+        if spec.variant == "Z":
+            base = np.abs(xi[n])
+        else:
+            base = np.abs(sum(math.comb(n, m) * (-1j * N) ** m * xi[n - m]
+                              for m in range(n + 1)))
+        v *= base ** float(two_h)
+    return pref * v
+
+
 class TestEstimator:
     def test_known_target_size1(self):
         # spec (1,), (2,), Z at N=1, s=2: target 1/12
@@ -288,6 +541,34 @@ class TestEstimator:
         pref = 2.0 ** (-2 * sum(orders))
         for x, g in zip(X, got):
             assert g == pytest.approx(pref * sympoly_eval(P, tuple(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    @pytest.mark.parametrize("variant", ["Z", "V"])
+    @pytest.mark.parametrize("orders,exponents", [
+        ((1,), (2.0,)), ((2,), (0.5,)), ((4, 1), (3.0, 1.5)), ((9, 3), (2.75, 33.3)),
+    ])
+    def test_batch_integrand_bit_for_bit(self, N, variant, orders, exponents):
+        # equal bytes to the sums built term by term, NaN and inf included
+        X = np.random.default_rng(N).standard_cauchy((400, N))
+        X[200:] *= 1e40    # where high powers leave the float range
+        spec = MomentSpec(orders=orders, exponents=exponents, variant=variant, size=N)
+        with np.errstate(all="ignore"):
+            got = _integrand_values(X, spec, N)
+            want = _reference_integrand_values(X, spec, N)
+        assert got.tobytes() == want.tobytes()
+
+    def test_estimator_peak_memory(self):
+        # Z at N = 1: e_0 and e_1, Xi_1, v and one base, five draw-sized arrays
+        cfg = ChainConfig(N=1, s=2, chains=1, burn_in=0, samples=100_000, seed=3)
+        batch = sample_hp(cfg)
+        spec = MomentSpec(orders=(1,), exponents=(2,), variant="Z", size=1)
+        tracemalloc.start()
+        try:
+            estimate_joint_moment(batch, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.2 * batch.draws.nbytes
 
     def test_arity_mismatch_rejected(self):
         cfg = ChainConfig(N=2, s=2, chains=1, burn_in=50, samples=100, seed=0)

@@ -72,7 +72,9 @@ MAX_HANKEL = {"N": 4, "s": 10, "l": 10, "k": 5}
 # costs most at N = 1: 2e6 sweeps take 2.0-2.4 s and 126 MB there. The bounds
 # hold on one CPU: sample_hp runs the chains in parallel only on the CPUs the
 # process may use, so 4 chains of 2500 sweeps at N = 14 take 0.4 s under
-# `taskset -c 0` and 0.23 s on 2 CPUs
+# `taskset -c 0` and 0.23 s on 2 CPUs. The work stays in N^2 units, unlike
+# the fork cutoff's time estimate (mc.MIN_FORK_WORK): changing the measure
+# would move the exit-2 boundaries that the tests and CI pin
 MAX_MC_N = 100
 MAX_MC_WORK = 2_000_000
 # The V closed form of leading-coeff is its net factor counts, with no gcd: at
@@ -119,12 +121,18 @@ def _parse_rational(text):
         raise ValueError("expected a rational number, got %r" % text)
 
 
-def _float(x, option):
-    """float(x), or exit 2 naming the option when x is beyond the float range."""
+def _float(x, option, tiny_ok=False):
+    """float(x), or exit 2 naming the option when x is beyond the float range
+    or, unless tiny_ok, when a nonzero x rounds to zero: an input that does
+    would ask another question."""
     try:
-        return float(x)
+        f = float(x)
     except OverflowError:
         raise ValueError("%s is beyond the float range" % option)
+    if f == 0 and x != 0 and not tiny_ok:
+        raise ValueError("%s is nonzero but below the float range: it rounds to 0.0"
+                         % option)
+    return f
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -201,7 +209,8 @@ def _evaluate(rf, s0, exponents, result):
     _check_domain(s0, exponents)
     result["eval_s"] = rat_to_str(s0)
     result["value"] = rat_to_str(value)
-    result["value_float"] = _float(value, "the value at --eval-s")
+    # a value that rounds to zero is printed as 0.0 beside its exact form
+    result["value_float"] = _float(value, "the value at --eval-s", tiny_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ exponents, and a tensor Gauss-Legendre quadrature oracle at tiny arity.
 
 The independent chains of one sample run in up to one process per CPU the
 process may run on: `sample_hp` forks a worker for each share of the chains
-beyond its own, once a share's work reaches MIN_FORK_WORK, and reads each
-worker's draws through a pipe straight into the merged array. A worker runs
-only the Python sampler loop and numpy's elementwise integer ops, never BLAS,
-so the BLAS threads numpy may have started in the parent do not matter to it
-(Python >= 3.12 still warns on fork in a threaded process, with a
+beyond its own, once a share's estimated time pays for the fork, and reads
+each worker's draws through a pipe straight into the merged array. A worker
+runs only the Python sampler loop and numpy's elementwise integer ops, never
+BLAS, so the BLAS threads numpy may have started in the parent do not matter
+to it (Python >= 3.12 still warns on fork in a threaded process, with a
 DeprecationWarning). The draws are bit for bit those of one process.
 """
 
@@ -168,23 +168,43 @@ def _run_chain(N, s, burn_in, samples, thin, scale, seed, out=None):
     return draws, accepted / (N * samples * thin)
 
 
-# A worker's share of the work, the sum over its chains of
-# (burn-in + samples * thin) * N^2, below which sample_hp forks no worker. A
-# fork from a 34 MB process (numpy and the package loaded) costs 3-4 ms with
-# its pipe, copy-on-write faults and reaping; a unit of work takes 0.9 us at
-# N = 1, 0.23 us at N = 6 and 0.18-0.21 us at N = 14..100, so a share of
-# 20,000 pays for its fork at every N (2 cores, Python 3.11, numpy 2.4).
+# A share of the chains forks a worker when its estimated time, the sum over
+# its chains of (burn-in + samples * thin) * N * (N + UPDATE_OVERHEAD) units,
+# reaches MIN_FORK_WORK. A sweep makes N coordinate updates, and an update
+# costs about as much as N + 4 pair terms: its N - 1 pair terms and a fixed
+# part. _run_chain alone (best of 9, 2 cores, Python 3.11, numpy 2.4):
+#
+#   N                       1      2      4      6     14
+#   us per sweep         0.82   1.71   4.30   8.08   35.7
+#   us per unit         0.165  0.142  0.134  0.135  0.142
+#
+# sample_hp with 4 chains on 2 CPUs, forked (w = 2) against in process
+# (w = 1), medians of 21 interleaved pairs at shares of 4,000 to 40,000
+# units; the break-even is the root of a line fitted to the time saved:
+#
+#   N                       1      2      4      6     14
+#   break-even units   17,900 18,500 20,400 21,200 23,600
+#
+# A fork from a 34 MB process (numpy and the package loaded) costs 3-4 ms
+# with its pipe, copy-on-write faults and reaping, about 20,000 units.
+# 4 chains of 2,300 sweeps, the shape of every mc-estimate query of the
+# numerical benchmark, fork from N = 1 (shares of 23,000 units) up.
+UPDATE_OVERHEAD = 4
 MIN_FORK_WORK = 20_000
 
 
 def _workers(config):
     """How many processes share the chains: one per CPU this process may run
     on, at most one per chain, and 1 where there is no fork or CPU set or
-    where a worker's share of the work is under MIN_FORK_WORK."""
+    where the smallest share's estimated time, (burn-in + samples * thin) *
+    N * (N + UPDATE_OVERHEAD) summed over its chains, is under
+    MIN_FORK_WORK, about one fork's cost."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     w = min(config.chains, len(os.sched_getaffinity(0)))
-    chain_work = (config.burn_in + config.samples * config.thin) * config.N ** 2
+    N = config.N
+    sweeps = config.burn_in + config.samples * config.thin
+    chain_work = sweeps * N * (N + UPDATE_OVERHEAD)
     return w if config.chains // w * chain_work >= MIN_FORK_WORK else 1
 
 

@@ -3,6 +3,7 @@ force and scalar references for the engines of cuemoments, and the identities
 of the paper that no command verifies.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -124,6 +125,52 @@ def weight_moment(r, m):
         num *= 2 * j - 1
         den = den * Poly((2 * m - 1 - 2 * j, 2))
     return RationalFunction(Poly.const(num), den)
+
+
+def schur_average_heine(lam, m, s):
+    """E_m[s_lambda] at a rational s, for the measure of hp_expectation:
+    Delta^2 times the weight (1+x^2)^{-(s+m)} on R^m. By Andreief's identity
+    it is det[mu_{lam_j+2m-2-j-k}] / det[mu_{2m-2-j-k}] over j, k in 0..m-1,
+    where mu_{2i}/mu_0 = prod_{r<i} (2r+1)/(2s+2m-2r-3) is continued past
+    convergence (the values of weight_moment) and the odd moments are 0.
+    Zero when l(lambda) > m."""
+    if len(lam) > m:
+        return Fraction(0)
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    return _heine_det(lam, m, s) / _heine_det((0,) * m, m, s)
+
+
+@functools.lru_cache(maxsize=1024)
+def _heine_det(parts, m, s):
+    """det[mu_{p_j+2m-2-j-k}] of schur_average_heine, for the m parts p;
+    cached, since every lambda at one (m, s) shares the empty partition's."""
+    mu = [Fraction(1)]
+    for r in range((parts[0] + 2 * m - 2) // 2):
+        mu.append(mu[-1] * (2 * r + 1) / (2 * s + 2 * m - 2 * r - 3))
+    return fraction_det([[0 if (p - j - k) % 2 else mu[(p + 2 * m - 2 - j - k) // 2]
+                          for k in range(m)] for j, p in enumerate(parts)])
+
+
+def fraction_det(rows):
+    """The determinant of a square matrix of Fractions (a list of rows, which
+    it overwrites) by Gaussian elimination."""
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det *= top[c]
+        cols = [k for k in range(c + 1, len(top)) if top[k]]
+        for row in rows[c + 1:]:
+            if row[c]:
+                f = row[c] / top[c]
+                for k in cols:
+                    row[k] -= f * top[k]
+    return det
 
 
 def numerators_poly(agg, m):

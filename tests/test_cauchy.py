@@ -33,7 +33,8 @@ from cuemoments.painleve import phi_series
 from cuemoments.sympoly import SymPoly
 from cuemoments.symfunc import v_variant_integrand, vandermonde_squared, xi_poly
 from oracles import (hp_expectation_gcd, limiting_moment_gcd, numerators_poly,
-                     second_moment_V_factors, second_moment_V_product, weight_moment)
+                     schur_average_heine, second_moment_V_factors, second_moment_V_product,
+                     weight_moment)
 
 
 class TestWeightMoment:
@@ -207,6 +208,41 @@ class TestLimitingMoment:
                 f, g = (RationalFunction.from_factors([([1], c, counts)]) for c, counts in (a, b))
                 for s in (Fraction(1, 3), Fraction(-2, 7), Fraction(11, 5)):
                     assert g.eval(s) == f.eval(-s)
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_schur_limit_is_the_heine_average(self, size):
+        # F6: E_m[s_lambda] = a_lambda(s) prod(m + c) / prod h, against
+        # Andreief's det[mu_{lam_j+2m-2-j-k}] / det[mu_{2m-2-j-k}], as an
+        # identity of rational functions. Multiplying row j by
+        # Q_j = prod_{r < i_j} (2s + 2m - 2r - 3), i_j = (lam_j + 2m - 2 - j) // 2,
+        # makes the entry of column k a polynomial of degree <= k // 2, so
+        # each determinant is P / prod Q_j with deg P <= (m - 1)^2 // 4, and
+        # the Q_j of lambda are those of the empty partition times F, of
+        # degree sum_j i_j(lambda) - i_j(()). With _schur_limit as C U / V
+        # (U, V the factors 2s + k of negative and positive counts), the two
+        # sides agree where P_lambda V = C prod(m + c) U P_() F, a polynomial
+        # identity of degree <= (m - 1)^2 // 4 + max(deg V, deg U + deg F).
+        # It holds at one more integer s >= 0 than that bound, where no
+        # factor 2s + odd vanishes and the empty partition's Hankel matrix is
+        # a Gram matrix, so P_() != 0.
+        for lam in _partitions(size):
+            a = _schur_limit(lam)
+            c, counts = a if a else (0, {})
+            up = sum(-e for e in counts.values() if e < 0)
+            down = sum(e for e in counts.values() if e > 0)
+            for m in range(len(lam), len(lam) + 3):
+                parts = lam + (0,) * (m - len(lam))
+                shift = sum((p + 2 * m - 2 - j) // 2 - (2 * m - 2 - j) // 2
+                            for j, p in enumerate(parts))
+                value = c * math.prod(m + j - i for i, p in enumerate(lam) for j in range(p))
+                for s in range((m - 1) ** 2 // 4 + max(down, up + shift) + 1):
+                    expect = value
+                    for k, e in counts.items():
+                        expect /= Fraction(2 * s + k) ** e
+                    assert schur_average_heine(lam, m, s) == expect, (lam, m, s)
+
+    def test_heine_average_of_a_long_partition_is_0(self):
+        assert schur_average_heine((2, 1, 1), 2, Fraction(7, 3)) == 0
 
     def test_rejects_odd_exponent(self):
         with pytest.raises(ValueError):

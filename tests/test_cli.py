@@ -699,12 +699,25 @@ def test_usage_error_prints_json_exit_2(capsys, argv):
     (_NEAR_POLE_LC + ["--with-constant"], "--eval-s"),
     (["finite-moment", "--N", "2", "--orders", "1", "--exponents", "2", "--variant", "Z",
       "--eval-s", _NEAR_POLE], "--eval-s"),
+    # positive inputs that round to 0.0: were "exponents must be > 0" and
+    # "s > 0 required"
+    (_MC + ["--orders", "1", "--exponents", "1e-400"], "--exponents"),
+    (["mc-estimate", "--N", "1", "--s", "1e-400", "--orders", "1", "--exponents", "1"],
+     "--s"),
 ])
 def test_float_range_named_exit_2(capsys, argv, option):
     code, doc, _ = run_cli(capsys, *argv)
     assert code == 2
     assert set(doc) == {"error", "exit_code"}
     assert "float range" in doc["error"] and option in doc["error"]
+
+
+def test_value_rounding_to_zero_printed_as_0(capsys):
+    # an output, unlike an input, is printed beside its exact form
+    code, doc, _ = run_cli(capsys, "leading-coeff", "--orders", "1", "--exponents", "2",
+                           "--variant", "Z", "--eval-s", str(10 ** 400))
+    assert code == 0
+    assert doc["result"]["value_float"] == 0.0 and doc["result"]["value"] != "0"
 
 
 def test_help_exits_0(capsys):

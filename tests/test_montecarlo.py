@@ -300,7 +300,7 @@ class TestParallelChains:
         cfg = ChainConfig(N=N, s=2.5, chains=chains, burn_in=7, samples=64, thin=2,
                           seed=chains * 10 + N)
         w = min(chains, k)
-        share = chains // w * (7 + 64 * 2) * N * N
+        share = chains // w * (7 + 64 * 2) * N * (N + mc.UPDATE_OVERHEAD)
         # the smallest share just at the cutoff forks, one unit short does not
         monkeypatch.setattr(mc, "MIN_FORK_WORK", share if at_cutoff else share + 1)
         forks = cpus(k)
@@ -312,11 +312,14 @@ class TestParallelChains:
         assert batch.acceptance_rate == rate
 
     def test_cutoff_as_measured(self, cpus):
-        # 2 chains of 600 sweeps at N = 6: a share of 21,600 forks; with 3
-        # chains on 2 CPUs the smallest share is 1 chain as well
+        # a share of 1,700 sweeps at N = 2 or 340 at N = 6 is 20,400 units and
+        # forks, 1,600 or 330 (19,200 or 19,800) does not; with 3 chains on 2
+        # CPUs the smallest share is 1 chain as well
         forks = cpus(2)
-        for chains, samples, expect in [(2, 600, 1), (3, 600, 1), (2, 500, 0), (1, 5000, 0)]:
-            cfg = ChainConfig(N=6, s=3, chains=chains, burn_in=0, samples=samples, seed=4)
+        for N, chains, sweeps, expect in [(2, 2, 1700, 1), (2, 3, 1700, 1), (2, 2, 1600, 0),
+                                          (6, 2, 340, 1), (6, 2, 330, 0), (1, 1, 5000, 0)]:
+            cfg = ChainConfig(N=N, s=3, chains=chains, burn_in=sweeps - 100, samples=100,
+                              seed=4)
             assert _workers(cfg) == expect + 1
             del forks[:]
             batch = sample_hp(cfg)
@@ -324,7 +327,28 @@ class TestParallelChains:
             assert len(forks) == expect
             draws, rate = _chain_by_chain(cfg)
             assert np.array_equal(batch.draws, draws) and batch.acceptance_rate == rate
-        assert 21_600 >= mc.MIN_FORK_WORK > 18_000
+        # the break-even measured on 2 CPUs ran from 17,900 units at N = 1 to
+        # 23,600 at N = 14
+        assert mc.UPDATE_OVERHEAD == 4 and 17_900 <= mc.MIN_FORK_WORK <= 23_600
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 6])
+    def test_numerical_workload_forks(self, cpus, N):
+        # the mc-estimate shape of the numerical benchmark, 4 chains of 300
+        # burn-in and 2,000 sample sweeps: a share of 2 chains is 23,000 units
+        # at N = 1
+        cpus(2)
+        cfg = ChainConfig(N=N, s=4, chains=4, burn_in=300, samples=2000, seed=7)
+        assert _workers(cfg) == 2
+
+    def test_share_below_break_even_stays_here(self, cpus):
+        # 2 chains of 64 sweeps at N = 1: a share of 320 units
+        forks = cpus(2)
+        cfg = ChainConfig(N=1, s=3, chains=2, burn_in=0, samples=64, seed=5)
+        assert _workers(cfg) == 1
+        batch = sample_hp(cfg)
+        assert forks == []
+        draws, rate = _chain_by_chain(cfg)
+        assert np.array_equal(batch.draws, draws) and batch.acceptance_rate == rate
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_rates_summed_in_chain_order(self, monkeypatch, cpus, k):

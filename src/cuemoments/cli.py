@@ -16,17 +16,17 @@ reader closed stdout before the document was written, and the run stops
 quietly.
 """
 
-import argparse
 import csv
-import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import re
 import sys
 import time
+import types
 from fractions import Fraction
 
 from . import __version__
@@ -230,6 +230,30 @@ def _canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent="\n"):
+    """json.dumps(obj, indent=2) byte for byte, for str keys; json.dumps runs
+    its pure-Python encoder whenever indent is set, this the C string encoder."""
+    if isinstance(obj, str):
+        return _encode(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items, ends = [_encode(k) + ": " + _dumps(v, inner) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_dumps(v, inner) for v in obj], "[]"
+    elif isinstance(obj, float):
+        return (float.__repr__(obj) if math.isfinite(obj) else "NaN" if obj != obj
+                else "-Infinity" if obj < 0 else "Infinity")
+    else:
+        return ("null" if obj is None else "true" if obj is True else "false"
+                if obj is False else int.__repr__(obj))
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _emit(command, params, result, seeds, started, fmt):
     digest = hashlib.sha256(_canonical_dumps(result).encode()).hexdigest()
     manifest = {
@@ -249,7 +273,7 @@ def _emit(command, params, result, seeds, started, fmt):
             writer.writerow((key, _canonical_dumps(value)
                              if isinstance(value, (dict, list)) else str(value)))
         return _write_stdout(out.getvalue())
-    return _write_stdout(json.dumps(doc, indent=2) + "\n")
+    return _write_stdout(_dumps(doc) + "\n")
 
 
 def _write_stdout(text):
@@ -549,121 +573,156 @@ def cmd_hankel_verify(args):
 
 
 # ---------------------------------------------------------------------------
-# argument parser
+# options
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors raise ValueError, so that they print
-    the JSON error document and exit 2; subparsers inherit the class."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def build_parser():
-    parser = _Parser(
-        prog="cuemoments",
-        description="Joint moments of characteristic-polynomial derivatives: "
-                    "exact rational values, Hankel/Painlevé verification, "
-                    "Monte Carlo and quadrature cross-checks.")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("leading-coeff",
-                       help="limiting joint moment as an exact rational "
-                            "function of s")
-    p.add_argument("--orders", required=True,
-                   help="comma-separated derivative orders n1,n2,...")
-    p.add_argument("--exponents", required=True,
-                   help="comma-separated even exponents 2h1,2h2,...")
-    p.add_argument("--variant", choices=("V", "Z"), required=True,
-                   help="Z: rescaled real-on-circle polynomial; V: bare "
-                        "polynomial (single order, exponent 2, via the "
-                        "closed-form product)")
-    p.add_argument("--eval-s", help="evaluate the rational function at s")
-    p.add_argument("--with-constant", action="store_true",
-                   help="also multiply the evaluation by G(s+1)^2/G(2s+1) "
-                        "and the 2^{-sum 2h_j n_j} prefactor")
-    p.set_defaults(func=cmd_leading_coeff)
-
-    p = sub.add_parser("finite-moment",
-                       help="finite-size joint moment ratio, exact in s")
-    p.add_argument("--N", type=int, required=True, help="matrix size")
-    p.add_argument("--orders", required=True)
-    p.add_argument("--exponents", required=True,
-                   help="even integers; '_' marks an exponent absorbed into "
-                        "the weight parameter s (0-th derivative slot)")
-    p.add_argument("--variant", choices=("V", "Z"), required=True)
-    p.add_argument("--eval-s")
-    p.set_defaults(func=cmd_finite_moment)
-
-    p = sub.add_parser("mc-estimate",
-                       help="Monte Carlo estimate of a joint moment ratio "
-                            "(any positive real exponents)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", required=True,
-                   help="weight parameter s > 0 (integer, rational or decimal)")
-    p.add_argument("--orders", required=True)
-    p.add_argument("--exponents", required=True)
-    p.add_argument("--variant", choices=("V", "Z"), default="Z")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: CUEMOMENTS_SEED env var or 0)")
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--proposal-scale", type=float, default=1.0)
-    p.set_defaults(func=cmd_mc_estimate)
-
-    p = sub.add_parser("quadrature",
-                       help="tensor Gauss-Legendre expectation of a "
-                            "polynomial under the heavy-tailed ensemble")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--poly", required=True,
-                   help="polynomial in x1..xN, e.g. \"x1^2\" or "
-                        "\"x1^2*x2 + 1/2*x1\"")
-    p.add_argument("--nodes", type=int, default=64,
-                   help="quadrature nodes per dimension")
-    p.set_defaults(func=cmd_quadrature)
-
-    p = sub.add_parser("painleve",
-                       help="verify the nonlinear ODE satisfied by the "
-                            "log-derivative tau function")
-    p.add_argument("--mode", choices=("p5-finite", "p3-limit"), required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--series-order", type=int, default=12)
-    p.set_defaults(func=cmd_painleve)
-
-    p = sub.add_parser("hankel-verify",
-                       help="run the exact Hankel-determinant identity suite")
-    p.add_argument("--l", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", default="1", help="evaluation point (rational)")
-    p.add_argument("--perturb", action="store_true",
-                   help="negative control: perturb a recursion matrix entry")
-    p.set_defaults(func=cmd_hankel_verify)
-
-    return parser
+# Per command (None: before the command) its help and its options in the
+# order of the manifest's params: option -> (type, default[, help]). A type is
+# str, int, float, a tuple of choices or bool for a flag; ... marks a required
+# option.
+_V_Z = ("V", "Z")
+_COMMANDS = {
+    None: ("Joint moments of characteristic-polynomial derivatives: exact rational values, "
+           "Hankel/Painlevé verification, Monte Carlo and quadrature cross-checks.",
+           {"--format": (("json", "csv"), "json", "output format")}),
+    "leading-coeff": ("limiting joint moment as an exact rational function of s", {
+        "--orders": (str, ..., "comma-separated derivative orders n1,n2,..."),
+        "--exponents": (str, ..., "comma-separated even exponents 2h1,2h2,..."),
+        "--variant": (_V_Z, ..., "Z: rescaled real-on-circle polynomial; V: bare "
+                      "polynomial (single order, exponent 2, via the closed-form product)"),
+        "--eval-s": (str, None, "evaluate the rational function at s"),
+        "--with-constant": (bool, False, "also multiply the evaluation by "
+                            "G(s+1)^2/G(2s+1) and the 2^{-sum 2h_j n_j} prefactor")}),
+    "finite-moment": ("finite-size joint moment ratio, exact in s", {
+        "--N": (int, ..., "matrix size"), "--orders": (str, ...),
+        "--exponents": (str, ..., "even integers; '_' marks an exponent absorbed into "
+                        "the weight parameter s (0-th derivative slot)"),
+        "--variant": (_V_Z, ...), "--eval-s": (str, None)}),
+    "mc-estimate": ("Monte Carlo estimate of a joint moment ratio (any positive real "
+                    "exponents)", {
+        "--N": (int, ...),
+        "--s": (str, ..., "weight parameter s > 0 (integer, rational or decimal)"),
+        "--orders": (str, ...), "--exponents": (str, ...), "--variant": (_V_Z, "Z"),
+        "--seed": (int, None, "RNG seed (default: CUEMOMENTS_SEED env var or 0)"),
+        "--chains": (int, 4), "--samples": (int, 2000), "--burn-in": (int, 500),
+        "--thin": (int, 1), "--proposal-scale": (float, 1.0)}),
+    "quadrature": ("tensor Gauss-Legendre expectation of a polynomial under the "
+                   "heavy-tailed ensemble", {
+        "--N": (int, ...), "--s": (int, ...),
+        "--poly": (str, ..., "polynomial in x1..xN, e.g. \"x1^2\" or \"x1^2*x2 + 1/2*x1\""),
+        "--nodes": (int, 64, "quadrature nodes per dimension")}),
+    "painleve": ("verify the nonlinear ODE satisfied by the log-derivative tau function", {
+        "--mode": (("p5-finite", "p3-limit"), ...), "--N": (int, None), "--s": (int, ...),
+        "--series-order": (int, 12)}),
+    "hankel-verify": ("run the exact Hankel-determinant identity suite", {
+        "--l": (int, 3), "--k": (int, 2), "--N": (int, 2), "--s": (int, 2),
+        "--t": (str, "1", "evaluation point (rational)"),
+        "--perturb": (bool, False, "negative control: perturb a recursion matrix entry")}),
+}
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first call to main and kept for the process:
-    parse_args leaves it unchanged, and a build takes about 1.3 ms (2 cores,
-    Python 3.11), half the median query of a sweep. It is not built at
-    import, so that importing stays cheap and set_defaults(func=...) binds
-    the cmd_* functions as they are when main first runs."""
-    return build_parser()
+def _option(token, names):
+    """argparse's reading of a token: None for a value, else (option, value
+    given with it or None); an unknown option is (None, None)."""
+    if token[:1] != "-" or token == "-" or _NUMBER.match(token):
+        return None
+    name, eq, value = token.partition("=")
+    if token in names or eq and name in names:
+        return name, value if eq else None
+    if token[1] != "-":
+        if token[:2] == "-h":
+            return "-h", token[2:]
+    elif matches := [n for n in names if n.startswith(name)]:
+        if len(matches) > 1:
+            raise ValueError("ambiguous option: %s could match %s" % (token, ", ".join(matches)))
+        return matches[0], value if eq else None
+    return None if " " in token else (None, None)
+
+
+def _help(command):
+    """Print the help of a command (None: of the program) and exit 0."""
+    about, options = _COMMANDS[command]
+    rows = [(c, h) for c, (h, _) in _COMMANDS.items() if c and not command]
+    for name, (typ, default, *notes) in options.items():
+        if typ is not bool and default is not None:
+            notes.append("required" if default is ... else "default %s" % default)
+        rows.append((name + (" {%s}" % ",".join(typ) if isinstance(typ, tuple) else
+                             "" if typ is bool else " X"), "; ".join(notes)))
+    rows.append(("-h, --help", "show this help and exit"))
+    sys.stdout.write("usage: cuemoments %s [options]\n\n%s\n\n" % (
+        command or "[--format F] COMMAND", about)
+        + "".join(("  %-28s %s" % r).rstrip() + "\n" for r in rows))
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """The namespace argparse gave for argv: format, command, the command's
+    options in table order, and func, its cmd_* function as the module holds
+    it now. --name value or --name=value; a unique prefix names an option; a
+    token that starts with '-' is an option unless it is '-', a negative
+    number or holds a space; --format goes before the command."""
+    args = types.SimpleNamespace(format="json", command=None)
+    command, options = None, _COMMANDS[None][1]
+    names = ("-h", "--help", *options)
+    extras, seen, i = [], set(), 0
+    # as in argparse, every token before a '--' is read up front, so that an
+    # ambiguous prefix fails before any option acts, and '--' itself fails
+    kinds = [_option(t, names) for t in itertools.takewhile("--".__ne__, argv)]
+    while i < len(argv):
+        if i == len(kinds):
+            raise ValueError("unrecognized arguments: " + " ".join(argv[i:]))
+        kind, i = kinds[i], i + 1
+        if kind is None and command is None:
+            if argv[i - 1] not in _COMMANDS:
+                raise ValueError("argument command: invalid choice: %r (choose from %s)"
+                                 % (argv[i - 1], ", ".join(repr(c) for c in _COMMANDS if c)))
+            command = args.command = argv[i - 1]
+            options = _COMMANDS[command][1]
+            names = ("-h", "--help", *options)
+            kinds[i:] = [_option(t, names) for t in argv[i:len(kinds)]]
+            for name, (_, default, *_) in options.items():
+                setattr(args, name[2:].replace("-", "_"), None if default is ... else default)
+        elif kind is None or kind[0] is None:
+            extras.append(argv[i - 1])
+        else:
+            (name, value), (typ, *_) = kind, options.get(kind[0], (bool,))
+            # a flag takes no value, but "-hh" is -h twice
+            if typ is bool and value is not None and (name != "-h" or value.strip("h")
+                                                      or not value):
+                raise ValueError("argument %s: ignored explicit argument %r" % (name, value))
+            if name in ("-h", "--help"):
+                _help(command)
+            if typ is bool:
+                value = True
+            elif value is None:
+                if i == len(kinds) or kinds[i] is not None:
+                    raise ValueError("argument %s: expected one argument" % name)
+                value, i = argv[i], i + 1
+            if isinstance(typ, tuple) and value not in typ:
+                raise ValueError("argument %s: invalid choice: %r (choose from %s)"
+                                 % (name, value, ", ".join(map(repr, typ))))
+            if typ in (int, float):
+                try:
+                    value = typ(value)
+                except ValueError:
+                    raise ValueError("argument %s: invalid %s value: %r"
+                                     % (name, typ.__name__, value))
+            setattr(args, name[2:].replace("-", "_"), value)
+            seen.add(name)
+    missing = [n for n, (_, default, *_) in options.items() if default is ... and n not in seen]
+    if command is None or missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing or ["command"]))
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    args.func = globals()["cmd_" + command.replace("-", "_")]
+    return args
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         started = time.monotonic()
         if args.command == "mc-estimate" and args.seed is None:
             args.seed = _default_seed()

@@ -3,12 +3,14 @@ force and scalar references for the engines of cuemoments, and the identities
 of the paper that no command verifies.
 """
 
+import argparse
 import functools
 import itertools
 import math
 from fractions import Fraction
 from operator import mul
 
+from cuemoments import cli
 from cuemoments.cauchy import _even_moments
 from cuemoments.exact import Poly, RationalFunction, _mul_t, _scaled_ints
 from cuemoments.hankel import (MultiSeries, Psi_ms, _column_sum, _columns, _matrix, _psi_cols,
@@ -452,3 +454,104 @@ def expansion_bruteforce(k, r):
             key = (tuple(expo), sum(lvec))
             out[key] = out.get(key, 0) + coeff
     return {kk: v for kk, v in out.items() if v != 0}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, as the CLI's
+    own parser does; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def argparse_parser():
+    """The CLI's options as an argparse parser, the one the CLI used before
+    its option table: the oracle of cli._parse."""
+    parser = _ArgumentParser(
+        prog="cuemoments",
+        description="Joint moments of characteristic-polynomial derivatives: "
+                    "exact rational values, Hankel/Painlevé verification, "
+                    "Monte Carlo and quadrature cross-checks.")
+    parser.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default json)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("leading-coeff",
+                       help="limiting joint moment as an exact rational "
+                            "function of s")
+    p.add_argument("--orders", required=True,
+                   help="comma-separated derivative orders n1,n2,...")
+    p.add_argument("--exponents", required=True,
+                   help="comma-separated even exponents 2h1,2h2,...")
+    p.add_argument("--variant", choices=("V", "Z"), required=True,
+                   help="Z: rescaled real-on-circle polynomial; V: bare "
+                        "polynomial (single order, exponent 2, via the "
+                        "closed-form product)")
+    p.add_argument("--eval-s", help="evaluate the rational function at s")
+    p.add_argument("--with-constant", action="store_true",
+                   help="also multiply the evaluation by G(s+1)^2/G(2s+1) "
+                        "and the 2^{-sum 2h_j n_j} prefactor")
+    p.set_defaults(func=cli.cmd_leading_coeff)
+
+    p = sub.add_parser("finite-moment",
+                       help="finite-size joint moment ratio, exact in s")
+    p.add_argument("--N", type=int, required=True, help="matrix size")
+    p.add_argument("--orders", required=True)
+    p.add_argument("--exponents", required=True,
+                   help="even integers; '_' marks an exponent absorbed into "
+                        "the weight parameter s (0-th derivative slot)")
+    p.add_argument("--variant", choices=("V", "Z"), required=True)
+    p.add_argument("--eval-s")
+    p.set_defaults(func=cli.cmd_finite_moment)
+
+    p = sub.add_parser("mc-estimate",
+                       help="Monte Carlo estimate of a joint moment ratio "
+                            "(any positive real exponents)")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--s", required=True,
+                   help="weight parameter s > 0 (integer, rational or decimal)")
+    p.add_argument("--orders", required=True)
+    p.add_argument("--exponents", required=True)
+    p.add_argument("--variant", choices=("V", "Z"), default="Z")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: CUEMOMENTS_SEED env var or 0)")
+    p.add_argument("--chains", type=int, default=4)
+    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--thin", type=int, default=1)
+    p.add_argument("--proposal-scale", type=float, default=1.0)
+    p.set_defaults(func=cli.cmd_mc_estimate)
+
+    p = sub.add_parser("quadrature",
+                       help="tensor Gauss-Legendre expectation of a "
+                            "polynomial under the heavy-tailed ensemble")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--poly", required=True,
+                   help="polynomial in x1..xN, e.g. \"x1^2\" or "
+                        "\"x1^2*x2 + 1/2*x1\"")
+    p.add_argument("--nodes", type=int, default=64,
+                   help="quadrature nodes per dimension")
+    p.set_defaults(func=cli.cmd_quadrature)
+
+    p = sub.add_parser("painleve",
+                       help="verify the nonlinear ODE satisfied by the "
+                            "log-derivative tau function")
+    p.add_argument("--mode", choices=("p5-finite", "p3-limit"), required=True)
+    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--series-order", type=int, default=12)
+    p.set_defaults(func=cli.cmd_painleve)
+
+    p = sub.add_parser("hankel-verify",
+                       help="run the exact Hankel-determinant identity suite")
+    p.add_argument("--l", type=int, default=3)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--t", default="1", help="evaluation point (rational)")
+    p.add_argument("--perturb", action="store_true",
+                   help="negative control: perturb a recursion matrix entry")
+    p.set_defaults(func=cli.cmd_hankel_verify)
+
+    return parser

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuemoments.cli import main
+from oracles import argparse_parser
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -283,7 +284,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("poly,value", [("-x1^2", -1 / 3), ("+x1^2", 1 / 3), ("0", 0.0)])
     def test_leading_sign_and_zero_poly(self, capsys, poly, value):
-        # "--poly=" keeps argparse from reading "-x1^2" as an option
+        # "--poly=" keeps the parser from reading "-x1^2" as an option
         code, doc, _ = run_cli(capsys, "quadrature", "--N", "1", "--s", "2", "--poly=" + poly)
         assert code == 0
         assert doc["result"]["value"] == pytest.approx(value, rel=1e-10, abs=1e-15)
@@ -608,9 +609,10 @@ def test_engine_error_exits_2_from_any_command(capsys, monkeypatch, target, erro
     assert doc == {"error": "boom", "exit_code": 2}
 
 
-def test_cached_parser_documents_equal_fresh_parser(capsys, monkeypatch):
+def test_same_process_documents_equal_argparse_documents(capsys, monkeypatch):
     # one process: an error, two different subcommands, then mc-estimate
-    # without --seed after one with --seed
+    # without --seed after one with --seed; every query read by the option
+    # table gives the document that a fresh argparse parser gives
     from cuemoments import cli
 
     monkeypatch.delenv("CUEMOMENTS_SEED", raising=False)
@@ -628,16 +630,29 @@ def test_cached_parser_documents_equal_fresh_parser(capsys, monkeypatch):
         doc.get("manifest", {}).pop("wall_time_s", None)
         return code, doc
 
-    cli._parser.cache_clear()
-    cached = [run(argv) for argv in queries]
-    assert cli._parser.cache_info().misses == 1
-    fresh = []
-    for argv in queries:
-        cli._parser.cache_clear()
-        fresh.append(run(argv))
-    assert cached == fresh
-    assert [code for code, _ in cached] == [2, 0, 0, 0, 0]
-    assert cached[4][1]["manifest"]["params"]["seed"] == 0
+    table = [run(argv) for argv in queries]
+    monkeypatch.setattr(cli, "_parse", lambda argv: argparse_parser().parse_args(argv))
+    assert [run(argv) for argv in queries] == table
+    assert [code for code, _ in table] == [2, 0, 0, 0, 0]
+    assert table[4][1]["manifest"]["params"]["seed"] == 0
+
+
+def test_patched_command_is_the_one_that_runs(capsys, monkeypatch):
+    # main looks the command's function up in the module on every call, so a
+    # wrapper installed after import (as the benchmark tracer installs) runs
+    from cuemoments import cli
+
+    calls = []
+
+    def fake(args):
+        calls.append(vars(args).copy())
+        return {"fake": True}, 0, None
+
+    monkeypatch.setattr(cli, "cmd_painleve", fake)
+    code, doc, _ = run_cli(capsys, "painleve", "--mode", "p3-limit", "--s", "1")
+    assert code == 0 and doc["result"] == {"fake": True}
+    assert calls == [{"format": "json", "command": "painleve", "mode": "p3-limit",
+                      "N": None, "s": 1, "series_order": 12, "func": fake}]
 
 
 @pytest.mark.parametrize("argv,bound", [
@@ -853,6 +868,180 @@ def test_cli_fuzz_exits_with_one_json_document(argv):
     assert ("error" in doc) == (code == 2)
     if code == 2:
         assert not _PYTHON_TEXT.search(doc["error"]), doc["error"]
+
+
+_ORACLE = argparse_parser()   # parse_args leaves it unchanged
+
+
+def _read_both(argv):
+    """The outcome of cli._parse and of the argparse oracle on argv, each
+    ("ok", vars), ("exit", code) or ("error",) for an exit-2 usage error."""
+    from cuemoments import cli
+
+    outcomes = []
+    for parse in (cli._parse, _ORACLE.parse_args):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                outcomes.append(("ok", vars(parse(list(argv)))))
+        except ValueError:
+            outcomes.append(("error",))
+        except SystemExit as exc:
+            outcomes.append(("exit", exc.code))
+    return outcomes
+
+
+_LC = ["leading-coeff", "--orders", "1", "--exponents", "2", "--variant", "Z"]
+_QUAD = ["quadrature", "--N", "1", "--s", "2"]
+
+
+@pytest.mark.parametrize("argv,outcome", [
+    # --opt=value, unique and ambiguous prefixes, repeated options
+    (_LC + ["--eval-s=3"], "ok"),
+    (["leading-coeff", "--ord=1", "--exp", "2", "--var", "Z", "--w", "--ev", "1"], "ok"),
+    (_LC + ["--e", "1"], "error"),
+    (_LC + ["--e=1"], "error"),
+    (["painleve", "--mode", "p3-limit", "--s", "1", "--s", "2", "--se", "4"], "ok"),
+    (["painleve", "--mode", "p3-limit", "--s=1", "--series=4"], "ok"),
+    (_MC + ["--orders", "1", "--exponents", "2", "--p", "2"], "ok"),
+    (["hankel-verify", "--p", "--pe"], "ok"),
+    (["hankel-verify", "--perturb=1"], "error"),
+    (["hankel-verify", "--l", "3", "--l", "x"], "error"),
+    # values that start with '-': a negative number, a token with a space
+    (["finite-moment", "--N", "-5", "--orders", "1", "--exponents", "2", "--variant", "Z"],
+     "ok"),
+    (_QUAD + ["--poly", "-2*x1^2 - 3"], "ok"),
+    (_QUAD + ["--poly", "-x1^2"], "error"),
+    (_QUAD + ["--poly=-x1^2"], "ok"),
+    (_LC + ["--eval-s", "-1/2"], "error"),
+    (_LC + ["--eval-s=-1/2"], "ok"),
+    (_LC + ["--eval-s", "-.5"], "ok"),
+    # --format before and after the command
+    (["--format", "csv"] + _LC, "ok"),
+    (["--fo=csv"] + _LC, "ok"),
+    (_LC + ["--format", "csv"], "error"),
+    (["--format", "xml"] + _LC, "error"),
+    (["--format"] + _LC, "error"),
+    # an unknown or missing command, an empty argv, unknown options and values
+    (["bogus"], "error"),
+    (["--format", "csv"], "error"),
+    ([], "error"),
+    (["--bogus"] + _LC, "error"),
+    (_LC + ["stray"], "error"),
+    (_LC + ["--"], "error"),
+    (["leading-coeff"], "error"),
+    # -h anywhere, unless an error comes before it
+    (["-h"], "exit"),
+    (["--help", "bogus"], "exit"),
+    (["--bogus", "leading-coeff", "-h"], "exit"),
+    (["leading-coeff", "--he"], "exit"),
+    (_LC + ["--variant", "X", "-h"], "error"),
+    (_LC + ["-h", "--variant", "X"], "exit"),
+    (_LC + ["--eval-s", "-h"], "error"),
+    (_LC + ["-h", "--e"], "error"),
+    (_LC + ["-h", "--", "--e"], "exit"),
+    (_LC + ["-hx"], "error"),
+])
+def test_parser_cases_agree_with_argparse(argv, outcome):
+    ours, oracle = _read_both(argv)
+    assert ours == oracle
+    assert ours[0] == outcome
+    if outcome == "exit":
+        assert ours == ("exit", 0)
+
+
+_OPTION_NAMES = sorted({o for options in _FUZZ.values() for o in options}
+                       | {"--orders", "--exponents", "--format", "--help", "-h"})
+_TOKENS = _OPTION_NAMES + _MALFORMED + sorted(_FUZZ) + [
+    "bogus", "--bogus", "--exp", "--e", "--ev", "--s", "--se", "--p", "--fo=csv", "csv",
+    "-5", "-2*x1^2 - 3", "-1/2", "--eval-s=-1/2", "--exp=2", "", "-", "-.5", "--"]
+
+
+@st.composite
+def _edited_argv(draw):
+    """A fuzz argv with up to three edits: a token inserted, an option and its
+    value joined by '=', an option cut to a prefix, or an option repeated;
+    then --format before or after the command, or neither."""
+    argv = draw(_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.integers(0, 3))
+        if edit == 0:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+            continue
+        options = [i for i, t in enumerate(argv) if t.startswith("--")]
+        if not options:
+            continue
+        i = draw(st.sampled_from(options))
+        if edit == 1 and i + 1 < len(argv):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        elif edit == 2:
+            argv[i] = argv[i][:draw(st.integers(3, max(3, len(argv[i]))))]
+        else:
+            argv += argv[i:i + 2]
+    where = draw(st.integers(0, 2))
+    fmt = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return fmt + argv if where == 0 else argv + fmt if where == 1 else argv
+
+
+@given(st.one_of(_edited_argv(), st.lists(st.sampled_from(_TOKENS), max_size=8)))
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_parser_agrees_with_argparse(argv):
+    # either both give the same namespace (vars, the command and its
+    # function included), or both exit 2, or both print help and exit 0
+    ours, oracle = _read_both(argv)
+    assert ours == oracle
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_writer_is_json_dumps_indent_2(obj):
+    from cuemoments.cli import _dumps
+
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324],
+    {"é": "Ω ≈ 1 ✓", "\ud83d": "\x00\n\"\\"},
+    [[], {}, [[]], {"a": {}}, {"a": {"b": [[], [{}]]}}],
+    [True, 1, False, 0, None, 1.0, 10 ** 40, -1],
+    {"t": (1, "x"), "nested": [{"k": [1, [2, [3, {"v": None}]]]}]},
+    [], {}, "", 0, 0.5, True,
+])
+def test_writer_special_values(obj):
+    from cuemoments.cli import _dumps
+
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    _LC + ["--eval-s", "5/2"],
+    ["finite-moment", "--N", "2", "--orders", "1,0", "--exponents", "2,_", "--variant", "V",
+     "--eval-s", "3"],
+    _MC + ["--orders", "1", "--exponents", "2", "--seed", "3"],
+    _QUAD + ["--poly", "x1^2 - 1/3"],
+    ["painleve", "--mode", "p5-finite", "--N", "2", "--s", "1"],
+    ["painleve", "--mode", "p3-limit", "--s", "1", "--series-order", "4"],
+    ["hankel-verify", "--perturb"],
+])
+def test_writer_prints_each_command_as_json_dumps(capsys, monkeypatch, argv):
+    from cuemoments import cli
+
+    docs, write = [], cli._dumps
+
+    def spy(obj, *rest):
+        docs.append(obj)
+        return write(obj, *rest)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    main(argv)
+    assert capsys.readouterr().out == json.dumps(docs[0], indent=2) + "\n"
+    assert docs[0]["command"] == argv[0]
 
 
 @pytest.mark.parametrize("N,orders,exponents", [
